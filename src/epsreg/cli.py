@@ -168,9 +168,10 @@ _SCHEMAS = {
 
 
 def _validate_schedule_param(schedule, source, lineno):
-    arr = np.asarray(schedule, dtype=float)
-    if np.any(arr <= 0.0) or np.any(np.diff(arr) >= 0.0):
-        raise InputError(f"{source}:{lineno}: 'schedule' must be strictly decreasing and positive")
+    try:
+        core.validate_schedule(schedule)
+    except InputError as exc:
+        raise InputError(f"{source}:{lineno}: bad 'schedule': {exc}") from exc
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -487,17 +488,21 @@ def _verify_suite() -> int:
 
     arc = variational.ArcSpec(0.0, math.pi)
     seeds = variational.build_seed_system(arc, DiracOperatorKind.GRADIENT, 8, quad)
-    trial = variational.trial_space_for_epsilon(seeds, 0.3)
     d_star = rng.standard_normal(8)
-    sol = variational.solve_perturbed_galerkin(
-        trial,
-        f=(seeds.grad_x @ d_star, seeds.grad_y @ d_star),
-        h=seeds.values @ d_star,
-    )
-    gram = seeds.energy_gram + 0.3 * seeds.l2_gram
-    diff = sol.seed_coeffs - d_star
-    gal_err = math.sqrt(max(float(np.real(np.conj(diff) @ (gram.T @ diff))), 0.0))
-    check("galerkin reproduces span member", gal_err <= 1e-9, f"err={gal_err:.2e}")
+    # eps 1e-8 checks the spectral solve at the small end of long schedules.
+    for eps in (0.3, 1e-8):
+        trial = variational.trial_space_for_epsilon(seeds, eps)
+        sol = variational.solve_perturbed_galerkin(
+            trial,
+            f=(seeds.grad_x @ d_star, seeds.grad_y @ d_star),
+            h=seeds.values @ d_star,
+        )
+        gram = seeds.energy_gram + eps * seeds.l2_gram
+        diff = sol.seed_coeffs - d_star
+        gal_err = math.sqrt(max(float(np.real(np.conj(diff) @ (gram.T @ diff))), 0.0))
+        check(
+            f"galerkin reproduces span member eps={eps:g}", gal_err <= 1e-9, f"err={gal_err:.2e}"
+        )
 
     src = BasisFunction(RadialFactor(2, 1.0), 1, DiracOperatorKind.GRADIENT)
     series = variational.solve_mixed_boundary_series(

@@ -207,12 +207,22 @@ def solve_perturbed(T: DiscreteOperator, f, h, epsilon: float) -> PerturbedSolut
     )
 
 
-def _validate_schedule(schedule) -> np.ndarray:
+def validate_schedule(schedule) -> np.ndarray:
+    """The eps schedule as a float array, or InputError.
+
+    A schedule is a nonempty 1-d sequence of finite, normal (at least the
+    smallest normal double), strictly decreasing values.  NaN, inf and
+    subnormal entries are rejected here rather than failing later.
+    """
     sched = np.asarray(schedule, dtype=float)
     if sched.ndim != 1 or sched.size == 0:
         raise InputError("schedule must be a nonempty 1-d sequence")
-    if np.any(sched <= 0.0):
-        raise InputError("schedule entries must be positive")
+    if not np.all(np.isfinite(sched)):
+        raise InputError("schedule entries must be finite")
+    if np.any(sched < np.finfo(float).tiny):
+        raise InputError(
+            f"schedule entries must be positive and at least {np.finfo(float).tiny:.3e}"
+        )
     if np.any(np.diff(sched) >= 0.0):
         raise InputError("schedule must be strictly decreasing")
     return sched
@@ -272,7 +282,7 @@ def run_path(
     compared against the two thresholds.  The proxy nature is recorded on
     the returned path (thresholds are carried along with the verdict).
     """
-    sched = _validate_schedule(schedule)
+    sched = validate_schedule(schedule)
     entries = tuple(solve_perturbed(T, f, h, float(eps)) for eps in sched)
     slope = fit_growth_slope(sched, [e.norm_h for e in entries])
     verdict = classify_slope(slope, bounded_slope, unbounded_slope)

@@ -26,6 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import cumulative_simpson, quad
 
+from .core import validate_schedule
 from .errors import InputError
 
 __all__ = [
@@ -178,11 +179,7 @@ def convergence_report(p: Ode1dProblem, schedule, grid_points: int = 1001):
     Errors are measured on a uniform grid.  The exact derivative is f
     itself, so no differentiation of the exact solution is needed.
     """
-    sched = np.asarray(schedule, dtype=float)
-    if sched.ndim != 1 or sched.size == 0:
-        raise InputError("schedule must be a nonempty 1-d sequence")
-    if np.any(sched <= 0.0) or np.any(np.diff(sched) >= 0.0):
-        raise InputError("schedule must be strictly decreasing and positive")
+    sched = validate_schedule(schedule)
 
     grid = np.linspace(p.a, p.b, grid_points)
     exact_vals = np.array([exact_solution(p, float(x)) for x in grid])

@@ -8,18 +8,24 @@ Everything here realizes the weak formulation
 by quadrature: tensor Gauss-Legendre x trapezoid nodes on the disk, arc
 trapezoid nodes on the boundary, trial spaces seeded by ``delta * P`` with
 ``delta`` a smooth function vanishing exactly on Gamma and ``P`` graded
-monomials, Gram-Schmidt under the eps-inner product, and the explicit
-Fourier-coefficient solution formulas.  A separate series solver expands
-mixed boundary data in the boundary-orthonormalized Helmholtz basis.
+monomials, and the explicit Fourier-coefficient solution formulas.  The
+seeds are held as node-value matrices, and one generalized eigenbasis of
+their energy and L^2 Grams, K^T w = lam M^T w, is orthonormal under every
+eps-inner product at once after the scaling w / sqrt(lam + eps), so an
+eps sweep costs one factorization and a diagonal scaling per eps.  A
+separate series solver expands mixed boundary data in the
+boundary-orthonormalized Helmholtz basis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from . import core, diskbasis
 from .bessel import RadialFactor
@@ -316,40 +322,52 @@ class LinearCombination(Field):
         return tx, ty
 
 
+def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] z^k by Horner's rule (zero for no coefficients)."""
+    total = np.zeros(z.shape, dtype=complex)
+    for c in coeffs[::-1]:
+        total = total * z + c
+    return total
+
+
 class FourierHarmonicField(Field):
-    """Harmonic field sum_n c_n r^{|n|} e^{i n phi} from boundary Fourier data."""
+    """Harmonic field sum_n c_n r^{|n|} e^{i n phi} from boundary Fourier data.
+
+    The field is P(z) + Q(conj z) with P and Q the polynomials of the
+    nonnegative and negative orders; both are evaluated by Horner's rule.
+    """
 
     def __init__(self, orders, coeffs, real_output: bool):
         self.orders = np.asarray(orders, dtype=int)
         self.fourier = np.asarray(coeffs, dtype=complex)
         self.real_output = real_output
+        degree = int(np.max(np.abs(self.orders))) if self.orders.size else 0
+        # holo[k] multiplies z^k, anti[k] multiplies conj(z)^k (anti[0] = 0).
+        self._holo = np.zeros(degree + 1, dtype=complex)
+        self._anti = np.zeros(degree + 1, dtype=complex)
+        pos = self.orders >= 0
+        np.add.at(self._holo, self.orders[pos], self.fourier[pos])
+        np.add.at(self._anti, -self.orders[~pos], self.fourier[~pos])
+        powers = np.arange(1, degree + 1)
+        self._holo_prime = self._holo[1:] * powers
+        self._anti_prime = self._anti[1:] * powers
 
     def _cast(self, values):
         return values.real if self.real_output else values
 
+    @staticmethod
+    def _z(x, y):
+        return np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float)
+
     def value_xy(self, x, y):
-        z = np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float)
-        total = np.zeros(z.shape, dtype=complex)
-        for n, c in zip(self.orders, self.fourier):
-            total += c * (z**n if n >= 0 else np.conj(z) ** (-n))
-        return self._cast(total)
+        z = self._z(x, y)
+        return self._cast(_horner(self._holo, z) + _horner(self._anti, np.conj(z)))
 
     def gradient_xy(self, x, y):
-        z = np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float)
-        ux = np.zeros(z.shape, dtype=complex)
-        uy = np.zeros(z.shape, dtype=complex)
-        for n, c in zip(self.orders, self.fourier):
-            if n == 0:
-                continue
-            if n > 0:
-                base = c * n * z ** (n - 1)
-                ux += base
-                uy += 1j * base
-            else:
-                base = c * (-n) * np.conj(z) ** (-n - 1)
-                ux += base
-                uy += -1j * base
-        return self._cast(ux), self._cast(uy)
+        z = self._z(x, y)
+        dp = _horner(self._holo_prime, z)
+        dq = _horner(self._anti_prime, np.conj(z))
+        return self._cast(dp + dq), self._cast(1j * (dp - dq))
 
 
 def operator_image(op: DiracOperatorKind, u) -> Callable:
@@ -579,43 +597,41 @@ def _monomial_exponents(count: int):
     return out
 
 
-def defining_function(arc: ArcSpec) -> Field:
-    """Smooth nonnegative field vanishing exactly on Gamma.
+def _delta_nodes(arc: ArcSpec, x, y):
+    """delta = 1 - r^2 + r^2 sigma(phi) and its Cartesian gradient at (x, y).
 
-    delta = 1 - r^2 + r^2 sigma(phi) with sigma = sin^4 of the scaled
-    position along the complement arc: zero on Gamma's closed angular
-    interval, positive elsewhere on the boundary, and positive throughout
-    the open disk.
+    sigma = sin^4 of the scaled position along the complement arc: zero on
+    Gamma's closed angular interval, positive elsewhere on the boundary.
     """
     lc = arc.complement_length
-
-    def sigma_pair(phi):
-        if arc.empty:
-            one = np.ones(np.shape(phi))
-            return one, np.zeros(np.shape(phi))
-        if lc <= 0.0:
-            zero = np.zeros(np.shape(phi))
-            return zero, zero
+    phi = np.arctan2(y, x)
+    if arc.empty:
+        s, ds = np.ones(np.shape(phi)), np.zeros(np.shape(phi))
+    elif lc <= 0.0:
+        s = ds = np.zeros(np.shape(phi))
+    else:
         t = arc.complement_position(phi)
         inside = (t > 0.0) & (t < lc)
         arg = math.pi * t / lc
         s = np.where(inside, np.sin(arg) ** 4, 0.0)
         ds = np.where(inside, 4.0 * (math.pi / lc) * np.sin(arg) ** 3 * np.cos(arg), 0.0)
-        return s, ds
+    r2 = x * x + y * y
+    value = 1.0 - r2 + r2 * s
+    gx = -2.0 * x + 2.0 * x * s - y * ds
+    gy = -2.0 * y + 2.0 * y * s + x * ds
+    return value, gx, gy
 
-    def value(x, y):
-        r2 = x * x + y * y
-        s, _ = sigma_pair(np.arctan2(y, x))
-        return 1.0 - r2 + r2 * s
 
-    def gradient(x, y):
-        phi = np.arctan2(y, x)
-        s, ds = sigma_pair(phi)
-        gx = -2.0 * x + 2.0 * x * s - y * ds
-        gy = -2.0 * y + 2.0 * y * s + x * ds
-        return gx, gy
+def defining_function(arc: ArcSpec) -> Field:
+    """Smooth nonnegative field vanishing exactly on Gamma.
 
-    return Field(value, gradient)
+    delta = 1 - r^2 + r^2 sigma(phi) (see ``_delta_nodes``): zero on Gamma,
+    positive elsewhere on the boundary and throughout the open disk.
+    """
+    return Field(
+        lambda x, y: _delta_nodes(arc, x, y)[0],
+        lambda x, y: _delta_nodes(arc, x, y)[1:],
+    )
 
 
 def _product_field(a: Field, b: Field) -> Field:
@@ -631,46 +647,183 @@ def _product_field(a: Field, b: Field) -> Field:
     return Field(value, gradient)
 
 
+def _seed_columns(arc: ArcSpec, exponents, x, y):
+    """Node matrices (values, d/dx, d/dy) of the seeds delta * x^px y^py.
+
+    delta and its gradient are evaluated once and the monomials come from
+    power tables; the expressions follow ``Field.monomial`` and
+    ``_product_field`` term by term, so the columns equal the seed fields
+    evaluated at the same points.
+    """
+    delta, dx, dy = _delta_nodes(arc, x, y)
+    top = max(max(e) for e in exponents)
+    xp = [x**p for p in range(top + 1)]
+    yp = [y**p for p in range(top + 1)]
+    zero = np.zeros(x.shape)
+    shape = (x.size, len(exponents))
+    values, gx, gy = np.empty(shape), np.empty(shape), np.empty(shape)
+    for k, (px, py) in enumerate(exponents):
+        mono = xp[px] * yp[py]
+        mx = px * xp[px - 1] * yp[py] if px > 0 else zero
+        my = py * xp[px] * yp[py - 1] if py > 0 else zero
+        values[:, k] = delta * mono
+        gx[:, k] = dx * mono + delta * mx
+        gy[:, k] = dy * mono + delta * my
+    return values, gx, gy
+
+
 def _gram(w: np.ndarray, cols_a: np.ndarray, cols_b: np.ndarray) -> np.ndarray:
     """G[i, j] = sum_n w_n A[n, i] conj(B[n, j])."""
     return (w[:, None] * cols_a).T @ np.conj(cols_b)
 
 
+def _real_matmul(mat: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """mat @ other for a real ``mat`` without promoting it to complex."""
+    if np.iscomplexobj(other):
+        return mat @ other.real + 1j * (mat @ other.imag)
+    return mat @ other
+
+
+def _quad_forms(gram: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """d^H G^T d for every column d of ``coeffs``, clipped at 0."""
+    return np.maximum(np.real(np.sum(np.conj(coeffs) * (gram.T @ coeffs), axis=0)), 0.0)
+
+
+# Columns of a coefficient matrix turned into node values at a time.
+_NODE_BLOCK = 8
+
+
+def _blockwise_misfit(w: np.ndarray, evaluate: Callable, coeffs: np.ndarray, targets) -> np.ndarray:
+    """sqrt(sum_c ||evaluate(D)_c - targets_c||_w^2) for every column of ``coeffs``.
+
+    ``evaluate`` maps a block of coefficient columns to a list of node-value
+    components.  The misfit is taken from node values, never from a Gram
+    expansion, which cancels to sqrt(eps_mach) times the data norm when the
+    misfit is small; blocks of a few columns keep a long schedule from
+    holding a (nodes x schedule) array.
+    """
+    out = np.empty(coeffs.shape[1])
+    for start in range(0, coeffs.shape[1], _NODE_BLOCK):
+        block = slice(start, start + _NODE_BLOCK)
+        sq = 0.0
+        for got, target in zip(evaluate(coeffs[:, block]), targets):
+            sq = sq + w @ (np.abs(got - np.asarray(target)[:, None]) ** 2)
+        out[block] = np.sqrt(sq)
+    return out
+
+
+def _seed_spectrum(energy_gram: np.ndarray, l2_gram: np.ndarray, drop_tol: float):
+    """Generalized eigenpairs K^T w = lam M^T w over the independent seeds.
+
+    Both Grams are rescaled to unit L^2 diagonal.  A pivoted Cholesky
+    factorization of the scaled M drops every seed whose L^2 distance to the
+    span of the kept ones is at most ``drop_tol`` times its own norm (or at
+    most sqrt(n eps_mach), the rounding level of the pivots, when that is
+    larger); the eigendecomposition runs on the kept seeds.  Returns
+    (lam, W, dropped) with W^H M^T W = I and W^H K^T W = diag(lam); W has
+    zero rows at the dropped seeds.
+    """
+    n = l2_gram.shape[0]
+    scale = np.sqrt(np.real(np.diag(l2_gram)))
+    outer = np.outer(scale, scale)
+    m_scaled = l2_gram / outer
+    pstrf = scipy.linalg.get_lapack_funcs("pstrf", (m_scaled,))
+    tol = max(drop_tol**2, n * np.finfo(float).eps)
+    _, piv, rank, _ = pstrf(m_scaled, tol=tol)
+    # LAPACK keeps a positive first pivot whatever the tolerance.
+    if rank == 0 or np.real(m_scaled[piv[0] - 1, piv[0] - 1]) <= tol:
+        raise NumericError("trial space collapsed: all seeds dropped")
+    kept = np.sort(piv[:rank] - 1)
+    dropped = sorted(int(k) for k in piv[rank:] - 1)
+    sub = np.ix_(kept, kept)
+    lam, w_kept = scipy.linalg.eigh((energy_gram / outer)[sub].T, m_scaled[sub].T)
+    eigvecs = np.zeros((n, rank), dtype=w_kept.dtype)
+    eigvecs[kept] = w_kept / scale[kept, None]
+    # K is positive semidefinite: negative eigenvalues are rounding.
+    return np.maximum(lam, 0.0), eigvecs, dropped
+
+
 @dataclass
 class SeedSystem:
-    """Trial seeds delta * P with cached node data and eps-independent Grams.
+    """Trial seeds delta * P as node matrices, with their Grams and spectrum.
 
-    ``values``/``grad_x``/``grad_y`` hold one column per seed at the disk
-    quadrature nodes; ``l2_gram`` and ``energy_gram`` are the L^2 and
-    (A., A.) Gram matrices, so the eps-Gram is energy + eps * l2.
+    ``values``/``grad_x``/``grad_y`` hold one real column per seed at the
+    disk quadrature nodes; ``l2_gram`` (M) and ``energy_gram`` (K) are the
+    L^2 and (A., A.) Gram matrices, so the eps-Gram is K + eps M.  ``lam``
+    and ``eigvecs`` solve K^T w = lam M^T w with W^H M^T W = I on the seeds
+    not in ``dropped``: in that basis the Galerkin system of every eps is
+    diagonal, (K + eps M)^T d = b giving d = W diag(1 / (lam + eps)) W^H b.
     """
 
     operator: DiracOperatorKind
     arc: ArcSpec
     quad: DiskQuadrature
-    fields: list
+    exponents: list
+    norms: np.ndarray
     values: np.ndarray
     grad_x: np.ndarray
     grad_y: np.ndarray
     l2_gram: np.ndarray
     energy_gram: np.ndarray
     trace_max: float
+    lam: np.ndarray
+    eigvecs: np.ndarray
+    dropped: list
 
     @property
     def size(self) -> int:
-        return len(self.fields)
+        return self.values.shape[1]
+
+    @cached_property
+    def fields(self) -> list:
+        """The seeds as Field closures (built on first use, off the hot path)."""
+        delta = defining_function(self.arc)
+        return [
+            (1.0 / norm) * _product_field(delta, Field.monomial(px, py))
+            for norm, (px, py) in zip(self.norms, self.exponents)
+        ]
 
     def rhs_vector(self, f_values) -> np.ndarray:
         """b_k = (f, A s_k) for f given by node values."""
         w = self.quad.w
         if self.operator is DiracOperatorKind.GRADIENT:
             fx, fy = f_values
-            return (w * fx) @ np.conj(self.grad_x) + (w * fy) @ np.conj(self.grad_y)
-        return (w * f_values) @ np.conj(self.grad_x + 1j * self.grad_y)
+            return _real_matmul(self.grad_x.T, w * fx) + _real_matmul(self.grad_y.T, w * fy)
+        wf = w * f_values
+        return _real_matmul(self.grad_x.T, wf) - 1j * _real_matmul(self.grad_y.T, wf)
 
     def l2_vector(self, h_values) -> np.ndarray:
         """b_k = (h, s_k) for h given by node values."""
-        return (self.quad.w * h_values) @ np.conj(self.values)
+        return _real_matmul(self.values.T, self.quad.w * h_values)
+
+    def sweep_coefficients(self, rhs: np.ndarray, epsilons) -> np.ndarray:
+        """Seed coefficients solving (K + eps M)^T d = rhs, one column per eps."""
+        eps = np.asarray(epsilons, dtype=float)
+        proj = self.eigvecs.conj().T @ rhs
+        return self.eigvecs @ (proj[:, None] / (self.lam[:, None] + eps[None, :]))
+
+    def image_at_nodes(self, coeffs: np.ndarray) -> list:
+        """Node values of A u for u = sum_k coeffs[k, j] s_k, per column j.
+
+        Two real components for the gradient, one complex component for
+        Cauchy-Riemann.
+        """
+        ax = _real_matmul(self.grad_x, coeffs)
+        ay = _real_matmul(self.grad_y, coeffs)
+        if self.operator is DiracOperatorKind.GRADIENT:
+            return [ax, ay]
+        return [ax + 1j * ay]
+
+    def residuals(self, coeffs: np.ndarray, f_values) -> np.ndarray:
+        """||A u_j - f||_{L^2} for u_j = sum_k coeffs[k, j] s_k."""
+        targets = f_values if self.operator is DiracOperatorKind.GRADIENT else (f_values,)
+        return _blockwise_misfit(self.quad.w, self.image_at_nodes, coeffs, targets)
+
+    def l2_distances(self, coeffs: np.ndarray, target) -> np.ndarray:
+        """||u_j - target||_{L^2} for u_j = sum_k coeffs[k, j] s_k."""
+        return _blockwise_misfit(
+            self.quad.w, lambda block: [_real_matmul(self.values, block)], coeffs, (target,)
+        )
 
 
 def build_seed_system(
@@ -679,63 +832,72 @@ def build_seed_system(
     size: int,
     quad: DiskQuadrature,
     trace_tol: float = 1e-9,
+    drop_tol: float = 1e-10,
 ) -> SeedSystem:
-    """Construct ``size`` trial seeds vanishing on Gamma.
+    """Construct ``size`` trial seeds vanishing on Gamma and factor their Grams.
 
     Seeds are delta * monomial in graded order, normalized to unit graph
     norm.  Their boundary traces on Gamma quadrature nodes are verified
-    against ``trace_tol``; by construction they vanish there exactly.
+    against ``trace_tol``; by construction they vanish there exactly.  One
+    generalized eigendecomposition of the seed Grams (see
+    ``_seed_spectrum``) serves every eps of a sweep.
     """
     if size < 1:
         raise InputError(f"trial-space size must be >= 1, got {size}")
-    delta = defining_function(arc)
     exponents = _monomial_exponents(size)
-    fields = [_product_field(delta, Field.monomial(px, py)) for px, py in exponents]
-
-    values = np.column_stack([f.value_xy(quad.x, quad.y) for f in fields])
-    grads = [f.gradient_xy(quad.x, quad.y) for f in fields]
-    gx = np.column_stack([g[0] for g in grads])
-    gy = np.column_stack([g[1] for g in grads])
+    values, gx, gy = _seed_columns(arc, exponents, quad.x, quad.y)
 
     # Unit graph norm: D(s)^2 = ||s||^2 + ||A s||^2.
     norms = np.sqrt(
         np.sum(quad.w[:, None] * np.abs(values) ** 2, axis=0)
         + np.sum(quad.w[:, None] * (np.abs(gx) ** 2 + np.abs(gy) ** 2), axis=0)
     )
-    if np.any(norms <= 0.0):
-        raise NumericError("degenerate trial seed with zero graph norm")
+    if not np.all(norms > 0.0):
+        raise NumericError("degenerate trial seed with zero or non-finite graph norm")
     values /= norms
     gx /= norms
     gy /= norms
-    scaled_fields = [(1.0 / n) * f for n, f in zip(norms, fields)]
 
     g_phi, _ = arc.quadrature(quad.n_phi)
     if g_phi.size:
-        traces = np.column_stack([f.value_xy(np.cos(g_phi), np.sin(g_phi)) for f in scaled_fields])
+        traces = _seed_columns(arc, exponents, np.cos(g_phi), np.sin(g_phi))[0] / norms
         trace_max = float(np.max(np.abs(traces)))
         if trace_max > trace_tol:
             raise NumericError(f"seed trace on Gamma {trace_max:.3e} exceeds {trace_tol:.1e}")
     else:
         trace_max = 0.0
 
-    m_gram = _gram(quad.w, values, values)
-    if operator is DiracOperatorKind.CAUCHY_RIEMANN:
-        av = gx + 1j * gy
-        k_gram = _gram(quad.w, av, av)
-    else:
-        k_gram = _gram(quad.w, gx, gx) + _gram(quad.w, gy, gy)
+    return _factor_seeds(
+        operator, arc, quad, exponents, norms, values, gx, gy, trace_max, drop_tol
+    )
 
+
+def _factor_seeds(
+    operator, arc, quad, exponents, norms, values, gx, gy, trace_max, drop_tol
+) -> SeedSystem:
+    """Seed system from normalized node matrices: Grams and their spectrum."""
+    m_gram = _gram(quad.w, values, values)
+    k_gram = _gram(quad.w, gx, gx) + _gram(quad.w, gy, gy)
+    if operator is DiracOperatorKind.CAUCHY_RIEMANN:
+        # (gx + i gy) Gram from real products: no complex node matrices.
+        cross = _gram(quad.w, gx, gy)
+        k_gram = k_gram + 1j * (cross.T - cross)
+    lam, eigvecs, dropped = _seed_spectrum(k_gram, m_gram, drop_tol)
     return SeedSystem(
         operator=operator,
         arc=arc,
         quad=quad,
-        fields=scaled_fields,
+        exponents=exponents,
+        norms=norms,
         values=values,
         grad_x=gx,
         grad_y=gy,
         l2_gram=m_gram,
         energy_gram=k_gram,
         trace_max=trace_max,
+        lam=lam,
+        eigvecs=eigvecs,
+        dropped=dropped,
     )
 
 
@@ -743,16 +905,15 @@ def build_seed_system(
 class TrialSpace:
     """Seeds orthonormalized under the eps-inner product.
 
-    ``coeff`` maps orthonormal coordinates to seed coordinates (columns are
-    the orthonormal basis expressed over the seeds); ``gram_eps`` is the
-    seed Gram ``energy + eps * l2``.
+    ``coeff`` maps orthonormal coordinates to seed coordinates: its columns
+    are the seed eigenvectors rescaled to unit eps-norm, w_i / sqrt(lam_i +
+    eps).  ``gram_eps`` is the seed Gram ``energy + eps * l2``.
     """
 
     seeds: SeedSystem
     epsilon: float
     coeff: np.ndarray
     gram_eps: np.ndarray
-    dropped: list
 
     @property
     def operator(self) -> DiracOperatorKind:
@@ -765,6 +926,10 @@ class TrialSpace:
     @property
     def quad(self) -> DiskQuadrature:
         return self.seeds.quad
+
+    @property
+    def dropped(self) -> list:
+        return self.seeds.dropped
 
     @property
     def size(self) -> int:
@@ -782,14 +947,13 @@ class TrialSpace:
         return float(np.max(np.abs(gram - np.eye(self.size))))
 
 
-def trial_space_for_epsilon(seeds: SeedSystem, epsilon: float, drop_tol: float = 1e-10) -> TrialSpace:
+def trial_space_for_epsilon(seeds: SeedSystem, epsilon: float) -> TrialSpace:
+    """The eps-orthonormal basis w_i / sqrt(lam_i + eps) of the seed spectrum."""
     if not epsilon > 0.0:
         raise InputError(f"epsilon must be positive, got {epsilon}")
+    coeff = seeds.eigvecs / np.sqrt(seeds.lam + epsilon)
     gram = seeds.energy_gram + epsilon * seeds.l2_gram
-    coeff, dropped = gram_schmidt_metric(gram, drop_tol)
-    if coeff.shape[1] == 0:
-        raise NumericError("trial space collapsed: all seeds dropped")
-    return TrialSpace(seeds=seeds, epsilon=float(epsilon), coeff=coeff, gram_eps=gram, dropped=dropped)
+    return TrialSpace(seeds=seeds, epsilon=float(epsilon), coeff=coeff, gram_eps=gram)
 
 
 def build_trial_space(
@@ -801,8 +965,8 @@ def build_trial_space(
     drop_tol: float = 1e-10,
 ) -> TrialSpace:
     """Seed, filter and orthonormalize a trial space for one epsilon."""
-    seeds = build_seed_system(arc, operator, size, quad)
-    return trial_space_for_epsilon(seeds, epsilon, drop_tol)
+    seeds = build_seed_system(arc, operator, size, quad, drop_tol=drop_tol)
+    return trial_space_for_epsilon(seeds, epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -829,15 +993,7 @@ class GalerkinSolution:
 
     def residual_vs(self, f_values) -> float:
         """||A u - f||_{L^2} against right-hand-side node values."""
-        seeds = self.trial.seeds
-        w = seeds.quad.w
-        if seeds.operator is DiracOperatorKind.GRADIENT:
-            fx, fy = f_values
-            rx = seeds.grad_x @ self.seed_coeffs - fx
-            ry = seeds.grad_y @ self.seed_coeffs - fy
-            return math.sqrt(float(np.sum(w * (np.abs(rx) ** 2 + np.abs(ry) ** 2))))
-        res = (seeds.grad_x + 1j * seeds.grad_y) @ self.seed_coeffs - f_values
-        return math.sqrt(float(np.sum(w * np.abs(res) ** 2)))
+        return float(self.trial.seeds.residuals(self.seed_coeffs[:, None], f_values)[0])
 
 
 def _field_node_values(obj, quad: DiskQuadrature):
@@ -885,10 +1041,8 @@ def solve_perturbed_galerkin(trial: TrialSpace, f=None, h=None) -> GalerkinSolut
     gram_c = trial.coeff.conj().T @ trial.gram_eps.T @ (trial.coeff @ c)
     galerkin_residual = float(np.max(np.abs(c - gram_c))) if c.size else 0.0
 
-    l2_sq = float(np.real(np.conj(d) @ (seeds.l2_gram.T @ d)))
-    energy_sq = float(np.real(np.conj(d) @ (seeds.energy_gram.T @ d)))
-    l2_sq = max(l2_sq, 0.0)
-    energy_sq = max(energy_sq, 0.0)
+    l2_sq = float(_quad_forms(seeds.l2_gram, d[:, None])[0])
+    energy_sq = float(_quad_forms(seeds.energy_gram, d[:, None])[0])
 
     return GalerkinSolution(
         trial=trial,
@@ -1060,11 +1214,18 @@ def lift_cauchy_datum(
     return FourierHarmonicField(orders, coeffs, real_output=not complex_output)
 
 
+# Smallest step, in log10 units, between L-curve points that a curvature
+# triple may use.  A converged tail moves by 1e-10 to 1e-7 per step; the
+# Menger curvature of that rounding noise would outrank the real corner.
+_LCURVE_MIN_STEP = 1e-6
+
+
 def l_curve_corner(norms, residuals) -> int:
     """Index of the maximal-curvature point of the discrete L-curve.
 
     Points are (log residual, log norm); curvature is the Menger
-    curvature of consecutive triples.  Fewer than three points, or a
+    curvature of consecutive triples.  Triples with a step shorter than
+    ``_LCURVE_MIN_STEP`` are skipped.  Fewer than three points, or a
     degenerate (straight) curve, select the last entry.
     """
     x = np.log10(np.maximum(np.asarray(residuals, dtype=float), 1e-300))
@@ -1080,7 +1241,7 @@ def l_curve_corner(norms, residuals) -> int:
         d01 = math.hypot(ax, ay)
         d12 = math.hypot(bx, by)
         d02 = math.hypot(x[i + 1] - x[i - 1], y[i + 1] - y[i - 1])
-        if d01 * d12 * d02 == 0.0:
+        if min(d01, d12) < _LCURVE_MIN_STEP or d02 == 0.0:
             continue
         curv = abs(2.0 * area2 / (d01 * d12 * d02))
         if curv > best_curv + 1e-15:
@@ -1106,11 +1267,7 @@ class CauchyProblemSpec:
     unbounded_slope: float = core.UNBOUNDED_SLOPE
 
     def __post_init__(self):
-        sched = np.asarray(self.schedule, dtype=float)
-        if sched.ndim != 1 or sched.size == 0:
-            raise InputError("schedule must be a nonempty 1-d sequence")
-        if np.any(sched <= 0.0) or np.any(np.diff(sched) >= 0.0):
-            raise InputError("schedule must be strictly decreasing and positive")
+        core.validate_schedule(self.schedule)
         if self.trial_size < 1:
             raise InputError("trial_size must be >= 1")
 
@@ -1141,11 +1298,10 @@ def cauchy_pipeline(spec: CauchyProblemSpec) -> PipelineResult:
     """Run the full Cauchy-problem pipeline.
 
     Steps: lift the datum u0 to a harmonic U0, reduce to homogeneous
-    Cauchy data via f~ = f - A U0, sweep the schedule solving the
-    perturbed problem with (f~, h = 0) on the per-epsilon orthonormalized
-    trial space, classify the path by the slope rule, and select the
-    reported epsilon by the L-curve corner.  The returned solution is
-    U0 + u_(best eps).
+    Cauchy data via f~ = f - A U0, solve the perturbed problem with
+    (f~, h = 0) for the whole schedule at once in the seed eigenbasis,
+    classify the path by the slope rule, and select the reported epsilon
+    by the L-curve corner.  The returned solution is U0 + u_(best eps).
     """
     if spec.u0 is None:
         raise InputError("cauchy_pipeline requires an evaluable Cauchy datum u0")
@@ -1153,7 +1309,9 @@ def cauchy_pipeline(spec: CauchyProblemSpec) -> PipelineResult:
     lift = lift_cauchy_datum(
         spec.u0, spec.arc, spec.n_phi, complex_output=spec.operator.is_complex
     )
-    seeds = build_seed_system(spec.arc, spec.operator, spec.trial_size, quad)
+    seeds = build_seed_system(
+        spec.arc, spec.operator, spec.trial_size, quad, drop_tol=spec.drop_tol
+    )
 
     lift_gx, lift_gy = lift.gradient_xy(quad.x, quad.y)
     a_lift = spec.operator.apply_gradient(lift_gx, lift_gy)
@@ -1165,44 +1323,28 @@ def cauchy_pipeline(spec: CauchyProblemSpec) -> PipelineResult:
     if spec.operator is DiracOperatorKind.GRADIENT:
         f_tilde = (f_tilde[0], f_tilde[1])
 
-    ref_vals = None
-    ref_norm = None
+    epsilons = np.asarray(spec.schedule, dtype=float)
+    coeffs = seeds.sweep_coefficients(seeds.rhs_vector(f_tilde), epsilons)
+    norms = np.sqrt(_quad_forms(seeds.l2_gram, coeffs))
+    residuals = seeds.residuals(coeffs, f_tilde)
+    rel = np.full(epsilons.size, np.nan)
     if spec.reference is not None:
         ref_vals = Field.wrap(spec.reference).value_xy(quad.x, quad.y)
         ref_norm = math.sqrt(max(float(np.real(quad.integrate(np.abs(ref_vals) ** 2))), 0.0))
-    lift_vals = lift.value_xy(quad.x, quad.y)
+        if ref_norm > 0.0:
+            misfit = ref_vals - lift.value_xy(quad.x, quad.y)
+            rel = seeds.l2_distances(coeffs, misfit) / ref_norm
+    records = [
+        PipelineRecord(epsilon=float(e), l2_norm=float(n), residual=float(r), rel_error=float(q))
+        for e, n, r, q in zip(epsilons, norms, residuals, rel)
+    ]
 
-    records = []
-    solutions = []
-    for eps in np.asarray(spec.schedule, dtype=float):
-        trial = trial_space_for_epsilon(seeds, float(eps), spec.drop_tol)
-        sol = solve_perturbed_galerkin(trial, f=f_tilde, h=None)
-        rel = float("nan")
-        if ref_vals is not None and ref_norm and ref_norm > 0.0:
-            recon = lift_vals + seeds.values @ sol.seed_coeffs
-            err = math.sqrt(
-                max(float(np.real(quad.integrate(np.abs(recon - ref_vals) ** 2))), 0.0)
-            )
-            rel = err / ref_norm
-        records.append(
-            PipelineRecord(
-                epsilon=float(eps),
-                l2_norm=sol.l2_norm,
-                residual=sol.residual_vs(f_tilde),
-                rel_error=rel,
-            )
-        )
-        solutions.append(sol)
-
-    eps_arr = [r.epsilon for r in records]
-    norms = [r.l2_norm for r in records]
-    slope = core.fit_growth_slope(eps_arr, norms)
+    slope = core.fit_growth_slope(epsilons, norms)
     verdict = core.classify_slope(slope, spec.bounded_slope, spec.unbounded_slope)
 
-    best = l_curve_corner(norms, [r.residual for r in records])
-    best_sol = solutions[best]
+    best = l_curve_corner(norms, residuals)
     solution = LinearCombination(
-        np.concatenate(([1.0], best_sol.seed_coeffs)),
+        np.concatenate(([1.0], coeffs[:, best])),
         [lift] + list(seeds.fields),
     )
     return PipelineResult(

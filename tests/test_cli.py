@@ -230,6 +230,27 @@ class TestExitCodes:
         assert cli.main([]) == 2
 
 
+class TestScheduleValues:
+    # NaN, inf and subnormal eps fail at parse time with the config line.
+    @pytest.mark.parametrize("schedule", ["1e-1 nan", "inf 1e-1", "1e-300 1e-310"])
+    def test_rejected_with_line_number(self, tmp_path, capsys, schedule):
+        out = tmp_path / "dc.csv"
+        path = write_config(
+            tmp_path,
+            "[disk_cauchy]\n"
+            "gamma_start = 0.0\n"
+            f"gamma_end = {math.pi}\n"
+            "trial_size = 4\n"
+            "n_r = 16\n"
+            "n_phi = 64\n"
+            f"schedule = {schedule}\n"
+            f"output = {out}\n",
+        )
+        assert cli.main(["run", path]) == 2
+        assert f"{path}:7: bad 'schedule'" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestFormatting:
     def test_seventeen_significant_digits(self):
         line = cli._fmt((1.0 / 3.0, 1e-7))

@@ -203,6 +203,9 @@ class TestRunPath:
             run_path(T, f, h, [0.01, 0.1])
         with pytest.raises(InputError):
             run_path(T, f, h, [1.0, -0.1])
+        for bad in ([0.1, float("nan")], [float("inf"), 0.1], [1e-300, 1e-310]):
+            with pytest.raises(InputError):
+                run_path(T, f, h, bad)
 
     def test_slope_fit(self):
         eps = np.array([1.0, 0.1, 0.01, 0.001])

@@ -145,3 +145,5 @@ class TestConvergenceReport:
             convergence_report(p, [])
         with pytest.raises(InputError):
             convergence_report(p, [0.1, 1.0])
+        with pytest.raises(InputError):
+            convergence_report(p, [0.1, float("nan")])

@@ -9,12 +9,15 @@ from scipy.integrate import quad
 from epsreg.bessel import RadialFactor, bessel_i, bessel_i_prime
 from epsreg.core import Verdict
 from epsreg.diskbasis import BasisFunction, DiracOperatorKind
-from epsreg.errors import InputError
+from epsreg import cli
+from epsreg.errors import InputError, NumericError
+from epsreg import variational
 from epsreg.variational import (
     ArcSpec,
     CauchyProblemSpec,
     DiskQuadrature,
     Field,
+    FourierHarmonicField,
     boundary_form_h,
     basis_grams,
     build_seed_system,
@@ -556,6 +559,24 @@ class TestSeriesSolver:
 
 
 class TestLift:
+    def test_horner_matches_power_sums(self):
+        rng = np.random.default_rng(8)
+        orders = np.arange(-64, 65)
+        coeffs = rng.standard_normal(orders.size) + 1j * rng.standard_normal(orders.size)
+        coeffs /= (1.0 + np.abs(orders)) ** 2
+        field = FourierHarmonicField(orders, coeffs, real_output=False)
+        r = np.sqrt(rng.uniform(0.0, 1.0, 200))
+        phi = rng.uniform(0.0, 2.0 * math.pi, 200)
+        x, y = r * np.cos(phi), r * np.sin(phi)
+        z = x + 1j * y
+        value = sum(c * (z**n if n >= 0 else np.conj(z) ** (-n)) for n, c in zip(orders, coeffs))
+        dz = sum(c * n * z ** (n - 1) for n, c in zip(orders, coeffs) if n > 0)
+        dzbar = sum(c * (-n) * np.conj(z) ** (-n - 1) for n, c in zip(orders, coeffs) if n < 0)
+        ux, uy = field.gradient_xy(x, y)
+        np.testing.assert_allclose(field.value_xy(x, y), value, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(ux, dz + dzbar, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(uy, 1j * (dz - dzbar), rtol=0, atol=1e-12)
+
     def test_trace_matches_datum_on_gamma(self):
         u0 = lambda phi: np.cos(3.0 * np.asarray(phi))
         lift = lift_cauchy_datum(u0, UPPER, 256)
@@ -577,6 +598,16 @@ class TestLCurve:
     def test_corner_detection(self):
         residuals = [1.0, 0.1, 0.01, 0.009, 0.008]
         norms = [1.0, 1.01, 1.02, 5.0, 50.0]
+        assert l_curve_corner(norms, residuals) == 2
+
+    def test_converged_tail_rounding_does_not_win(self):
+        # The same corner followed by a converged tail whose points differ
+        # only by 1e-13 relative rounding: Menger curvature of that noise
+        # is ~1e13 and must not outrank the real corner.
+        rng = np.random.default_rng(4)
+        jitter = 1.0 + 1e-13 * rng.standard_normal((2, 12))
+        residuals = [1.0, 0.1, 0.01, 0.009, 0.008] + list(0.008 * jitter[0])
+        norms = [1.0, 1.01, 1.02, 5.0, 50.0] + list(50.0 * jitter[1])
         assert l_curve_corner(norms, residuals) == 2
 
     def test_short_input(self):
@@ -680,6 +711,123 @@ class TestPipeline:
             CauchyProblemSpec(**{**good, "schedule": []})
         with pytest.raises(InputError):
             CauchyProblemSpec(**{**good, "trial_size": 0})
+        for bad in ([1e-1, float("nan")], [float("inf"), 1e-1], [1e-300, 1e-310]):
+            with pytest.raises(InputError):
+                CauchyProblemSpec(**{**good, "schedule": bad})
+
+
+def _dense_sweep(spec, result):
+    """l2_norm, residual and rel_error from a dense solve of (K + eps M)^T d = b."""
+    quad = DiskQuadrature.build(spec.n_r, spec.n_phi)
+    seeds = build_seed_system(spec.arc, spec.operator, spec.trial_size, quad)
+    w = quad.w
+    lx, ly = result.lift.gradient_xy(quad.x, quad.y)
+    fx, fy = spec.reference.gradient_xy(quad.x, quad.y)
+    if spec.operator is GRAD:
+        f_parts, images = [fx - lx, fy - ly], [seeds.grad_x, seeds.grad_y]
+        b = sum((w * f) @ a for f, a in zip(f_parts, images))
+    else:
+        f_parts, images = [fx - lx + 1j * (fy - ly)], [seeds.grad_x + 1j * seeds.grad_y]
+        b = (w * f_parts[0]) @ np.conj(images[0])
+    u_ref = spec.reference.value_xy(quad.x, quad.y)
+    ref_norm = math.sqrt(float(np.sum(w * np.abs(u_ref) ** 2)))
+    lift_vals = result.lift.value_xy(quad.x, quad.y)
+    rows = []
+    for eps in spec.schedule:
+        d = np.linalg.solve((seeds.energy_gram + eps * seeds.l2_gram).T, b)
+        l2 = math.sqrt(float(np.real(np.conj(d) @ (seeds.l2_gram.T @ d))))
+        res = math.sqrt(sum(float(np.sum(w * np.abs(a @ d - f) ** 2)) for a, f in zip(images, f_parts)))
+        err = math.sqrt(float(np.sum(w * np.abs(lift_vals + seeds.values @ d - u_ref) ** 2)))
+        rows.append((l2, res, err / ref_norm))
+    return np.array(rows)
+
+
+class TestSeedSpectrum:
+    @pytest.mark.parametrize("op", [GRAD, CR])
+    def test_node_columns_equal_seed_fields(self, op, quad_small):
+        seeds = build_seed_system(UPPER, op, 15, quad_small)
+        x, y = quad_small.x, quad_small.y
+        for k, field in enumerate(seeds.fields):
+            gx, gy = field.gradient_xy(x, y)
+            np.testing.assert_allclose(seeds.values[:, k], field.value_xy(x, y), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(seeds.grad_x[:, k], gx, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(seeds.grad_y[:, k], gy, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("op", [GRAD, CR])
+    @pytest.mark.parametrize("size", [24, 66])
+    def test_pipeline_matches_dense_solve(self, op, size):
+        u_star = cubic_field()
+        spec = CauchyProblemSpec(
+            operator=op,
+            arc=UPPER,
+            f=operator_image(op, u_star),
+            u0=lambda phi: u_star.value_xy(np.cos(phi), np.sin(phi)),
+            schedule=list(np.logspace(-1.0, -8.0, 8)),
+            trial_size=size,
+            reference=u_star,
+        )
+        result = cauchy_pipeline(spec)
+        got = np.array([(r.l2_norm, r.residual, r.rel_error) for r in result.records])
+        np.testing.assert_allclose(got, _dense_sweep(spec, result), rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("op", [GRAD, CR])
+    def test_duplicated_seed_is_dropped(self, op, quad_small):
+        seeds = build_seed_system(UPPER, op, 8, quad_small)
+        dup = [*range(8), 3]
+        twin = variational._factor_seeds(
+            op,
+            UPPER,
+            quad_small,
+            [seeds.exponents[k] for k in dup],
+            seeds.norms[dup],
+            seeds.values[:, dup],
+            seeds.grad_x[:, dup],
+            seeds.grad_y[:, dup],
+            seeds.trace_max,
+            drop_tol=1e-10,
+        )
+        assert len(twin.dropped) == 1 and twin.dropped[0] in (3, 8)
+        rng = np.random.default_rng(1)
+        f = (rng.standard_normal(quad_small.x.size), rng.standard_normal(quad_small.x.size))
+        if op is CR:
+            f = f[0] + 1j * f[1]
+        eps = [1e-1, 1e-4, 1e-8]
+        d_twin = twin.sweep_coefficients(twin.rhs_vector(f), eps)
+        d_ref = seeds.sweep_coefficients(seeds.rhs_vector(f), eps)
+        assert np.all(np.isfinite(d_twin))
+        # The same fields, hence the same residuals.
+        np.testing.assert_allclose(twin.residuals(d_twin, f), seeds.residuals(d_ref, f), rtol=1e-9)
+        assert trial_space_for_epsilon(twin, 1e-4).size == 8
+
+    def test_all_seeds_dropped_is_numeric_error(self, quad_small, tmp_path, monkeypatch):
+        with pytest.raises(NumericError, match="all seeds dropped"):
+            build_seed_system(UPPER, GRAD, 4, quad_small, drop_tol=2.0)
+        original = variational.build_seed_system
+        monkeypatch.setattr(
+            variational,
+            "build_seed_system",
+            lambda *args, **kwargs: original(*args, **{**kwargs, "drop_tol": 2.0}),
+        )
+        cfg = tmp_path / "dc.ini"
+        cfg.write_text(
+            "[disk_cauchy]\n"
+            "gamma_start = 0.0\n"
+            f"gamma_end = {math.pi}\n"
+            "trial_size = 4\n"
+            "n_r = 16\n"
+            "n_phi = 64\n"
+            "schedule = 1e-1 1e-2\n"
+            f"output = {tmp_path / 'dc.csv'}\n"
+        )
+        assert cli.main(["run", str(cfg)]) == 3
+        assert not (tmp_path / "dc.csv").exists()
+
+    def test_spectrum_diagonalizes_both_grams(self, quad_small):
+        seeds = build_seed_system(UPPER, CR, 12, quad_small)
+        w = seeds.eigvecs
+        np.testing.assert_allclose(w.conj().T @ seeds.l2_gram.T @ w, np.eye(12), atol=1e-10)
+        np.testing.assert_allclose(w.conj().T @ seeds.energy_gram.T @ w, np.diag(seeds.lam), atol=1e-10)
+        assert np.all(np.diff(seeds.lam) >= 0.0) and seeds.lam[0] > 0.0
 
 
 class TestBasisGrams:
