@@ -39,15 +39,15 @@ from .variational import (
     CauchyProblemSpec,
     DiskQuadrature,
     Field,
-    TrialSpace,
     boundary_form_h,
-    build_trial_space,
+    build_seed_system,
     cauchy_pipeline,
     gram_schmidt,
     inner_eps,
     lift_cauchy_datum,
     solve_mixed_boundary_series,
     solve_perturbed_galerkin,
+    trial_space_for_epsilon,
 )
 
 __version__ = "0.1.0"

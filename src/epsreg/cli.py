@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -53,6 +52,7 @@ class ExperimentConfig:
     output_path: str
     seed: int = 0
     lines: dict = dc_field(default_factory=dict)
+    source: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +176,7 @@ def _validate_schedule_param(schedule, source, lineno):
 
 def parse_config(path: str) -> ExperimentConfig:
     """Strict parse of an experiment config; unknown keys are rejected."""
-    if not os.path.exists(path):
-        raise InputError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as handle:
-        sections = _parse_sections(handle.read(), path)
+    sections = _parse_sections(core.read_text(path, "config file"), path)
     if len(sections) != 1:
         raise InputError(
             f"{path}: expected exactly one experiment section, found {sorted(sections)}"
@@ -207,7 +204,7 @@ def parse_config(path: str) -> ExperimentConfig:
         gs, ge = params["gamma_start"], params["gamma_end"]
         if not (0.0 <= gs < 2.0 * math.pi):
             raise InputError(f"{path}:{lines['gamma_start']}: 'gamma_start' must lie in [0, 2 pi)")
-        if ge <= gs:
+        if not ge > gs:
             raise InputError(
                 f"{path}:{lines['gamma_end']}: 'gamma_end' must exceed 'gamma_start' "
                 "(equal endpoints do not define a nonempty arc)"
@@ -216,19 +213,30 @@ def parse_config(path: str) -> ExperimentConfig:
             raise InputError(f"{path}:{lines['gamma_end']}: arc length exceeds 2 pi")
     output = params.pop("output")
     seed = int(params.get("seed", 0))
-    return ExperimentConfig(experiment=name, params=params, output_path=output, seed=seed, lines=lines)
+    return ExperimentConfig(
+        experiment=name, params=params, output_path=output, seed=seed, lines=lines, source=path
+    )
 
 
 # ---------------------------------------------------------------------------
-# Experiment bodies (each returns rows plus an optional trailer line)
+# Experiment bodies
 # ---------------------------------------------------------------------------
+
+
+class RunResult(NamedTuple):
+    """CSV rows, an optional trailer line, the summary line and the check status."""
+
+    rows: list
+    trailer: Optional[str]
+    summary: str
+    ok: bool = True
 
 
 def _fmt(values) -> str:
     return ",".join(f"{float(v):.17g}" for v in values)
 
 
-def _run_ode1d(cfg: ExperimentConfig, pool_size: int):
+def _run_ode1d(cfg: ExperimentConfig) -> RunResult:
     p = cfg.params
     problem = ode1d.Ode1dProblem(p["a"], p["b"], p["u0"], _FUNCTIONS[p["f"]])
     rows = [
@@ -242,22 +250,22 @@ def _run_ode1d(cfg: ExperimentConfig, pool_size: int):
         rate0 = math.log(rows[-2][1] / rows[-1][1]) / span
         rate1 = math.log(rows[-2][2] / rows[-1][2]) / span if rows[-1][2] > 0.0 else float("nan")
         summary += f" c0_rate={rate0:.3f} c1_rate={rate1:.3f}"
-    return rows, None, summary
+    return RunResult(rows, None, summary)
 
 
-def _run_matrix_path(cfg: ExperimentConfig, pool_size: int):
+def _run_matrix_path(cfg: ExperimentConfig) -> RunResult:
     p = cfg.params
-    operator = core.load_matrix(p["matrix"])
-    f = np.asarray(p["f"], dtype=float)
-    h = np.asarray(p["h"], dtype=float) if p.get("h") is not None else np.zeros(operator.dom_dim)
-    schedule = p["schedule"]
-    with ThreadPoolExecutor(max_workers=pool_size) as pool:
-        entries = list(pool.map(lambda eps: core.solve_perturbed(operator, f, h, eps), schedule))
-    slope = core.fit_growth_slope(schedule, [e.norm_h for e in entries])
-    verdict = core.classify_slope(slope)
-    rows = [(e.epsilon, e.norm_h, e.norm_eps, e.residual) for e in entries]
-    trailer = f"verdict={verdict.value}"
-    return rows, trailer, f"experiment=matrix_path rows={len(rows)} verdict={verdict.value}"
+    try:
+        operator = core.load_matrix(p["matrix"])
+    except InputError as exc:
+        raise InputError(f"{cfg.source}:{cfg.lines['matrix']}: bad 'matrix': {exc}") from exc
+    h = p.get("h", np.zeros(operator.dom_dim))
+    path = core.run_path(operator, p["f"], h, p["schedule"])
+    rows = [(e.epsilon, e.norm_h, e.norm_eps, e.residual) for e in path.entries]
+    verdict = path.verdict.value
+    return RunResult(
+        rows, f"verdict={verdict}", f"experiment=matrix_path rows={len(rows)} verdict={verdict}"
+    )
 
 
 def _manufactured_cubic():
@@ -271,7 +279,7 @@ def _manufactured_cubic():
     return variational.Field(value, gradient)
 
 
-def _run_disk_cauchy(cfg: ExperimentConfig, pool_size: int):
+def _run_disk_cauchy(cfg: ExperimentConfig) -> RunResult:
     p = cfg.params
     op = p["operator"]
     arc = variational.ArcSpec(p["gamma_start"], p["gamma_end"])
@@ -303,7 +311,7 @@ def _run_disk_cauchy(cfg: ExperimentConfig, pool_size: int):
         f"experiment=disk_cauchy rows={len(rows)} verdict={result.verdict.value} "
         f"best_epsilon={result.best_epsilon:.17g} rel_error={result.rel_error_at_best:.17g}"
     )
-    return rows, trailer, summary
+    return RunResult(rows, trailer, summary)
 
 
 def _ring_points(radius: float, count: int) -> np.ndarray:
@@ -311,22 +319,23 @@ def _ring_points(radius: float, count: int) -> np.ndarray:
     return np.column_stack([radius * np.cos(angles), radius * np.sin(angles)])
 
 
-def _run_disk_mixed(cfg: ExperimentConfig, pool_size: int):
+def _run_disk_mixed(cfg: ExperimentConfig) -> RunResult:
     p = cfg.params
     op = p["operator"]
     arc = variational.ArcSpec(p["gamma_start"], p["gamma_end"])
     i, branch = p["source_index"], p["source_branch"]
     points = _ring_points(0.5, 16)
+    g_phi, g_w = arc.quadrature(p["n_phi"])
+    c_phi, c_w = arc.complement_quadrature(p["n_phi"])
 
-    def one_eps(eps):
+    rows = []
+    for eps in p["schedule"]:
         source = BasisFunction(RadialFactor(i, eps), branch, op)
         u0 = lambda phi: source.value_polar(1.0, phi)
         u1 = lambda phi: source.normal_trace_values(phi)
         sol = variational.solve_mixed_boundary_series(
             op, arc, u0, u1, eps, n_modes=p["n_modes"], n_phi=p["n_phi"]
         )
-        g_phi, g_w = arc.quadrature(p["n_phi"])
-        c_phi, c_w = arc.complement_quadrature(p["n_phi"])
         trace_err = math.sqrt(
             float(np.sum(g_w * np.abs(sol.trace_on(g_phi) - u0(g_phi)) ** 2))
         ) if g_phi.size else 0.0
@@ -334,11 +343,8 @@ def _run_disk_mixed(cfg: ExperimentConfig, pool_size: int):
             float(np.sum(c_w * np.abs(sol.conormal_on(c_phi) - u1(c_phi)) ** 2))
         ) if c_phi.size else 0.0
         helm = diskbasis.check_helmholtz(sol.field, eps, points)
-        return eps, trace_err, normal_err, helm
-
-    with ThreadPoolExecutor(max_workers=pool_size) as pool:
-        rows = list(pool.map(one_eps, p["schedule"]))
-    return rows, None, f"experiment=disk_mixed rows={len(rows)}"
+        rows.append((eps, trace_err, normal_err, helm))
+    return RunResult(rows, None, f"experiment=disk_mixed rows={len(rows)}")
 
 
 _VERIFY_TOLS = {
@@ -350,7 +356,29 @@ _VERIFY_TOLS = {
 }
 
 
-def _run_verify_basis(cfg: ExperimentConfig, pool_size: int):
+def _basis_checks(op, i_max, eps, quad, points):
+    """Disk-basis identities at one eps.
+
+    Returns the largest relative off-diagonal L^2 and energy Gram entries,
+    the worst Helmholtz residual (scaled by 1 + max |b| on ``points``) and
+    the smallest normal coupling over the modes up to ``i_max``.
+    """
+    modes, l2_gram, energy_gram = variational.basis_grams(op, i_max, eps, quad)
+    helm, coupling = 0.0, math.inf
+    for (i, branch) in modes:
+        b = BasisFunction(RadialFactor(i, eps), branch, op)
+        scale = 1.0 + float(np.max(np.abs(b.value_xy(points[:, 0], points[:, 1]))))
+        helm = max(helm, diskbasis.check_helmholtz(b, eps, points) / scale)
+        coupling = min(coupling, diskbasis.nonvanishing_check(op, i, branch, eps))
+    return (
+        variational.max_offdiag_relative(l2_gram),
+        variational.max_offdiag_relative(energy_gram),
+        helm,
+        coupling,
+    )
+
+
+def _run_verify_basis(cfg: ExperimentConfig) -> RunResult:
     p = cfg.params
     op = p["operator"]
     quad = variational.DiskQuadrature.build(p["n_r"], p["n_phi"])
@@ -362,16 +390,7 @@ def _run_verify_basis(cfg: ExperimentConfig, pool_size: int):
     rows = []
     ok = True
     for eps in p["schedule"]:
-        modes, l2_gram, energy_gram = variational.basis_grams(op, p["i_max"], eps, quad)
-        off_l2 = variational.max_offdiag_relative(l2_gram)
-        off_en = variational.max_offdiag_relative(energy_gram)
-        helm = 0.0
-        coupling = math.inf
-        for (i, branch) in modes:
-            b = BasisFunction(RadialFactor(i, eps), branch, op)
-            scale = 1.0 + float(np.max(np.abs(b.value_xy(points[:, 0], points[:, 1]))))
-            helm = max(helm, diskbasis.check_helmholtz(b, eps, points) / scale)
-            coupling = min(coupling, diskbasis.nonvanishing_check(op, i, branch, eps))
+        off_l2, off_en, helm, coupling = _basis_checks(op, p["i_max"], eps, quad, points)
         rows.append((eps, off_l2, off_en, helm, coupling, defect))
         ok = ok and (
             off_l2 <= _VERIFY_TOLS["max_l2_offdiag"]
@@ -382,7 +401,7 @@ def _run_verify_basis(cfg: ExperimentConfig, pool_size: int):
         )
     status = "pass" if ok else "FAIL"
     summary = f"experiment=verify_basis rows={len(rows)} status={status}"
-    return rows, None, summary, ok
+    return RunResult(rows, None, summary, ok)
 
 
 _RUNNERS = {
@@ -394,27 +413,21 @@ _RUNNERS = {
 }
 
 
-def run(config: ExperimentConfig, output_override=None, threads=None) -> int:
+def run(config: ExperimentConfig, output_override=None) -> int:
     """Execute one experiment; writes the CSV and prints a summary line."""
-    pool_size = threads if threads is not None else int(os.environ.get("EPSREG_THREADS", "1"))
-    if pool_size < 1:
-        raise InputError(f"thread count must be >= 1, got {pool_size}")
-    out = _RUNNERS[config.experiment](config, pool_size)
-    rows, trailer, summary = out[0], out[1], out[2]
-    ok = out[3] if len(out) > 3 else True
-
+    result = _RUNNERS[config.experiment](config)
     path = output_override or config.output_path
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(_HEADERS[config.experiment] + "\n")
-            for row in rows:
+            for row in result.rows:
                 handle.write(_fmt(row) + "\n")
-            if trailer:
-                handle.write(trailer + "\n")
+            if result.trailer:
+                handle.write(result.trailer + "\n")
     except OSError as exc:
         raise InputError(f"cannot write output file {path!r}: {exc}") from exc
-    print(summary)
-    return 0 if ok else 1
+    print(result.summary)
+    return 0 if result.ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -451,19 +464,9 @@ def _verify_suite() -> int:
     points = _ring_points(0.45, 10)
     for op in DiracOperatorKind:
         for eps in (0.25, 1.0, 4.0):
-            modes, l2_gram, energy_gram = variational.basis_grams(op, 6, eps, quad)
-            off = max(
-                variational.max_offdiag_relative(l2_gram),
-                variational.max_offdiag_relative(energy_gram),
-            )
+            off_l2, off_en, worst, coupling = _basis_checks(op, 6, eps, quad, points)
+            off = max(off_l2, off_en)
             check(f"basis orthogonality {op.value} eps={eps}", off <= 1e-8, f"offdiag={off:.2e}")
-            worst = 0.0
-            coupling = math.inf
-            for (i, branch) in modes:
-                b = BasisFunction(RadialFactor(i, eps), branch, op)
-                scale = 1.0 + float(np.max(np.abs(b.value_xy(points[:, 0], points[:, 1]))))
-                worst = max(worst, diskbasis.check_helmholtz(b, eps, points) / scale)
-                coupling = min(coupling, diskbasis.nonvanishing_check(op, i, branch, eps))
             check(f"helmholtz residual {op.value} eps={eps}", worst <= 1e-5, f"res={worst:.2e}")
             check(f"normal coupling positive {op.value} eps={eps}", coupling > 0.0)
 
@@ -490,15 +493,16 @@ def _verify_suite() -> int:
     seeds = variational.build_seed_system(arc, DiracOperatorKind.GRADIENT, 8, quad)
     d_star = rng.standard_normal(8)
     # eps 1e-8 checks the spectral solve at the small end of long schedules.
-    for eps in (0.3, 1e-8):
-        trial = variational.trial_space_for_epsilon(seeds, eps)
-        sol = variational.solve_perturbed_galerkin(
-            trial,
-            f=(seeds.grad_x @ d_star, seeds.grad_y @ d_star),
-            h=seeds.values @ d_star,
-        )
+    epsilons = (0.3, 1e-8)
+    coeffs = variational.solve_perturbed_galerkin(
+        seeds,
+        epsilons,
+        f=(seeds.grad_x @ d_star, seeds.grad_y @ d_star),
+        h=seeds.values @ d_star,
+    )
+    for eps, d in zip(epsilons, coeffs.T):
         gram = seeds.energy_gram + eps * seeds.l2_gram
-        diff = sol.seed_coeffs - d_star
+        diff = d - d_star
         gal_err = math.sqrt(max(float(np.real(np.conj(diff) @ (gram.T @ diff))), 0.0))
         check(
             f"galerkin reproduces span member eps={eps:g}", gal_err <= 1e-9, f"err={gal_err:.2e}"
@@ -535,7 +539,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", nargs="?", choices=["run"], help="run <config>")
     parser.add_argument("config", nargs="?", help="path to the experiment config")
     parser.add_argument("--output", help="override the configured output path")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads for eps entries")
     parser.add_argument(
         "--verify", action="store_true", help="run the built-in property suite and exit"
     )
@@ -548,7 +551,7 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return 2
         config = parse_config(args.config)
-        return run(config, output_override=args.output, threads=args.threads)
+        return run(config, output_override=args.output)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

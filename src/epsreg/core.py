@@ -43,6 +43,7 @@ __all__ = [
     "classify_slope",
     "parse_matrix_text",
     "load_matrix",
+    "read_text",
     "BOUNDED_SLOPE",
     "UNBOUNDED_SLOPE",
 ]
@@ -372,7 +373,17 @@ def parse_matrix_text(text: str) -> DiscreteOperator:
     return DiscreteOperator(arr.reshape(rows, cols))
 
 
+def read_text(path, what: str) -> str:
+    """UTF-8 text of a file; a missing, unreadable or undecodable file is an InputError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except FileNotFoundError as exc:
+        raise InputError(f"{what} not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_matrix(path) -> DiscreteOperator:
     """Read a DiscreteOperator from a text file in the plain-text format."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_matrix_text(handle.read())
+    return parse_matrix_text(read_text(path, "matrix file"))

@@ -34,6 +34,7 @@ __all__ = [
     "enumerate_modes",
     "evaluate",
     "apply_operator",
+    "centered_gradient",
     "normal_trace",
     "check_helmholtz",
     "nonvanishing_check",
@@ -203,12 +204,8 @@ def evaluate(b: BasisFunction, r, phi):
     return b.value_polar(np.minimum(r, 1.0), phi)
 
 
-def _gradient_of(u):
-    """Cartesian gradient closure: exact when available, else centered FD."""
-    grad = getattr(u, "gradient_xy", None)
-    if grad is not None:
-        return grad
-    value = getattr(u, "value_xy", u)
+def centered_gradient(value):
+    """Cartesian gradient closure of ``value`` by centered differences, step 1e-5."""
 
     def fd_grad(x, y):
         x = np.asarray(x, dtype=float)
@@ -219,6 +216,14 @@ def _gradient_of(u):
         return ux, uy
 
     return fd_grad
+
+
+def _gradient_of(u):
+    """Cartesian gradient closure: exact when available, else centered FD."""
+    grad = getattr(u, "gradient_xy", None)
+    if grad is not None:
+        return grad
+    return centered_gradient(getattr(u, "value_xy", u))
 
 
 def apply_operator(op: DiracOperatorKind, u):

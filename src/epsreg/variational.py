@@ -11,10 +11,12 @@ trapezoid nodes on the boundary, trial spaces seeded by ``delta * P`` with
 monomials, and the explicit Fourier-coefficient solution formulas.  The
 seeds are held as node-value matrices, and one generalized eigenbasis of
 their energy and L^2 Grams, K^T w = lam M^T w, is orthonormal under every
-eps-inner product at once after the scaling w / sqrt(lam + eps), so an
-eps sweep costs one factorization and a diagonal scaling per eps.  A
-separate series solver expands mixed boundary data in the
-boundary-orthonormalized Helmholtz basis.
+eps-inner product at once after the scaling w / sqrt(lam + eps)
+(``trial_space_for_epsilon``).  ``solve_perturbed_galerkin`` is the one
+Galerkin solve: it takes a whole eps schedule and returns one
+seed-coefficient column per eps for the price of one factorization and a
+diagonal scaling per eps.  A separate series solver expands mixed boundary
+data in the boundary-orthonormalized Helmholtz basis.
 """
 
 from __future__ import annotations
@@ -51,9 +53,7 @@ __all__ = [
     "max_offdiag_relative",
     "SeedSystem",
     "build_seed_system",
-    "TrialSpace",
-    "build_trial_space",
-    "GalerkinSolution",
+    "trial_space_for_epsilon",
     "solve_perturbed_galerkin",
     "SeriesSolution",
     "solve_mixed_boundary_series",
@@ -66,7 +66,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-_FD_STEP = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +227,8 @@ class Field:
         return self._value(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
     def gradient_xy(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if self._gradient is not None:
-            return self._gradient(x, y)
-        h = _FD_STEP
-        ux = (self._value(x + h, y) - self._value(x - h, y)) / (2.0 * h)
-        uy = (self._value(x, y + h) - self._value(x, y - h)) / (2.0 * h)
-        return ux, uy
+        grad = self._gradient or diskbasis.centered_gradient(self._value)
+        return grad(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
     # Linear structure; combinations flatten into a single LinearCombination.
     def _atoms(self):
@@ -796,12 +789,6 @@ class SeedSystem:
         """b_k = (h, s_k) for h given by node values."""
         return _real_matmul(self.values.T, self.quad.w * h_values)
 
-    def sweep_coefficients(self, rhs: np.ndarray, epsilons) -> np.ndarray:
-        """Seed coefficients solving (K + eps M)^T d = rhs, one column per eps."""
-        eps = np.asarray(epsilons, dtype=float)
-        proj = self.eigvecs.conj().T @ rhs
-        return self.eigvecs @ (proj[:, None] / (self.lam[:, None] + eps[None, :]))
-
     def image_at_nodes(self, coeffs: np.ndarray) -> list:
         """Node values of A u for u = sum_k coeffs[k, j] s_k, per column j.
 
@@ -901,159 +888,30 @@ def _factor_seeds(
     )
 
 
-@dataclass
-class TrialSpace:
-    """Seeds orthonormalized under the eps-inner product.
-
-    ``coeff`` maps orthonormal coordinates to seed coordinates: its columns
-    are the seed eigenvectors rescaled to unit eps-norm, w_i / sqrt(lam_i +
-    eps).  ``gram_eps`` is the seed Gram ``energy + eps * l2``.
-    """
-
-    seeds: SeedSystem
-    epsilon: float
-    coeff: np.ndarray
-    gram_eps: np.ndarray
-
-    @property
-    def operator(self) -> DiracOperatorKind:
-        return self.seeds.operator
-
-    @property
-    def arc(self) -> ArcSpec:
-        return self.seeds.arc
-
-    @property
-    def quad(self) -> DiskQuadrature:
-        return self.seeds.quad
-
-    @property
-    def dropped(self) -> list:
-        return self.seeds.dropped
-
-    @property
-    def size(self) -> int:
-        return self.coeff.shape[1]
-
-    @property
-    def basis(self) -> list:
-        return [
-            LinearCombination(self.coeff[:, j], self.seeds.fields)
-            for j in range(self.coeff.shape[1])
-        ]
-
-    def orthonormality_defect(self) -> float:
-        gram = self.coeff.conj().T @ self.gram_eps.T @ self.coeff
-        return float(np.max(np.abs(gram - np.eye(self.size))))
-
-
-def trial_space_for_epsilon(seeds: SeedSystem, epsilon: float) -> TrialSpace:
-    """The eps-orthonormal basis w_i / sqrt(lam_i + eps) of the seed spectrum."""
+def trial_space_for_epsilon(seeds: SeedSystem, epsilon: float) -> np.ndarray:
+    """The eps-orthonormal basis w_i / sqrt(lam_i + eps) as seed-coefficient columns."""
     if not epsilon > 0.0:
         raise InputError(f"epsilon must be positive, got {epsilon}")
-    coeff = seeds.eigvecs / np.sqrt(seeds.lam + epsilon)
-    gram = seeds.energy_gram + epsilon * seeds.l2_gram
-    return TrialSpace(seeds=seeds, epsilon=float(epsilon), coeff=coeff, gram_eps=gram)
+    return seeds.eigvecs / np.sqrt(seeds.lam + epsilon)
 
 
-def build_trial_space(
-    arc: ArcSpec,
-    operator: DiracOperatorKind,
-    size: int,
-    quad: DiskQuadrature,
-    epsilon: float,
-    drop_tol: float = 1e-10,
-) -> TrialSpace:
-    """Seed, filter and orthonormalize a trial space for one epsilon."""
-    seeds = build_seed_system(arc, operator, size, quad, drop_tol=drop_tol)
-    return trial_space_for_epsilon(seeds, epsilon)
+def solve_perturbed_galerkin(seeds: SeedSystem, epsilons, f=None, h=None) -> np.ndarray:
+    """Seed coefficients of the Galerkin solution, one column per eps.
 
-
-# ---------------------------------------------------------------------------
-# Galerkin solver
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class GalerkinSolution:
-    """Discrete solution of the perturbed problem on a trial space."""
-
-    trial: TrialSpace
-    epsilon: float
-    coeffs: np.ndarray
-    seed_coeffs: np.ndarray
-    l2_norm: float
-    energy_sq: float
-    norm_eps: float
-    galerkin_residual: float
-
-    @property
-    def field(self) -> LinearCombination:
-        return LinearCombination(self.seed_coeffs, self.trial.seeds.fields)
-
-    def residual_vs(self, f_values) -> float:
-        """||A u - f||_{L^2} against right-hand-side node values."""
-        return float(self.trial.seeds.residuals(self.seed_coeffs[:, None], f_values)[0])
-
-
-def _field_node_values(obj, quad: DiskQuadrature):
-    if obj is None:
-        return None
-    if isinstance(obj, np.ndarray) or (isinstance(obj, tuple) and len(obj) == 2):
-        return obj
-    return Field.wrap(obj).value_xy(quad.x, quad.y)
-
-
-def _vector_node_values(op: DiracOperatorKind, obj, quad: DiskQuadrature):
-    if obj is None:
-        return None
-    if isinstance(obj, np.ndarray) and obj.ndim in (1, 2):
-        return obj if op is DiracOperatorKind.CAUCHY_RIEMANN else (obj[0], obj[1])
-    if isinstance(obj, tuple) and len(obj) == 2:
-        return obj
-    raw = obj(quad.x, quad.y) if callable(obj) else None
-    if raw is None:
-        raise InputError("right-hand side must be node values or a vector-field closure")
-    return raw if op is DiracOperatorKind.CAUCHY_RIEMANN else (raw[0], raw[1])
-
-
-def solve_perturbed_galerkin(trial: TrialSpace, f=None, h=None) -> GalerkinSolution:
-    """Galerkin solution via the Fourier-coefficient formulas.
-
-    Over an orthonormal trial basis {e_i} the coefficients are simply
-    c_i = (f, A e_i) + eps (h, e_i); the returned Galerkin residual is the
-    defect of that identity recomputed against the assembled Gram, a
-    direct quality check of the orthonormalization.
+    Each column solves (K + eps M)^T d = (f, A s) + eps (h, s) over the
+    seeds, with ``f`` and ``h`` given by node values; in the seed
+    eigenbasis this is d = W diag(1 / (lam + eps)) W^H rhs, the Tikhonov
+    filter factors of the whole schedule from one factorization.
     """
-    seeds = trial.seeds
-    eps = trial.epsilon
-    n = seeds.size
-    f_at = _vector_node_values(seeds.operator, f, seeds.quad)
-    h_at = _field_node_values(h, seeds.quad)
-
-    bf = seeds.rhs_vector(f_at) if f_at is not None else np.zeros(n)
-    bh = seeds.l2_vector(h_at) if h_at is not None else np.zeros(n)
-    rhs = bf + eps * bh
-
-    c = trial.coeff.conj().T @ rhs
-    d = trial.coeff @ c
-
-    gram_c = trial.coeff.conj().T @ trial.gram_eps.T @ (trial.coeff @ c)
-    galerkin_residual = float(np.max(np.abs(c - gram_c))) if c.size else 0.0
-
-    l2_sq = float(_quad_forms(seeds.l2_gram, d[:, None])[0])
-    energy_sq = float(_quad_forms(seeds.energy_gram, d[:, None])[0])
-
-    return GalerkinSolution(
-        trial=trial,
-        epsilon=eps,
-        coeffs=c,
-        seed_coeffs=d,
-        l2_norm=math.sqrt(l2_sq),
-        energy_sq=energy_sq,
-        norm_eps=math.sqrt(energy_sq + eps * l2_sq),
-        galerkin_residual=galerkin_residual,
-    )
+    eps = np.asarray(epsilons, dtype=float)
+    if not np.all(eps > 0.0):
+        raise InputError(f"epsilon must be positive, got {epsilons}")
+    w_h = seeds.eigvecs.conj().T
+    proj = w_h @ seeds.rhs_vector(f) if f is not None else np.zeros(seeds.lam.size)
+    proj = proj[:, None]
+    if h is not None:
+        proj = proj + eps[None, :] * (w_h @ seeds.l2_vector(h))[:, None]
+    return seeds.eigvecs @ (proj / (seeds.lam[:, None] + eps[None, :]))
 
 
 # ---------------------------------------------------------------------------
@@ -1324,7 +1182,7 @@ def cauchy_pipeline(spec: CauchyProblemSpec) -> PipelineResult:
         f_tilde = (f_tilde[0], f_tilde[1])
 
     epsilons = np.asarray(spec.schedule, dtype=float)
-    coeffs = seeds.sweep_coefficients(seeds.rhs_vector(f_tilde), epsilons)
+    coeffs = solve_perturbed_galerkin(seeds, epsilons, f_tilde)
     norms = np.sqrt(_quad_forms(seeds.l2_gram, coeffs))
     residuals = seeds.residuals(coeffs, f_tilde)
     rel = np.full(epsilons.size, np.nan)

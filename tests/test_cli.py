@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from epsreg import cli
 from epsreg.errors import InputError
@@ -56,6 +57,12 @@ class TestParseConfig:
         )
         path = write_config(tmp_path, text)
         with pytest.raises(InputError, match="gamma_end"):
+            cli.parse_config(path)
+
+    def test_nan_arc_end_rejected_with_line(self, tmp_path):
+        text = "[disk_mixed]\ngamma_start = 1.0\ngamma_end = nan\nschedule = 1 0.1\noutput = o.csv\n"
+        path = write_config(tmp_path, text)
+        with pytest.raises(InputError, match=r":3: 'gamma_end' must exceed"):
             cli.parse_config(path)
 
     def test_unknown_experiment(self, tmp_path):
@@ -115,33 +122,6 @@ class TestRunMatrixPath:
         assert lines[0] == "epsilon,norm_h,norm_eps,residual"
         assert len(lines) == 1 + 3 + 1
         assert lines[-1].startswith("verdict=")
-
-    def test_threads_do_not_change_output(self, tmp_path):
-        matrix = tmp_path / "m.txt"
-        matrix.write_text("2 2\n1 0\n0 0.5\n")
-        out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
-        cfg = write_config(
-            tmp_path,
-            f"[matrix_path]\nmatrix = {matrix}\nf = 1 1\n"
-            f"schedule = 1 0.1 0.01 0.001\noutput = {out_a}\n",
-        )
-        assert cli.main(["run", cfg]) == 0
-        assert cli.main(["run", cfg, "--output", str(out_b), "--threads", "4"]) == 0
-        assert out_a.read_bytes() == out_b.read_bytes()
-
-    def test_env_var_thread_count(self, tmp_path, monkeypatch):
-        matrix = tmp_path / "m.txt"
-        matrix.write_text("1 1\n2\n")
-        out = tmp_path / "env.csv"
-        cfg = write_config(
-            tmp_path,
-            f"[matrix_path]\nmatrix = {matrix}\nf = 1\nschedule = 1 0.1\noutput = {out}\n",
-        )
-        monkeypatch.setenv("EPSREG_THREADS", "3")
-        assert cli.main(["run", cfg]) == 0
-        assert out.exists()
-        monkeypatch.setenv("EPSREG_THREADS", "0")
-        assert cli.main(["run", cfg]) == 2
 
 
 class TestRunDiskCauchy:
@@ -230,6 +210,42 @@ class TestExitCodes:
         assert cli.main([]) == 2
 
 
+class TestUnreadableInputs:
+    # Files that cannot be opened or decoded exit 2 with the file named,
+    # never with a traceback, and leave no CSV behind.
+    def test_config_with_invalid_utf8(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        path = tmp_path / "bad.ini"
+        path.write_bytes(ODE_CONFIG.format(out=out).encode() + b"# \xff\n")
+        assert cli.main(["run", str(path)]) == 2
+        assert f"cannot read config file {path}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_matrix_path_names_file_and_line(self, tmp_path, capsys, kind):
+        matrix = tmp_path / "m.txt"
+        if kind == "directory":
+            matrix.mkdir()
+        out = tmp_path / "mp.csv"
+        cfg = write_config(
+            tmp_path,
+            f"[matrix_path]\nf = 1 1\nmatrix = {matrix}\nschedule = 1 0.1\noutput = {out}\n",
+        )
+        assert cli.main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:3: bad 'matrix'" in err and str(matrix) in err
+        assert not out.exists()
+
+
+class TestVerifySuite:
+    def test_all_checks_pass(self, capsys):
+        assert cli.main(["--verify"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "verify: 0 failure(s)"
+        assert not [line for line in lines if line.startswith("FAIL")]
+        assert sum("galerkin reproduces span member" in line for line in lines) == 2
+
+
 class TestScheduleValues:
     # NaN, inf and subnormal eps fail at parse time with the config line.
     @pytest.mark.parametrize("schedule", ["1e-1 nan", "inf 1e-1", "1e-300 1e-310"])
@@ -255,3 +271,67 @@ class TestFormatting:
     def test_seventeen_significant_digits(self):
         line = cli._fmt((1.0 / 3.0, 1e-7))
         assert line == "0.33333333333333331,9.9999999999999995e-08"
+
+
+# A valid body per experiment; the fuzz below mutates these line by line.
+_FUZZ_BASES = {
+    "ode1d": ["a = 0", "b = 1", "f = cos", "schedule = 1 1e-2", "output = o.csv"],
+    "matrix_path": ["matrix = m.txt", "f = 1 1", "schedule = 1 0.1", "output = o.csv"],
+    "disk_cauchy": ["gamma_start = 0", "gamma_end = 3", "schedule = 1e-1 1e-2", "output = o.csv"],
+    "disk_mixed": ["gamma_start = 1", "gamma_end = 4", "schedule = 1 0.5", "output = o.csv"],
+    "verify_basis": ["operator = gradient", "schedule = 1 0.25", "output = o.csv"],
+}
+_FUZZ_KEYS = sorted({key for schema in cli._SCHEMAS.values() for key in schema}) + [
+    "", "wavelength", "a b", "[ode1d]", "#",
+]
+_FUZZ_VALUES = [
+    "0", "1", "-1", "0.5", "6.283185307179586", "7", "1e-1 1e-2", "1 1e-2 1e-4", "1e-2 1",
+    "nan", "inf", "-inf", "1e-310", "1e400", "gradient", "cauchy_riemann", "cos", "tan",
+    "", "x", "1_0", "0x10", "= =", "9" * 5000,
+]
+_FUZZ_SECTIONS = list(cli.EXPERIMENTS) + ["", "quantum", "ode1d]", "[ode1d"]
+_FUZZ_LINE = st.one_of(
+    st.tuples(
+        st.sampled_from(_FUZZ_KEYS),
+        st.one_of(st.sampled_from(_FUZZ_VALUES), st.text(max_size=12)),
+    ).map(" = ".join),
+    st.sampled_from(_FUZZ_SECTIONS).map("[{}]".format),
+    st.text(max_size=20),
+)
+_FUZZ_CHUNK = st.one_of(
+    _FUZZ_LINE.map(lambda line: line.encode("utf-8", "surrogatepass")),
+    st.sampled_from([b"", b"\xff", b"a = \xc3\x28", b"\x80", b"\xed\xa0\x80", b"\x00", b"\r", b"\x0c"]),
+)
+
+
+@st.composite
+def _config_bytes(draw):
+    name = draw(st.sampled_from(sorted(_FUZZ_BASES)))
+    lines = [f"[{name}]".encode()] + [line.encode() for line in _FUZZ_BASES[name]]
+    for _ in range(draw(st.integers(0, 3))):
+        chunk = draw(_FUZZ_CHUNK)
+        at = draw(st.integers(0, len(lines)))
+        if at < len(lines) and draw(st.booleans()):
+            lines[at] = chunk
+        else:
+            lines.insert(at, chunk)
+    return b"\n".join(lines) + b"\n"
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=_config_bytes())
+def test_parse_config_fuzz(tmp_path, data):
+    # Parsing only: every input either gives a config or raises InputError.
+    path = tmp_path / "fuzz.ini"
+    path.write_bytes(data)
+    try:
+        cfg = cli.parse_config(str(path))
+    except InputError:
+        return
+    assert cfg.experiment in cli.EXPERIMENTS
+    assert cfg.output_path and cfg.source == str(path)
