@@ -211,6 +211,11 @@ def parse_config(path: str) -> ExperimentConfig:
             )
         if ge - gs > 2.0 * math.pi + 1e-12:
             raise InputError(f"{path}:{lines['gamma_end']}: arc length exceeds 2 pi")
+    for key, value in params.items():
+        if schema[key][0] in ("float", "floats") and not np.all(np.isfinite(value)):
+            raise InputError(f"{path}:{lines[key]}: bad {key!r}: values must be finite")
+    if params.get("i_max", 0) < 0:
+        raise InputError(f"{path}:{lines['i_max']}: 'i_max' must be >= 0")
     output = params.pop("output")
     seed = int(params.get("seed", 0))
     return ExperimentConfig(

@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -101,6 +102,11 @@ class DiscreteOperator:
 
     def adjoint(self) -> np.ndarray:
         return self.matrix.conj().T
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """T*T, formed once per operator and shared by every eps of a sweep."""
+        return self.adjoint() @ self.matrix
 
 
 @dataclass(frozen=True)
@@ -181,10 +187,9 @@ def solve_perturbed(T: DiscreteOperator, f, h, epsilon: float) -> PerturbedSolut
     fv = _as_vector(f, T.cod_dim, "f")
     hv = _as_vector(h, T.dom_dim, "h")
 
-    adj = T.adjoint()
-    gram = adj @ T.matrix
+    gram = T.gram
     system = gram + epsilon * np.eye(T.dom_dim, dtype=gram.dtype)
-    rhs = adj @ fv + epsilon * hv
+    rhs = T.adjoint() @ fv + epsilon * hv
 
     try:
         factor = scipy.linalg.cho_factor(system, lower=True)

@@ -267,6 +267,31 @@ class TestScheduleValues:
         assert not out.exists()
 
 
+class TestNumberValues:
+    # Non-finite numbers and a negative i_max fail at parse time with the
+    # config line; none of them writes a CSV.
+    @pytest.mark.parametrize(
+        "section, body, lineno",
+        [
+            ("disk_cauchy", "gamma_start = 0\ngamma_end = 3\nnoise_amplitude = nan", 4),
+            ("disk_cauchy", "gamma_start = 0\ngamma_end = 3\nnoise_amplitude = inf", 4),
+            ("ode1d", "a = 0\nb = 1\nf = cos\nu0 = inf", 5),
+            ("ode1d", "a = -inf\nb = 1\nf = cos", 2),
+            ("matrix_path", "matrix = m.txt\nf = 1 nan", 3),
+            ("verify_basis", "i_max = -1", 2),
+        ],
+        ids=["noise-nan", "noise-inf", "u0-inf", "a-minus-inf", "f-nan", "i_max-negative"],
+    )
+    def test_rejected_with_line_number(self, tmp_path, capsys, section, body, lineno):
+        out = tmp_path / "out.csv"
+        path = write_config(
+            tmp_path, f"[{section}]\n{body}\nschedule = 1e-1 1e-2\noutput = {out}\n"
+        )
+        assert cli.main(["run", path]) == 2
+        assert f"{path}:{lineno}: " in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestFormatting:
     def test_seventeen_significant_digits(self):
         line = cli._fmt((1.0 / 3.0, 1e-7))

@@ -192,6 +192,18 @@ class TestRunPath:
         assert path.verdict is Verdict.BOUNDED
         assert all(e.norm_h == 0.0 for e in path.entries)
 
+    def test_gram_formed_once_per_operator(self):
+        rng = np.random.default_rng(4)
+        T = DiscreteOperator(rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5)))
+        gram = T.gram
+        assert np.array_equal(gram, T.adjoint() @ T.matrix)
+        f = rng.standard_normal(7)
+        path = run_path(T, f, np.zeros(5), [1.0, 0.1, 0.01])
+        assert T.gram is gram
+        for entry in path.entries:
+            expected = direct_solve_oracle(T.matrix, f, np.zeros(5), entry.epsilon)
+            assert np.allclose(entry.u, expected, rtol=1e-10, atol=1e-12)
+
     def test_schedule_validation(self):
         T = DiscreteOperator(np.eye(2))
         f, h = np.zeros(2), np.zeros(2)

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from epsreg import cli
 from epsreg.errors import InputError
 from epsreg.ode1d import (
     Ode1dProblem,
+    _grid_solution,
     convergence_report,
     exact_solution,
     perturbed_solution,
@@ -147,3 +149,63 @@ class TestConvergenceReport:
             convergence_report(p, [0.1, 1.0])
         with pytest.raises(InputError):
             convergence_report(p, [0.1, float("nan")])
+
+
+def _unit_rhs(x):
+    return 1.0
+
+
+class TestGridSolution:
+    # One grid path serves every eps: k(b - a) below runs from where the
+    # kernels are nearly flat to far beyond where cosh(k(b - a)) overflows.
+    @pytest.mark.parametrize("u0", [0.0, 0.5])
+    @pytest.mark.parametrize("kba", [15.0, 30.0, 60.0, 1e4, 1.5e150])
+    def test_unit_rhs_matches_closed_form(self, kba, u0):
+        # f = 1: u_eps = u0 cosh(k(b-x))/cosh(s) + sinh(k(x-a))/(k cosh(s)), s = k(b-a).
+        a, b = 0.0, 1.5
+        eps = (kba / (b - a)) ** 2
+        k = math.sqrt(eps)
+        s = k * (b - a)
+        grid = np.linspace(a, b, 1001)
+        # Scaled form: cosh(k(b-x)) / cosh(s) = (ea + eb e^{-s}) / norm and
+        # sinh(k(x-a)) / cosh(s) = (eb - ea e^{-s}) / norm.
+        ea, eb = np.exp(-k * (grid - a)), np.exp(-k * (b - grid))
+        es, norm = math.exp(-s), 1.0 + math.exp(-2.0 * s)
+        exact = (u0 * (ea + eb * es) + (eb - ea * es) / k) / norm
+        exact_deriv = (-u0 * k * (ea - eb * es) + eb + ea * es) / norm
+        values, derivs = _grid_solution(Ode1dProblem(a, b, u0, _unit_rhs), eps, grid)
+        # Measured: values within 3.4e-16, derivatives within 7.3e-15 (1 + u0 k).
+        assert np.max(np.abs(values - exact)) <= 1e-14
+        assert np.max(np.abs(derivs - exact_deriv)) <= 1e-13 * (1.0 + u0 * k)
+        # u_eps' - 1 <= 0 everywhere, so u_eps - u falls from 0 at a and the
+        # sup errors sit at the ends: C^0 at b, C^1 at a.
+        sech, tanh = 2.0 * es / norm, math.tanh(s)
+        row = convergence_report(Ode1dProblem(a, b, u0, _unit_rhs), [eps])[0]
+        assert row.c0_error == pytest.approx(u0 * (1.0 - sech) + (b - a) - tanh / k, rel=1e-10)
+        assert row.c1_error == pytest.approx(u0 * k * tanh + 1.0 - sech, rel=1e-10)
+
+    @pytest.mark.parametrize("f", [math.cos, math.exp], ids=["cos", "exp"])
+    @pytest.mark.parametrize("kba", [0.015, 15.0, 30.0, 60.0, 474.0])
+    def test_matches_pointwise_reference(self, kba, f):
+        # Measured worst cases: values 1.2e-13 (exp, k(b-a) = 0.015), derivatives
+        # 1.6e-13 relative (exp, 474).
+        a, b, u0 = 0.0, 1.5, 0.5
+        eps = (kba / (b - a)) ** 2
+        grid = np.linspace(a, b, 1001)
+        values, derivs = _grid_solution(Ode1dProblem(a, b, u0, f), eps, grid)
+        pe = Ode1dProblem(a, b, u0, f, eps)
+        for i in range(0, grid.size, 50):
+            value, deriv = perturbed_solution(pe, float(grid[i]))
+            assert abs(values[i] - value) <= 1e-12
+            assert abs(derivs[i] - deriv) <= 1e-12 * max(1.0, abs(deriv))
+
+    def test_cli_huge_epsilon(self, tmp_path):
+        # k = 1e150: the kernels are far narrower than the grid spacing, and
+        # u_eps' is about 0 away from b, so the C^1 error is |f(0)| = 1.
+        out = tmp_path / "ode.csv"
+        cfg = tmp_path / "ode.ini"
+        cfg.write_text(f"[ode1d]\na = 0\nb = 1.5\nf = cos\nschedule = 1e300 1\noutput = {out}\n")
+        assert cli.main(["run", str(cfg)]) == 0
+        rows = [[float(tok) for tok in line.split(",")] for line in out.read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == [1e300, 1.0]
+        assert rows[0][2] == pytest.approx(1.0, abs=1e-12)
