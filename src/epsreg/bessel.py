@@ -8,8 +8,10 @@ its solution that stays bounded at the origin.
 
 Two evaluation strategies are used: the ascending power series for small
 arguments and a Miller-style downward recurrence (normalized against the
-independently computed ``I_0``) for large ones.  No external special
-function library is required.
+independently computed ``I_0``) for large ones.  The recurrence runs on
+all large arguments of a call at once, each from its own start order
+(Gautschi, SIAM Review 9, 1967).  No external special function library is
+required.
 """
 
 from __future__ import annotations
@@ -58,28 +60,37 @@ def _series(nu: int, x: np.ndarray) -> np.ndarray:
     for k in range(1, 200):
         term = term * quarter_sq / (k * (k + nu))
         total += term
-        if np.all(term <= 1e-18 * (total + 1e-300)):
+        if (term <= 1e-18 * (total + 1e-300)).all():
             break
     return total
 
 
-def _miller(nu: int, x: float) -> float:
-    """Downward recurrence I_{n-1} = I_{n+1} + (2n/x) I_n, normalized by I_0.
+def _miller_downward(nu: int, x: np.ndarray) -> np.ndarray:
+    """Downward recurrence I_{n-1} = I_{n+1} + (2n/x) I_n for all x at once.
 
-    The recurrence is run from a start order comfortably above both nu and
-    x, seeded with an arbitrary tiny value; the stack is then scaled so its
-    order-zero entry matches the series value of I_0(x).
+    Each point is seeded with 1e-30 at its own start order int(max(nu, x))
+    + _MILLER_BUFFER, is rescaled by 1e-250 on its own when it passes 1e250,
+    and is normalized by the series value of I_0(x): the arithmetic of a
+    recurrence run for that point alone.
     """
-    m_start = int(max(nu, x)) + _MILLER_BUFFER
-    values = np.zeros(m_start + 2)
-    values[m_start + 1] = 0.0
-    values[m_start] = 1e-30
-    for n in range(m_start, 0, -1):
-        values[n - 1] = values[n + 1] + (2.0 * n / x) * values[n]
-        if values[n - 1] > 1e250:
-            values *= 1e-250
-    i0 = float(_series(0, np.asarray(x)))
-    return float(values[nu] * (i0 / values[0]))
+    start = np.maximum(nu, x).astype(int) + _MILLER_BUFFER
+    seed_orders = set(start.tolist())
+    upper = np.zeros_like(x)  # I_{n+1}
+    current = np.zeros_like(x)  # I_n
+    at_nu = np.zeros_like(x)
+    for n in range(max(seed_orders), 0, -1):
+        if n in seed_orders:
+            current[start == n] = 1e-30
+        lower = upper + (2.0 * n / x) * current
+        if lower.max() > 1e250:
+            big = lower > 1e250
+            lower[big] *= 1e-250
+            current[big] *= 1e-250
+            at_nu[big] *= 1e-250
+        if n - 1 == nu:
+            at_nu = lower.copy()
+        upper, current = current, lower
+    return at_nu * (_series(0, x) / current)
 
 
 def _bessel_any_order(nu: int, x):
@@ -90,10 +101,10 @@ def _bessel_any_order(nu: int, x):
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty_like(arr)
     small = arr < _SERIES_SWITCH
-    if np.any(small):
+    if small.any():
         out[small] = _series(nu, arr[small])
-    for idx in np.nonzero(~small)[0]:
-        out[idx] = _miller(nu, float(arr[idx]))
+    if not small.all():
+        out[~small] = _miller_downward(nu, arr[~small])
     return out
 
 

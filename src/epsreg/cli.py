@@ -365,14 +365,17 @@ def _basis_checks(op, i_max, eps, quad, points):
     """Disk-basis identities at one eps.
 
     Returns the largest relative off-diagonal L^2 and energy Gram entries,
-    the worst Helmholtz residual (scaled by 1 + max |b| on ``points``) and
-    the smallest normal coupling over the modes up to ``i_max``.
+    the worst Helmholtz residual (scaled by 1 + the mode's magnitude
+    ``|I_i(sqrt(eps) r)| max |H_i|`` on the ring of ``points``) and the
+    smallest normal coupling over the modes up to ``i_max``.
     """
     modes, l2_gram, energy_gram = variational.basis_grams(op, i_max, eps, quad)
+    radius = float(np.hypot(*points[0]))
     helm, coupling = 0.0, math.inf
     for (i, branch) in modes:
         b = BasisFunction(RadialFactor(i, eps), branch, op)
-        scale = 1.0 + float(np.max(np.abs(b.value_xy(points[:, 0], points[:, 1]))))
+        # Both branches of H_i share the amplitude |H_i^(1)(0)|.
+        scale = 1.0 + abs(b.radial.value(radius)) * abs(op.angular(i, 1, 0.0))
         helm = max(helm, diskbasis.check_helmholtz(b, eps, points) / scale)
         coupling = min(coupling, diskbasis.nonvanishing_check(op, i, branch, eps))
     return (
@@ -419,8 +422,10 @@ _RUNNERS = {
 
 
 def run(config: ExperimentConfig, output_override=None) -> int:
-    """Execute one experiment; writes the CSV and prints a summary line."""
+    """Execute one experiment: write its CSV and print a summary; non-finite output writes none."""
     result = _RUNNERS[config.experiment](config)
+    if not np.all(np.isfinite(np.asarray(result.rows, dtype=float))):
+        raise NumericError(f"{config.experiment} produced a non-finite value; no CSV written")
     path = output_override or config.output_path
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:

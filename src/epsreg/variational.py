@@ -30,7 +30,7 @@ import numpy as np
 import scipy.linalg
 
 from . import core, diskbasis
-from .bessel import RadialFactor
+from .bessel import RadialFactor, bessel_i, bessel_i_prime
 from .diskbasis import BasisFunction, DiracOperatorKind
 from .errors import InputError, NumericError
 
@@ -541,25 +541,45 @@ def gram_schmidt_metric(gram: np.ndarray, drop_tol: float = 1e-10):
     return columns.astype(dtype, copy=False), dropped
 
 
+def _radial_table(i_max: int, epsilon: float, r: np.ndarray):
+    """Columns I_i(sqrt(eps) r) and sqrt(eps) I_i'(sqrt(eps) r), i = 0..i_max."""
+    root = math.sqrt(epsilon)
+    x = root * np.asarray(r, dtype=float)
+    values = np.column_stack([bessel_i(i, x) for i in range(i_max + 1)])
+    slopes = np.column_stack([root * bessel_i_prime(i, x) for i in range(i_max + 1)])
+    return values, slopes
+
+
 def basis_grams(operator: DiracOperatorKind, i_max: int, epsilon: float, quad: DiskQuadrature):
     """Disk L^2 and energy Gram matrices of the basis functions b_i^(j).
 
-    Returns (modes, l2_gram, energy_gram); both Grams are Hermitian and
-    diagonal up to quadrature error.
+    Every b = g(r) H(phi) is separable on the tensor quadrature, so each
+    Gram is a Hadamard product of a radial Gram on ``quad.r`` and an
+    angular Gram on ``quad.phi``.  Returns (modes, l2_gram, energy_gram);
+    both Grams are Hermitian and diagonal up to quadrature error.
     """
     modes = diskbasis.enumerate_modes(i_max)
-    basis = [BasisFunction(RadialFactor(i, epsilon), j, operator) for i, j in modes]
-    values = np.column_stack([b.value_xy(quad.x, quad.y) for b in basis])
-    grads = [b.gradient_xy(quad.x, quad.y) for b in basis]
-    gx = np.column_stack([g[0] for g in grads])
-    gy = np.column_stack([g[1] for g in grads])
-    l2_gram = _gram(quad.w, values, values)
+    orders = [i for i, _ in modes]
+    values, slopes = _radial_table(i_max, epsilon, quad.r)
+    g, g_prime = values[:, orders], slopes[:, orders]
+    ratio = g / quad.r[:, None]
+    h = np.column_stack([operator.angular(i, j, quad.phi) for i, j in modes])
+
+    def gram(radial, angular):
+        return ((quad.wr[:, None] * radial).T @ radial) * (
+            quad.wphi * (angular.T @ np.conj(angular))
+        )
+
     if operator.is_complex:
-        av = gx + 1j * gy
-        energy_gram = _gram(quad.w, av, av)
+        # conj(z) A b = (r g' + (lambda - i) g) H at every radius (the closed
+        # form of n(A b) in diskbasis), so |A b| = |g' + (lambda - i) g / r| |H|.
+        shift = np.array([operator.eigenvalue(i, j) - i for i, j in modes])
+        energy_gram = gram(g_prime + shift * ratio, h)
     else:
-        energy_gram = _gram(quad.w, gx, gx) + _gram(quad.w, gy, gy)
-    return modes, l2_gram, energy_gram
+        # |grad b|^2 = |g' H|^2 + |(g / r) H'|^2 in the polar frame.
+        h_prime = np.column_stack([operator.angular_derivative(i, j, quad.phi) for i, j in modes])
+        energy_gram = gram(g_prime, h) + gram(ratio, h_prime)
+    return modes, gram(g, h), energy_gram
 
 
 def max_offdiag_relative(gram: np.ndarray) -> float:
@@ -928,7 +948,8 @@ class SeriesSolution:
     modes underflows, so their raw coefficients can be numerically large
     while contributing nothing: evaluation pairs each coefficient with the
     correspondingly tiny basis values, and the reconstruction stays at
-    machine accuracy.
+    machine accuracy.  ``trace_scale`` / ``conormal_scale`` hold each mode's
+    t(b) = I_i(sqrt(eps)) and n(A b) amplitudes on the unit circle.
     """
 
     operator: DiracOperatorKind
@@ -940,35 +961,25 @@ class SeriesSolution:
     k: np.ndarray
     raw_coeffs: np.ndarray
     dropped: list
+    trace_scale: np.ndarray
+    conormal_scale: np.ndarray
 
     @property
     def field(self) -> LinearCombination:
         return LinearCombination(self.raw_coeffs, [Field.wrap(b) for b in self.raw_basis])
 
     def trace_on(self, phi) -> np.ndarray:
-        cols = np.column_stack([trace_values(b, phi) for b in self.raw_basis])
-        return cols @ self.raw_coeffs
+        return _mode_columns(self.operator, self.modes, self.trace_scale, phi) @ self.raw_coeffs
 
     def conormal_on(self, phi) -> np.ndarray:
-        cols = np.column_stack([b.normal_trace_values(phi) for b in self.raw_basis])
-        return cols @ self.raw_coeffs
+        return _mode_columns(self.operator, self.modes, self.conormal_scale, phi) @ self.raw_coeffs
 
 
-def _boundary_mode_data(operator, modes, epsilon, g_phi, c_phi):
-    basis = [
-        BasisFunction(RadialFactor(i, epsilon), branch, operator) for i, branch in modes
-    ]
-    t_cols = (
-        np.column_stack([b.value_polar(1.0, g_phi) for b in basis])
-        if g_phi.size
-        else np.zeros((0, len(basis)))
+def _mode_columns(operator, modes, scales, phi):
+    """One column per mode: its boundary amplitude times H_i^(j)(phi)."""
+    return np.column_stack(
+        [s * operator.angular(i, branch, phi) for s, (i, branch) in zip(scales, modes)]
     )
-    n_cols = (
-        np.column_stack([b.normal_trace_values(c_phi) for b in basis])
-        if c_phi.size
-        else np.zeros((0, len(basis)))
-    )
-    return basis, t_cols, n_cols
 
 
 def solve_mixed_boundary_series(
@@ -986,9 +997,9 @@ def solve_mixed_boundary_series(
     The solution of (-Laplace + eps) u = 0 with t(u) = u0 on Gamma and
     n(Au) = u1 on the complement is expanded over the h-orthonormalized
     basis {B_i}: u = sum k_i B_i with k_i = (u0, t(B_i))_Gamma +
-    (u1, n(A B_i))_complement.  Nondegeneracy of the diagonal h-values is
-    guaranteed for every eps > 0; near-dependent off-diagonal directions
-    are dropped exactly as in gram_schmidt.
+    (u1, n(A B_i))_complement.  A diagonal h-value that underflows (deep
+    modes at small eps) raises NumericError; near-dependent off-diagonal
+    directions are dropped exactly as in gram_schmidt.
     """
     if not epsilon > 0.0:
         raise InputError(f"epsilon must be positive, got {epsilon}")
@@ -1000,17 +1011,23 @@ def solve_mixed_boundary_series(
     if g_phi.size == 0 and c_phi.size == 0:
         raise InputError("Gamma and its complement cannot both be empty")
 
-    basis, t_cols, n_cols = _boundary_mode_data(operator, modes, epsilon, g_phi, c_phi)
-
-    h_gram = np.zeros((len(basis), len(basis)), dtype=complex if operator.is_complex else float)
-    if g_phi.size:
-        h_gram = h_gram + _gram(g_w, t_cols, t_cols)
-    if c_phi.size:
-        h_gram = h_gram + _gram(c_w, n_cols, n_cols)
+    root = math.sqrt(epsilon)
+    trace_scale = np.array([bessel_i(i, root) for i, _ in modes])
+    conormal_scale = np.array(
+        [diskbasis.nonvanishing_check(operator, i, j, epsilon) for i, j in modes]
+    )
+    t_cols = _mode_columns(operator, modes, trace_scale, g_phi)
+    n_cols = _mode_columns(operator, modes, conormal_scale, c_phi)
+    h_gram = _gram(g_w, t_cols, t_cols) + _gram(c_w, n_cols, n_cols)
+    # A diagonal below the smallest normal float means the mode's boundary
+    # values underflowed, and the unit-diagonal rescaling would overflow.
+    low = np.flatnonzero(np.real(np.diag(h_gram)) < np.finfo(float).tiny)
+    if low.size:
+        raise NumericError(f"boundary values of mode {modes[low[0]]} underflow at eps={epsilon:g}")
 
     coeff, dropped = gram_schmidt_metric(h_gram, drop_tol)
 
-    data = np.zeros(len(basis), dtype=complex if operator.is_complex else float)
+    data = np.zeros(len(modes), dtype=complex if operator.is_complex else float)
     if u0 is not None and g_phi.size:
         u0_vals = np.asarray(u0(g_phi))
         data = data + (g_w * u0_vals) @ np.conj(t_cols)
@@ -1025,11 +1042,13 @@ def solve_mixed_boundary_series(
         arc=arc,
         epsilon=float(epsilon),
         modes=modes,
-        raw_basis=basis,
+        raw_basis=[BasisFunction(RadialFactor(i, epsilon), j, operator) for i, j in modes],
         coeff=coeff,
         k=k,
         raw_coeffs=raw,
         dropped=dropped,
+        trace_scale=trace_scale,
+        conormal_scale=conormal_scale,
     )
 
 

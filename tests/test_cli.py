@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from epsreg import cli
+from epsreg import cli, variational
+from epsreg.diskbasis import BasisFunction, DiracOperatorKind
 from epsreg.errors import InputError
 
 ODE_CONFIG = """\
@@ -191,6 +192,64 @@ class TestRunVerifyBasis:
         assert len(lines) == 3
         header = lines[0].split(",")
         assert header[0] == "epsilon" and header[-1] == "symbol_defect"
+
+
+    def test_eps_400_on_coarse_quadrature_passes(self, tmp_path):
+        out = tmp_path / "vb.csv"
+        cfg = write_config(
+            tmp_path,
+            "[verify_basis]\n"
+            "n_r = 16\n"
+            "n_phi = 64\n"
+            "schedule = 400\n"
+            f"output = {out}\n",
+        )
+        assert cli.main(["run", cfg]) == 0
+
+    @pytest.mark.parametrize("op", [DiracOperatorKind.GRADIENT, DiracOperatorKind.CAUCHY_RIEMANN])
+    def test_perturbed_basis_fails_the_helmholtz_check(self, op, monkeypatch):
+        # b (1 + 1e-3 r^2) misses the equation by 4e-3 (b + r b_r): the
+        # normalized residual must see it at every eps, while the basis
+        # itself stays below the 1e-5 tolerance.
+        class Perturbed(BasisFunction):
+            def value_xy(self, x, y):
+                return super().value_xy(x, y) * (1.0 + 1e-3 * (x * x + y * y))
+
+        quad = variational.DiskQuadrature.build(16, 64)
+        points = cli._ring_points(0.5, 12)
+        schedule = [400.0, 100.0, 30.0, 10.0, 3.0, 1.0, 0.3, 0.1, 0.03, 0.01]
+        clean = [cli._basis_checks(op, 8, eps, quad, points)[2] for eps in schedule]
+        monkeypatch.setattr(cli, "BasisFunction", Perturbed)
+        perturbed = [cli._basis_checks(op, 8, eps, quad, points)[2] for eps in schedule]
+        assert max(clean) <= cli._VERIFY_TOLS["max_helmholtz_residual"]
+        assert min(perturbed) >= 1.1e-3
+
+
+class TestNonFiniteOutput:
+    def test_underflowing_series_exits_3_without_csv(self, tmp_path, capsys):
+        out = tmp_path / "dm.csv"
+        cfg = write_config(
+            tmp_path,
+            "[disk_mixed]\n"
+            "operator = cauchy_riemann\n"
+            f"gamma_start = {0.5 * math.pi!r}\n"
+            f"gamma_end = {1.5 * math.pi!r}\n"
+            "n_modes = 40\n"
+            "schedule = 1e-5\n"
+            f"output = {out}\n",
+        )
+        assert cli.main(["run", cfg]) == 3
+        assert "underflow" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_row_from_any_runner_exits_3_without_csv(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "o.csv"
+        cfg = write_config(tmp_path, ODE_CONFIG.format(out=out))
+        stub = cli.RunResult([(1.0, 0.5, 0.25), (1e-2, float("nan"), 0.0)], None, "stub")
+        monkeypatch.setitem(cli._RUNNERS, "ode1d", lambda config: stub)
+        assert cli.main(["run", cfg]) == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExitCodes:

@@ -555,6 +555,27 @@ class TestSeriesSolver:
         ref_val = src.value_xy(np.array([0.3]), np.array([0.2]))
         np.testing.assert_allclose(inner_val, ref_val, rtol=1e-10)
 
+    @pytest.mark.parametrize("op", [GRAD, CR])
+    @pytest.mark.parametrize("eps", [1e-3, 1.0, 4e2])
+    def test_boundary_columns_bitwise(self, op, eps):
+        sol = solve_mixed_boundary_series(op, UPPER, None, None, eps, n_modes=12)
+        phi = np.linspace(0.0, 2.0 * math.pi, 101)
+        trace = variational._mode_columns(op, sol.modes, sol.trace_scale, phi)
+        conormal = variational._mode_columns(op, sol.modes, sol.conormal_scale, phi)
+        assert np.array_equal(
+            trace, np.column_stack([b.value_polar(1.0, phi) for b in sol.raw_basis])
+        )
+        assert np.array_equal(
+            conormal, np.column_stack([b.normal_trace_values(phi) for b in sol.raw_basis])
+        )
+
+    def test_underflowed_mode_is_numeric_error(self):
+        # I_39(sqrt(1e-5))^2 is below the smallest normal float; the solver
+        # must stop before its unit-diagonal rescaling overflows.
+        arc = ArcSpec(0.5 * math.pi, 1.5 * math.pi)
+        with pytest.raises(NumericError, match=r"mode \(39, 1\).*eps=1e-05"):
+            solve_mixed_boundary_series(CR, arc, None, None, 1e-5, n_modes=40)
+
     def test_helmholtz_residual_of_solution(self):
         from epsreg.diskbasis import check_helmholtz
 
@@ -851,3 +872,45 @@ class TestBasisGrams:
         _, l2_gram, energy_gram = basis_grams(op, 6, 1.0, quad_small)
         assert max_offdiag_relative(l2_gram) <= 1e-8
         assert max_offdiag_relative(energy_gram) <= 1e-8
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-2, 1.0, 4e2])
+    def test_radial_table_equals_radial_factor(self, eps, quad64):
+        values, slopes = variational._radial_table(8, eps, quad64.r)
+        for i in range(9):
+            g = RadialFactor(i, eps)
+            assert np.array_equal(values[:, i], g.value(quad64.r))
+            assert np.array_equal(slopes[:, i], g.derivative(quad64.r))
+
+    @pytest.mark.parametrize("op", [GRAD, CR])
+    @pytest.mark.parametrize("eps", [1e-2, 1.0, 4e2])
+    def test_matches_pointwise_gram(self, op, eps):
+        quad = DiskQuadrature.build(24, 96)
+        modes, l2_gram, energy_gram = basis_grams(op, 8, eps, quad)
+        basis = [BasisFunction(RadialFactor(i, eps), j, op) for i, j in modes]
+        values = np.column_stack([b.value_xy(quad.x, quad.y) for b in basis])
+        grads = [op.apply_gradient(*b.gradient_xy(quad.x, quad.y)) for b in basis]
+        l2_ref = (quad.w[:, None] * values).T @ np.conj(values)
+        energy_ref = np.array(
+            [[quad.integrate(op.pair_outputs(ga, gb)) for gb in grads] for ga in grads]
+        )
+        for gram, ref in ((l2_gram, l2_ref), (energy_gram, energy_ref)):
+            diag = np.sqrt(np.abs(np.real(np.diag(ref))))
+            assert np.all(np.abs(gram - ref) <= 1e-12 * np.outer(diag, diag))
+
+    def test_bessel_points_per_call(self, monkeypatch):
+        # Tables on the n_r radii: one value and one derivative (two
+        # orders) per mode index, never the n_r * n_phi nodes.
+        from epsreg import bessel
+
+        counted = []
+        kernel = bessel._bessel_any_order
+
+        def counting(nu, x):
+            counted.append(np.size(x))
+            return kernel(nu, x)
+
+        monkeypatch.setattr(bessel, "_bessel_any_order", counting)
+        quad = DiskQuadrature.build(32, 128)
+        i_max = 8
+        basis_grams(GRAD, i_max, 4e2, quad)
+        assert 0 < sum(counted) <= (i_max + 2) * quad.n_r * 3
