@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import core, diskbasis, ode1d, variational
-from .bessel import RadialFactor, bessel_i
+from .bessel import NU_MAX, X_MAX, RadialFactor, bessel_i
 from .diskbasis import BasisFunction, DiracOperatorKind
 from .errors import InputError, NumericError
 
@@ -167,6 +167,10 @@ _SCHEMAS = {
 }
 
 
+# Inclusive ranges: Bessel orders stop at NU_MAX; quadratures need 2 radii, 4 angles.
+_INT_RANGES = dict(n_modes=(0, NU_MAX), i_max=(0, NU_MAX), n_r=(2, math.inf), n_phi=(4, math.inf))
+
+
 def _validate_schedule_param(schedule, source, lineno):
     try:
         core.validate_schedule(schedule)
@@ -214,8 +218,12 @@ def parse_config(path: str) -> ExperimentConfig:
     for key, value in params.items():
         if schema[key][0] in ("float", "floats") and not np.all(np.isfinite(value)):
             raise InputError(f"{path}:{lines[key]}: bad {key!r}: values must be finite")
-    if params.get("i_max", 0) < 0:
-        raise InputError(f"{path}:{lines['i_max']}: 'i_max' must be >= 0")
+    for key, (lo, hi) in _INT_RANGES.items():
+        if key in params and not lo <= params[key] <= hi:
+            raise InputError(f"{path}:{lines[key]}: {key!r} must lie in [{lo}, {hi}]")
+    if name in ("disk_mixed", "verify_basis") and max(params["schedule"]) > X_MAX**2:
+        bound = f"{X_MAX**2:g}, where sqrt(eps) leaves the Bessel range [0, {X_MAX:g}]"
+        raise InputError(f"{path}:{lines['schedule']}: bad 'schedule': eps above {bound}")
     output = params.pop("output")
     seed = int(params.get("seed", 0))
     return ExperimentConfig(
@@ -370,19 +378,20 @@ def _basis_checks(op, i_max, eps, quad, points):
     smallest normal coupling over the modes up to ``i_max``.
     """
     modes, l2_gram, energy_gram = variational.basis_grams(op, i_max, eps, quad)
-    radius = float(np.hypot(*points[0]))
-    helm, coupling = 0.0, math.inf
-    for (i, branch) in modes:
+    orders = np.array([i for i, _ in modes])
+    ring = bessel_i(orders, np.full(orders.shape, math.sqrt(eps) * float(np.hypot(*points[0]))))
+    helm = 0.0
+    for (i, branch), amplitude in zip(modes, ring):
         b = BasisFunction(RadialFactor(i, eps), branch, op)
         # Both branches of H_i share the amplitude |H_i^(1)(0)|.
-        scale = 1.0 + abs(b.radial.value(radius)) * abs(op.angular(i, 1, 0.0))
+        scale = 1.0 + abs(amplitude) * abs(op.angular(i, 1, 0.0))
         helm = max(helm, diskbasis.check_helmholtz(b, eps, points) / scale)
-        coupling = min(coupling, diskbasis.nonvanishing_check(op, i, branch, eps))
+    _, conormal = diskbasis.boundary_amplitudes(op, modes, eps)
     return (
         variational.max_offdiag_relative(l2_gram),
         variational.max_offdiag_relative(energy_gram),
         helm,
-        coupling,
+        float(np.min(conormal)),
     )
 
 

@@ -369,12 +369,12 @@ def parse_matrix_text(text: str) -> DiscreteOperator:
     if len(body) != rows * cols:
         raise InputError(f"expected {rows * cols} matrix entries, found {len(body)}")
     try:
-        values = [_parse_entry(tok) for tok in body]
+        if "," in text:
+            arr = np.array([_parse_entry(tok) for tok in body])
+        else:  # one call; numpy applies float() to each token
+            arr = np.array(body, dtype=float)
     except ValueError as exc:
         raise InputError(f"malformed matrix entry: {exc}") from exc
-    arr = np.array(values)
-    if not np.iscomplexobj(arr):
-        arr = arr.astype(float)
     return DiscreteOperator(arr.reshape(rows, cols))
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "centered_gradient",
     "normal_trace",
     "check_helmholtz",
+    "boundary_amplitudes",
     "nonvanishing_check",
     "symbol_defect",
 ]
@@ -191,9 +192,8 @@ class BasisFunction:
 
     def normal_trace_values(self, phi):
         """n(A b) on the unit circle: closed form, no differentiation."""
-        return nonvanishing_check(
-            self.operator, self.index, self.branch, self.epsilon
-        ) * self.operator.angular(self.index, self.branch, phi)
+        _, conormal = boundary_amplitudes(self.operator, [(self.index, self.branch)], self.epsilon)
+        return conormal[0] * self.operator.angular(self.index, self.branch, phi)
 
 
 def evaluate(b: BasisFunction, r, phi):
@@ -253,16 +253,24 @@ def normal_trace(op: DiracOperatorKind, b: BasisFunction, phi):
     return b.normal_trace_values(phi)
 
 
-def nonvanishing_check(op: DiracOperatorKind, i: int, branch: int, epsilon: float) -> float:
-    """Radial part of n(A b) at r = 1: sqrt(eps) I_i'(sqrt(eps)) + (lambda - i) I_i(sqrt(eps)).
+def boundary_amplitudes(op: DiracOperatorKind, modes, epsilon: float):
+    """Amplitudes of t(b) and n(A b) per mode (i, j), from one Bessel table at sqrt(eps).
 
-    Strictly positive for every eps > 0.
+    Arrays ``I_i(sqrt(eps))`` and ``sqrt(eps) I_i'(sqrt(eps)) + (lambda - i) I_i(sqrt(eps))``.
     """
     if not epsilon > 0.0:
         raise InputError(f"epsilon must be positive, got {epsilon}")
-    lam = op.eigenvalue(i, branch)
+    orders = np.array([i for i, _ in modes], dtype=int)
+    lam = np.array([op.eigenvalue(i, j) for i, j in modes])
     root = math.sqrt(epsilon)
-    return float(root * bessel_i_prime(i, root) + (lam - i) * bessel_i(i, root))
+    x = np.full(orders.shape, root)
+    trace = bessel_i(orders, x)
+    return trace, root * bessel_i_prime(orders, x) + (lam - orders) * trace
+
+
+def nonvanishing_check(op: DiracOperatorKind, i: int, branch: int, epsilon: float) -> float:
+    """n(A b) amplitude of one mode at r = 1 (see boundary_amplitudes); positive for eps > 0."""
+    return float(boundary_amplitudes(op, [(i, branch)], epsilon)[1][0])
 
 
 def check_helmholtz(u, epsilon: float, sample_points) -> float:

@@ -102,13 +102,15 @@ def perturbed_solution(p: Ode1dProblem, x: float):
     (value, derivative) : tuple of float
         ``u_eps(x)`` and ``u_eps'(x)``; the derivative comes from
         differentiating under the integral sign, so ``u_eps'(b) = f(b)``
-        holds structurally.
+        holds structurally.  Its kernel's mass is ``1 - cdc(k(x-a), s)``, so it
+        integrates ``f(y) - f(x)``: no O(1) terms cancel to an O(1/eps) result.
     """
     if p.epsilon is None or not p.epsilon > 0.0:
         raise InputError("perturbed_solution requires a positive epsilon on the problem")
     x = p._require_inside(x)
     k = math.sqrt(p.epsilon)
     s = k * (p.b - p.a)
+    fx = p.f(x)
 
     def w1(y):
         # cosh(k(b-x)) cosh(k(y-a)) / cosh(s), y in [a, x]
@@ -123,21 +125,26 @@ def perturbed_solution(p: Ode1dProblem, x: float):
     def v1(y):
         # sinh(k(b-x)) cosh(k(y-a)) / cosh(s)
         pp, qq = k * (p.b - x), k * (y - p.a)
-        return 0.5 * (_sdc(pp + qq, s) + _sdc(pp - qq, s)) * p.f(y)
+        return 0.5 * (_sdc(pp + qq, s) + _sdc(pp - qq, s)) * (p.f(y) - fx)
 
     def v2(y):
         # cosh(k(x-a)) sinh(k(b-y)) / cosh(s)
         pp, qq = k * (x - p.a), k * (p.b - y)
-        return 0.5 * (_sdc(pp + qq, s) - _sdc(pp - qq, s)) * p.f(y)
+        return 0.5 * (_sdc(pp + qq, s) - _sdc(pp - qq, s)) * (p.f(y) - fx)
 
+    # Breakpoints at x -+ 30/k keep kernels of width 1/k from falling
+    # between quad's nodes; beyond them the kernels are below e^{-30}.
     opts = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
-    a1 = quad(w1, p.a, x, **opts)[0]
-    a2 = quad(w2, x, p.b, **opts)[0]
-    b1 = quad(v1, p.a, x, **opts)[0]
-    b2 = quad(v2, x, p.b, **opts)[0]
+    left = dict(opts, points=[x - 30.0 / k] if p.a < x - 30.0 / k else None)
+    right = dict(opts, points=[x + 30.0 / k] if x + 30.0 / k < p.b else None)
+    a1 = quad(w1, p.a, x, **left)[0]
+    a2 = quad(w2, x, p.b, **right)[0]
+    b1 = quad(v1, p.a, x, **left)[0]
+    b2 = quad(v2, x, p.b, **right)[0]
 
     value = p.u0 * float(_cdc(k * (p.b - x), s)) + a1 - a2
-    deriv = p.f(x) - k * (b1 + b2) - p.u0 * k * float(_sdc(k * (p.b - x), s))
+    deriv = fx * float(_cdc(k * (x - p.a), s)) - k * (b1 + b2)
+    deriv -= p.u0 * k * float(_sdc(k * (p.b - x), s))
     return value, deriv
 
 

@@ -544,10 +544,9 @@ def gram_schmidt_metric(gram: np.ndarray, drop_tol: float = 1e-10):
 def _radial_table(i_max: int, epsilon: float, r: np.ndarray):
     """Columns I_i(sqrt(eps) r) and sqrt(eps) I_i'(sqrt(eps) r), i = 0..i_max."""
     root = math.sqrt(epsilon)
-    x = root * np.asarray(r, dtype=float)
-    values = np.column_stack([bessel_i(i, x) for i in range(i_max + 1)])
-    slopes = np.column_stack([root * bessel_i_prime(i, x) for i in range(i_max + 1)])
-    return values, slopes
+    orders = np.arange(i_max + 1)
+    x = np.broadcast_to(root * np.asarray(r, dtype=float)[:, None], (len(r), orders.size))
+    return bessel_i(orders, x), root * bessel_i_prime(orders, x)
 
 
 def basis_grams(operator: DiracOperatorKind, i_max: int, epsilon: float, quad: DiskQuadrature):
@@ -1011,11 +1010,7 @@ def solve_mixed_boundary_series(
     if g_phi.size == 0 and c_phi.size == 0:
         raise InputError("Gamma and its complement cannot both be empty")
 
-    root = math.sqrt(epsilon)
-    trace_scale = np.array([bessel_i(i, root) for i, _ in modes])
-    conormal_scale = np.array(
-        [diskbasis.nonvanishing_check(operator, i, j, epsilon) for i, j in modes]
-    )
+    trace_scale, conormal_scale = diskbasis.boundary_amplitudes(operator, modes, epsilon)
     t_cols = _mode_columns(operator, modes, trace_scale, g_phi)
     n_cols = _mode_columns(operator, modes, conormal_scale, c_phi)
     h_gram = _gram(g_w, t_cols, t_cols) + _gram(c_w, n_cols, n_cols)

@@ -351,6 +351,49 @@ class TestNumberValues:
         assert not out.exists()
 
 
+ARC = "gamma_start = 0\ngamma_end = 3"
+
+
+class TestRanges:
+    # Bessel orders stop at NU_MAX = 60 and arguments at X_MAX = 60, so
+    # n_modes, i_max and the disk_mixed / verify_basis eps are bounded; the
+    # quadratures need n_r >= 2 and n_phi >= 4.  Each fails at parse time
+    # with the config line.
+    @pytest.mark.parametrize(
+        "section, body, lineno, message",
+        [
+            ("disk_mixed", f"{ARC}\nn_modes = 61", 4, "'n_modes' must lie in [0, 60]"),
+            ("verify_basis", "i_max = 61", 2, "'i_max' must lie in [0, 60]"),
+            ("disk_mixed", f"{ARC}\nschedule = 4000 1", 4, "bad 'schedule': eps above 3600"),
+            ("verify_basis", "schedule = 3601 1", 2, "bad 'schedule': eps above 3600"),
+            ("verify_basis", "n_r = 1", 2, "'n_r' must lie in [2, inf]"),
+            ("disk_cauchy", f"{ARC}\nn_phi = 3", 4, "'n_phi' must lie in [4, inf]"),
+        ],
+        ids=["n_modes", "i_max", "mixed-schedule", "verify-schedule", "n_r", "n_phi"],
+    )
+    def test_rejected_with_line_number(self, tmp_path, capsys, section, body, lineno, message):
+        out = tmp_path / "out.csv"
+        if "schedule" not in body:
+            body += "\nschedule = 1 0.5"
+        path = write_config(tmp_path, f"[{section}]\n{body}\noutput = {out}\n")
+        assert cli.main(["run", path]) == 2
+        assert f"{path}:{lineno}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, body",
+        [
+            ("disk_mixed", f"{ARC}\nn_modes = 60\nn_phi = 4\nschedule = 3600"),
+            ("verify_basis", "i_max = 60\nn_r = 2\nn_phi = 4\nschedule = 3600"),
+            ("disk_cauchy", f"{ARC}\nschedule = 4000"),
+        ],
+        ids=["disk_mixed", "verify_basis", "disk_cauchy-unbounded-eps"],
+    )
+    def test_bounds_are_inclusive(self, tmp_path, section, body):
+        cfg = cli.parse_config(write_config(tmp_path, f"[{section}]\n{body}\noutput = o.csv\n"))
+        assert cfg.experiment == section
+
+
 class TestFormatting:
     def test_seventeen_significant_digits(self):
         line = cli._fmt((1.0 / 3.0, 1e-7))

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from epsreg.core import (
     DiscreteOperator,
+    _parse_entry,
     Verdict,
     fit_growth_slope,
     kernel_orthogonality_check,
@@ -285,6 +286,36 @@ class TestMatrixText:
         path.write_text("2 2\n1 0\n0 0.5,0.25\n")
         T = load_matrix(path)
         assert T.matrix[1, 1] == 0.5 + 0.25j
+
+    @staticmethod
+    def token_loop(text):
+        return np.array([_parse_entry(tok) for tok in text.split()[2:]])
+
+    def test_real_body_bitwise_equal_to_token_loop(self):
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((40, 30)) * 10.0 ** rng.integers(-300, 300, (40, 30))
+        # A last row of tokens that float() reads in its own way.
+        odd = ["1_0", "+1", "1.", ".5", "-0", "1e-400"] + ["0"] * 24
+        rows = [" ".join(map(repr, row)) for row in m.tolist()] + [" ".join(odd)]
+        text = "41 30\n" + "\n".join(rows)
+        T = parse_matrix_text(text)
+        assert T.matrix.dtype == np.float64
+        assert np.array_equal(T.matrix.ravel(), self.token_loop(text))
+        assert np.array_equal(T.matrix[:40], m)
+
+    def test_complex_body_equals_token_loop(self):
+        text = "2 3\n1,2 3.5 -4,0.25\n1e-3 0,1 7"
+        T = parse_matrix_text(text)
+        assert T.matrix.dtype == np.complex128
+        assert np.array_equal(T.matrix.ravel(), self.token_loop(text))
+
+    @pytest.mark.parametrize("text", ["1 2 1 zz", "1 2 1,x 2", "1 2 0x10 1"])
+    def test_malformed_entry_message(self, text):
+        with pytest.raises(ValueError) as loop_error:
+            self.token_loop(text)
+        with pytest.raises(InputError) as error:
+            parse_matrix_text(text)
+        assert str(error.value) == f"malformed matrix entry: {loop_error.value}"
 
     def test_malformed(self):
         for text in ("", "2", "2 2 1 2 3", "a b 1 2", "1 1 zz", "0 2 "):

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from epsreg.bessel import RadialFactor, bessel_i, bessel_i_prime
+from epsreg.bessel import NU_MAX, RadialFactor, bessel_i, bessel_i_prime
 from epsreg.diskbasis import (
     BasisFunction,
     DiracOperatorKind,
     apply_operator,
+    boundary_amplitudes,
     check_helmholtz,
     enumerate_modes,
     evaluate,
@@ -206,6 +207,28 @@ class TestNonvanishing:
     def test_epsilon_validation(self):
         with pytest.raises(InputError):
             nonvanishing_check(GRAD, 0, 1, 0.0)
+
+
+class TestBoundaryAmplitudes:
+    @pytest.mark.parametrize("op", [GRAD, CR])
+    @pytest.mark.parametrize("eps", [1e-5, 1.0, 4e2, 3600.0])
+    def test_bitwise_equal_to_per_mode_calls(self, op, eps):
+        modes = enumerate_modes(NU_MAX)
+        trace, conormal = boundary_amplitudes(op, modes, eps)
+        root = math.sqrt(eps)
+        for k, (i, j) in enumerate(modes):
+            value = bessel_i(i, root)
+            assert trace[k] == value
+            assert conormal[k] == root * bessel_i_prime(i, root) + (op.eigenvalue(i, j) - i) * value
+
+    def test_one_mode_is_nonvanishing_check(self):
+        assert nonvanishing_check(CR, 3, 2, 0.7) == boundary_amplitudes(CR, [(3, 2)], 0.7)[1][0]
+
+    def test_validation(self):
+        with pytest.raises(InputError):
+            boundary_amplitudes(GRAD, [(0, 1)], 0.0)
+        with pytest.raises(InputError):
+            boundary_amplitudes(GRAD, [(0, 2)], 1.0)
 
 
 class TestEigenvalueRelation:

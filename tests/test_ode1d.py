@@ -199,6 +199,23 @@ class TestGridSolution:
             assert abs(values[i] - value) <= 1e-12
             assert abs(derivs[i] - deriv) <= 1e-12 * max(1.0, abs(deriv))
 
+    @pytest.mark.parametrize("eps", [1e8, 1e12])
+    def test_narrow_kernel_reference(self, eps):
+        # 1/k = 1e-4 and 1e-6: at 1e12 the kernel is far below quad's node
+        # spacing.  Interior asymptote for f = cos: u_eps ~ sin(x) / eps and
+        # u_eps' ~ cos(x) / eps (measured worst 2.1e-4 relative, at 1e12);
+        # the grid path agrees to 1e-12.
+        a, b = 0.0, 1.5
+        grid = np.linspace(a, b, 1001)
+        values, derivs = _grid_solution(Ode1dProblem(a, b, 0.0, math.cos), eps, grid)
+        pe = Ode1dProblem(a, b, 0.0, math.cos, eps)
+        for i in (100, 500, 900):
+            x = float(grid[i])
+            value, deriv = perturbed_solution(pe, x)
+            assert value == pytest.approx(math.sin(x) / eps, rel=1e-3, abs=0.0)
+            assert deriv == pytest.approx(math.cos(x) / eps, rel=1e-3, abs=0.0)
+            assert abs(values[i] - value) <= 1e-12 and abs(derivs[i] - deriv) <= 1e-12
+
     def test_cli_huge_epsilon(self, tmp_path):
         # k = 1e150: the kernels are far narrower than the grid spacing, and
         # u_eps' is about 0 away from b, so the C^1 error is |f(0)| = 1.

@@ -569,6 +569,26 @@ class TestSeriesSolver:
             conormal, np.column_stack([b.normal_trace_values(phi) for b in sol.raw_basis])
         )
 
+    @pytest.mark.parametrize("eps", [1e-3, 4e2])
+    def test_bessel_kernel_calls_do_not_grow_with_n_modes(self, eps, monkeypatch):
+        # One bessel_i and one bessel_i_prime table serve every mode.
+        from epsreg import bessel
+
+        calls = []
+        kernel = bessel._bessel_i
+
+        def counting(nu, x):
+            calls.append(np.size(x))
+            return kernel(nu, x)
+
+        monkeypatch.setattr(bessel, "_bessel_i", counting)
+        counts = []
+        for n_modes in (4, 16, 40):
+            calls.clear()
+            solve_mixed_boundary_series(CR, UPPER, None, None, eps, n_modes=n_modes)
+            counts.append(len(calls))
+        assert counts == [2, 2, 2]
+
     def test_underflowed_mode_is_numeric_error(self):
         # I_39(sqrt(1e-5))^2 is below the smallest normal float; the solver
         # must stop before its unit-diagonal rescaling overflows.
@@ -903,13 +923,13 @@ class TestBasisGrams:
         from epsreg import bessel
 
         counted = []
-        kernel = bessel._bessel_any_order
+        kernel = bessel._bessel_i
 
         def counting(nu, x):
             counted.append(np.size(x))
             return kernel(nu, x)
 
-        monkeypatch.setattr(bessel, "_bessel_any_order", counting)
+        monkeypatch.setattr(bessel, "_bessel_i", counting)
         quad = DiskQuadrature.build(32, 128)
         i_max = 8
         basis_grams(GRAD, i_max, 4e2, quad)
