@@ -168,7 +168,13 @@ _SCHEMAS = {
 
 
 # Inclusive ranges: Bessel orders stop at NU_MAX; quadratures need 2 radii, 4 angles.
-_INT_RANGES = dict(n_modes=(0, NU_MAX), i_max=(0, NU_MAX), n_r=(2, math.inf), n_phi=(4, math.inf))
+_INT_RANGES = dict(
+    n_modes=(0, NU_MAX),
+    i_max=(0, NU_MAX),
+    n_r=(2, math.inf),
+    n_phi=(4, math.inf),
+    trial_size=(1, variational.TRIAL_MAX),
+)
 
 
 def _validate_schedule_param(schedule, source, lineno):
@@ -221,6 +227,13 @@ def parse_config(path: str) -> ExperimentConfig:
     for key, (lo, hi) in _INT_RANGES.items():
         if key in params and not lo <= params[key] <= hi:
             raise InputError(f"{path}:{lines[key]}: {key!r} must lie in [{lo}, {hi}]")
+    if name == "disk_cauchy":
+        for key, need in variational.seed_quadrature_needs(params["trial_size"]).items():
+            if params[key] < need:
+                raise InputError(
+                    f"{path}:{lines.get(key, 0)}: {key!r} must be >= {need} to integrate the "
+                    f"Grams of trial_size {params['trial_size']} exactly"
+                )
     if name in ("disk_mixed", "verify_basis") and max(params["schedule"]) > X_MAX**2:
         bound = f"{X_MAX**2:g}, where sqrt(eps) leaves the Bessel range [0, {X_MAX:g}]"
         raise InputError(f"{path}:{lines['schedule']}: bad 'schedule': eps above {bound}")

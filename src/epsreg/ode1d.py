@@ -102,8 +102,10 @@ def perturbed_solution(p: Ode1dProblem, x: float):
     (value, derivative) : tuple of float
         ``u_eps(x)`` and ``u_eps'(x)``; the derivative comes from
         differentiating under the integral sign, so ``u_eps'(b) = f(b)``
-        holds structurally.  Its kernel's mass is ``1 - cdc(k(x-a), s)``, so it
-        integrates ``f(y) - f(x)``: no O(1) terms cancel to an O(1/eps) result.
+        holds structurally.  Both kernels integrate ``f(y) - f(x)``, and
+        ``f(x)`` times their closed-form masses (``sdc(k(x-a), s) / k`` for
+        the value, ``1 - cdc(k(x-a), s)`` for the derivative) is added, so
+        no O(1/k) terms cancel to an O(1/eps) result.
     """
     if p.epsilon is None or not p.epsilon > 0.0:
         raise InputError("perturbed_solution requires a positive epsilon on the problem")
@@ -115,12 +117,12 @@ def perturbed_solution(p: Ode1dProblem, x: float):
     def w1(y):
         # cosh(k(b-x)) cosh(k(y-a)) / cosh(s), y in [a, x]
         pp, qq = k * (p.b - x), k * (y - p.a)
-        return 0.5 * (_cdc(pp + qq, s) + _cdc(pp - qq, s)) * p.f(y)
+        return 0.5 * (_cdc(pp + qq, s) + _cdc(pp - qq, s)) * (p.f(y) - fx)
 
     def w2(y):
         # sinh(k(x-a)) sinh(k(b-y)) / cosh(s), y in [x, b]
         pp, qq = k * (x - p.a), k * (p.b - y)
-        return 0.5 * (_cdc(pp + qq, s) - _cdc(pp - qq, s)) * p.f(y)
+        return 0.5 * (_cdc(pp + qq, s) - _cdc(pp - qq, s)) * (p.f(y) - fx)
 
     def v1(y):
         # sinh(k(b-x)) cosh(k(y-a)) / cosh(s)
@@ -142,7 +144,8 @@ def perturbed_solution(p: Ode1dProblem, x: float):
     b1 = quad(v1, p.a, x, **left)[0]
     b2 = quad(v2, x, p.b, **right)[0]
 
-    value = p.u0 * float(_cdc(k * (p.b - x), s)) + a1 - a2
+    value = p.u0 * float(_cdc(k * (p.b - x), s)) + fx * float(_sdc(k * (x - p.a), s)) / k
+    value += a1 - a2
     deriv = fx * float(_cdc(k * (x - p.a), s)) - k * (b1 + b2)
     deriv -= p.u0 * k * float(_sdc(k * (p.b - x), s))
     return value, deriv

@@ -8,10 +8,13 @@ Everything here realizes the weak formulation
 by quadrature: tensor Gauss-Legendre x trapezoid nodes on the disk, arc
 trapezoid nodes on the boundary, trial spaces seeded by ``delta * P`` with
 ``delta`` a smooth function vanishing exactly on Gamma and ``P`` graded
-monomials, and the explicit Fourier-coefficient solution formulas.  The
-seeds are held as node-value matrices, and one generalized eigenbasis of
-their energy and L^2 Grams, K^T w = lam M^T w, is orthonormal under every
-eps-inner product at once after the scaling w / sqrt(lam + eps)
+monomials, and the explicit Fourier-coefficient solution formulas.  Each
+seed and each component of its gradient is a sum of two radial x angular
+products, so the seed Grams are sums of Hadamard products of radial Grams
+on the n_r radii and angular Grams on the n_phi angles, and the seeds'
+node-value matrices are broadcast from the same tables.  One generalized
+eigenbasis of the energy and L^2 Grams, K^T w = lam M^T w, is orthonormal
+under every eps-inner product at once after the scaling w / sqrt(lam + eps)
 (``trial_space_for_epsilon``).  ``solve_perturbed_galerkin`` is the one
 Galerkin solve: it takes a whole eps schedule and returns one
 seed-coefficient column per eps for the price of one factorization and a
@@ -51,6 +54,8 @@ __all__ = [
     "GramSchmidtResult",
     "basis_grams",
     "max_offdiag_relative",
+    "TRIAL_MAX",
+    "seed_quadrature_needs",
     "SeedSystem",
     "build_seed_system",
     "trial_space_for_epsilon",
@@ -596,6 +601,26 @@ def max_offdiag_relative(gram: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Largest trial space: every monomial through degree 20.  On the default
+# 64 x 256 quadrature and the upper half circle none of these 231 seeds is
+# dropped; degree 21 (253 seeds) drops one and 300 seeds drop six.
+TRIAL_MAX = 231
+
+
+def seed_quadrature_needs(size: int) -> dict:
+    """Smallest n_r and n_phi on which the Grams of ``size`` seeds are exact.
+
+    With d the top seed degree, a product of two seeds (or of their
+    gradients, taken in the polar frame) times the Jacobian r has radial
+    degree at most 2 d + 5, which n_r Gauss-Legendre nodes integrate exactly
+    for n_r >= d + 3, and the polynomial part of its angular factor has
+    trigonometric degree at most 2 d, which the n_phi-point trapezoid rule
+    integrates exactly for n_phi >= 2 d + 1.
+    """
+    degree = math.ceil((math.sqrt(8 * size + 1) - 3) / 2)  # (d + 1)(d + 2) / 2 >= size
+    return dict(n_r=degree + 3, n_phi=2 * degree + 1)
+
+
 def _monomial_exponents(count: int):
     """Graded ordering (0,0); (1,0),(0,1); (2,0),(1,1),(0,2); ..."""
     out = []
@@ -609,24 +634,25 @@ def _monomial_exponents(count: int):
     return out
 
 
-def _delta_nodes(arc: ArcSpec, x, y):
-    """delta = 1 - r^2 + r^2 sigma(phi) and its Cartesian gradient at (x, y).
-
-    sigma = sin^4 of the scaled position along the complement arc: zero on
-    Gamma's closed angular interval, positive elsewhere on the boundary.
-    """
+def _sigma(arc: ArcSpec, phi):
+    """sigma(phi) and sigma'(phi), with sigma = sin^4 of the scaled position
+    along the complement arc: zero on Gamma's closed angular interval,
+    positive elsewhere on the boundary (one on the whole circle if Gamma is
+    empty)."""
     lc = arc.complement_length
-    phi = np.arctan2(y, x)
-    if arc.empty:
-        s, ds = np.ones(np.shape(phi)), np.zeros(np.shape(phi))
-    elif lc <= 0.0:
-        s = ds = np.zeros(np.shape(phi))
-    else:
-        t = arc.complement_position(phi)
-        inside = (t > 0.0) & (t < lc)
-        arg = math.pi * t / lc
-        s = np.where(inside, np.sin(arg) ** 4, 0.0)
-        ds = np.where(inside, 4.0 * (math.pi / lc) * np.sin(arg) ** 3 * np.cos(arg), 0.0)
+    if arc.empty or lc <= 0.0:
+        return np.full(np.shape(phi), float(arc.empty)), np.zeros(np.shape(phi))
+    t = arc.complement_position(phi)
+    inside = (t > 0.0) & (t < lc)
+    arg = math.pi * t / lc
+    s = np.where(inside, np.sin(arg) ** 4, 0.0)
+    ds = np.where(inside, 4.0 * (math.pi / lc) * np.sin(arg) ** 3 * np.cos(arg), 0.0)
+    return s, ds
+
+
+def _delta_nodes(arc: ArcSpec, x, y):
+    """delta = 1 - r^2 + r^2 sigma(phi) and its Cartesian gradient at (x, y)."""
+    s, ds = _sigma(arc, np.arctan2(y, x))
     r2 = x * x + y * y
     value = 1.0 - r2 + r2 * s
     gx = -2.0 * x + 2.0 * x * s - y * ds
@@ -659,29 +685,46 @@ def _product_field(a: Field, b: Field) -> Field:
     return Field(value, gradient)
 
 
-def _seed_columns(arc: ArcSpec, exponents, x, y):
-    """Node matrices (values, d/dx, d/dy) of the seeds delta * x^px y^py.
+def _seed_tables(arc: ArcSpec, exponents, r, phi):
+    """Radial and angular tables of the seeds delta * x^px y^py on a polar grid.
 
-    delta and its gradient are evaluated once and the monomials come from
-    power tables; the expressions follow ``Field.monomial`` and
-    ``_product_field`` term by term, so the columns equal the seed fields
-    evaluated at the same points.
+    With d = px + py, Theta = cos^px sin^py, r^(d-1) (mx, my) the gradient
+    of the monomial and r (ex, ey) = r (2 cos (sigma - 1) - sin sigma',
+    2 sin (sigma - 1) + cos sigma') that of delta = 1 - r^2 + r^2 sigma,
+    ``_product_field`` regrouped by powers of r is a sum of two radial x
+    angular terms for every seed quantity:
+
+        s     = (1 - r^2) r^d Theta  + r^(d+2) sigma Theta
+        ds/dx = (1 - r^2) r^(d-1) mx + r^(d+1) (sigma mx + ex Theta)
+        ds/dy = (1 - r^2) r^(d-1) my + r^(d+1) (sigma my + ey Theta)
+
+    Returns (value_radial, slope_radial, angular): radial tables of shape
+    (len(r), 2, size) for s and for its gradient, and angular tables of
+    shape (len(phi), 2, size) for s, ds/dx and ds/dy.
     """
-    delta, dx, dy = _delta_nodes(arc, x, y)
-    top = max(max(e) for e in exponents)
-    xp = [x**p for p in range(top + 1)]
-    yp = [y**p for p in range(top + 1)]
-    zero = np.zeros(x.shape)
-    shape = (x.size, len(exponents))
-    values, gx, gy = np.empty(shape), np.empty(shape), np.empty(shape)
-    for k, (px, py) in enumerate(exponents):
-        mono = xp[px] * yp[py]
-        mx = px * xp[px - 1] * yp[py] if px > 0 else zero
-        my = py * xp[px] * yp[py - 1] if py > 0 else zero
-        values[:, k] = delta * mono
-        gx[:, k] = dx * mono + delta * mx
-        gy[:, k] = dy * mono + delta * my
-    return values, gx, gy
+    px, py = np.array(exponents, dtype=float).T
+    d, r = px + py, r[:, None]
+    ring = 1.0 - r * r
+    value_radial = np.stack([ring * r**d, r ** (d + 2.0)], axis=1)
+    slope_radial = np.stack([ring * r ** (d - 1.0), r ** (d + 1.0)], axis=1)
+
+    c, s = np.cos(phi)[:, None], np.sin(phi)[:, None]
+    theta = c**px * s**py
+    mx = px * c ** np.maximum(px - 1.0, 0.0) * s**py
+    my = py * c**px * s ** np.maximum(py - 1.0, 0.0)
+    sigma, dsigma = (v[:, None] for v in _sigma(arc, phi))
+    angular = [
+        np.stack([theta, sigma * theta], axis=1),
+        np.stack([mx, sigma * mx + (2.0 * c * (sigma - 1.0) - s * dsigma) * theta], axis=1),
+        np.stack([my, sigma * my + (2.0 * s * (sigma - 1.0) + c * dsigma) * theta], axis=1),
+    ]
+    return value_radial, slope_radial, angular
+
+
+def _tensor_nodes(radial: np.ndarray, angular: np.ndarray) -> np.ndarray:
+    """C-contiguous node matrix (len(radial) len(angular), size) of
+    sum_t radial[:, t] x angular[:, t], for C-contiguous tables."""
+    return np.einsum("rts,pts->rps", radial, angular).reshape(-1, radial.shape[-1])
 
 
 def _gram(w: np.ndarray, cols_a: np.ndarray, cols_b: np.ndarray) -> np.ndarray:
@@ -760,11 +803,13 @@ class SeedSystem:
     """Trial seeds delta * P as node matrices, with their Grams and spectrum.
 
     ``values``/``grad_x``/``grad_y`` hold one real column per seed at the
-    disk quadrature nodes; ``l2_gram`` (M) and ``energy_gram`` (K) are the
-    L^2 and (A., A.) Gram matrices, so the eps-Gram is K + eps M.  ``lam``
-    and ``eigvecs`` solve K^T w = lam M^T w with W^H M^T W = I on the seeds
-    not in ``dropped``: in that basis the Galerkin system of every eps is
-    diagonal, (K + eps M)^T d = b giving d = W diag(1 / (lam + eps)) W^H b.
+    disk quadrature nodes, broadcast from radial x angular tables
+    (``_seed_tables``); ``l2_gram`` (M) and ``energy_gram`` (K) are the L^2
+    and (A., A.) Gram matrices, taken from the same tables without node
+    matrices, so the eps-Gram is K + eps M.  ``lam`` and ``eigvecs`` solve
+    K^T w = lam M^T w with W^H M^T W = I on the seeds not in ``dropped``:
+    in that basis the Galerkin system of every eps is diagonal,
+    (K + eps M)^T d = b giving d = W diag(1 / (lam + eps)) W^H b.
     """
 
     operator: DiracOperatorKind
@@ -843,67 +888,54 @@ def build_seed_system(
     """Construct ``size`` trial seeds vanishing on Gamma and factor their Grams.
 
     Seeds are delta * monomial in graded order, normalized to unit graph
-    norm.  Their boundary traces on Gamma quadrature nodes are verified
-    against ``trace_tol``; by construction they vanish there exactly.  One
-    generalized eigendecomposition of the seed Grams (see
-    ``_seed_spectrum``) serves every eps of a sweep.
+    norm.  Their boundary traces on Gamma quadrature nodes, taken from the
+    tables the seeds are built from, are verified against ``trace_tol``; by
+    construction they vanish there exactly.  One generalized
+    eigendecomposition of the seed Grams (see ``_seed_spectrum``) serves
+    every eps of a sweep.
     """
     if size < 1:
         raise InputError(f"trial-space size must be >= 1, got {size}")
     exponents = _monomial_exponents(size)
-    values, gx, gy = _seed_columns(arc, exponents, quad.x, quad.y)
+    tables = _seed_tables(arc, exponents, quad.r, quad.phi)
+    value_radial, slope_radial, (value_ang, gx_ang, gy_ang) = tables
 
+    def gram(radial, ang_a, ang_b):
+        # Per pair of terms, a radial Gram on quad.r times an angular Gram on quad.phi.
+        rad = radial.reshape(quad.n_r, -1)
+        ang = quad.wphi * (ang_a.reshape(quad.n_phi, -1).T @ ang_b.reshape(quad.n_phi, -1))
+        return (((quad.wr[:, None] * rad).T @ rad) * ang).reshape(2, size, 2, size).sum(axis=(0, 2))
+
+    m_gram = gram(value_radial, value_ang, value_ang)
+    k_gram = gram(slope_radial, gx_ang, gx_ang) + gram(slope_radial, gy_ang, gy_ang)
     # Unit graph norm: D(s)^2 = ||s||^2 + ||A s||^2.
-    norms = np.sqrt(
-        np.sum(quad.w[:, None] * np.abs(values) ** 2, axis=0)
-        + np.sum(quad.w[:, None] * (np.abs(gx) ** 2 + np.abs(gy) ** 2), axis=0)
-    )
+    norms = np.sqrt(np.diag(m_gram) + np.diag(k_gram))
     if not np.all(norms > 0.0):
         raise NumericError("degenerate trial seed with zero or non-finite graph norm")
-    values /= norms
-    gx /= norms
-    gy /= norms
+    outer = np.outer(norms, norms)
+    m_gram, k_gram = m_gram / outer, k_gram / outer
+    if operator is DiracOperatorKind.CAUCHY_RIEMANN:
+        # (d/dx + i d/dy) Gram from real products: no complex node matrices.
+        cross = gram(slope_radial, gx_ang, gy_ang) / outer
+        k_gram = k_gram + 1j * (cross.T - cross)
+    value_radial, slope_radial = value_radial / norms, slope_radial / norms
 
+    trace_max = 0.0
     g_phi, _ = arc.quadrature(quad.n_phi)
     if g_phi.size:
-        traces = _seed_columns(arc, exponents, np.cos(g_phi), np.sin(g_phi))[0] / norms
-        trace_max = float(np.max(np.abs(traces)))
+        ring, _, (ring_ang, _, _) = _seed_tables(arc, exponents, np.ones(1), g_phi)
+        trace_max = float(np.max(np.abs(_tensor_nodes(ring / norms, ring_ang))))
         if trace_max > trace_tol:
             raise NumericError(f"seed trace on Gamma {trace_max:.3e} exceeds {trace_tol:.1e}")
-    else:
-        trace_max = 0.0
 
-    return _factor_seeds(
-        operator, arc, quad, exponents, norms, values, gx, gy, trace_max, drop_tol
-    )
-
-
-def _factor_seeds(
-    operator, arc, quad, exponents, norms, values, gx, gy, trace_max, drop_tol
-) -> SeedSystem:
-    """Seed system from normalized node matrices: Grams and their spectrum."""
-    m_gram = _gram(quad.w, values, values)
-    k_gram = _gram(quad.w, gx, gx) + _gram(quad.w, gy, gy)
-    if operator is DiracOperatorKind.CAUCHY_RIEMANN:
-        # (gx + i gy) Gram from real products: no complex node matrices.
-        cross = _gram(quad.w, gx, gy)
-        k_gram = k_gram + 1j * (cross.T - cross)
     lam, eigvecs, dropped = _seed_spectrum(k_gram, m_gram, drop_tol)
     return SeedSystem(
-        operator=operator,
-        arc=arc,
-        quad=quad,
-        exponents=exponents,
-        norms=norms,
-        values=values,
-        grad_x=gx,
-        grad_y=gy,
-        l2_gram=m_gram,
-        energy_gram=k_gram,
-        trace_max=trace_max,
-        lam=lam,
-        eigvecs=eigvecs,
-        dropped=dropped,
+        operator=operator, arc=arc, quad=quad, exponents=exponents, norms=norms,
+        values=_tensor_nodes(value_radial, value_ang),
+        grad_x=_tensor_nodes(slope_radial, gx_ang),
+        grad_y=_tensor_nodes(slope_radial, gy_ang),
+        l2_gram=m_gram, energy_gram=k_gram, trace_max=trace_max,
+        lam=lam, eigvecs=eigvecs, dropped=dropped,
     )
 
 

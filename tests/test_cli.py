@@ -368,8 +368,15 @@ class TestRanges:
             ("verify_basis", "schedule = 3601 1", 2, "bad 'schedule': eps above 3600"),
             ("verify_basis", "n_r = 1", 2, "'n_r' must lie in [2, inf]"),
             ("disk_cauchy", f"{ARC}\nn_phi = 3", 4, "'n_phi' must lie in [4, inf]"),
+            ("disk_cauchy", f"{ARC}\ntrial_size = 0", 4, "'trial_size' must lie in [1, 231]"),
+            ("disk_cauchy", f"{ARC}\ntrial_size = 232", 4, "'trial_size' must lie in [1, 231]"),
+            ("disk_cauchy", f"{ARC}\ntrial_size = 66\nn_r = 12", 5, "'n_r' must be >= 13"),
+            ("disk_cauchy", f"{ARC}\ntrial_size = 66\nn_phi = 20", 5, "'n_phi' must be >= 21"),
         ],
-        ids=["n_modes", "i_max", "mixed-schedule", "verify-schedule", "n_r", "n_phi"],
+        ids=[
+            "n_modes", "i_max", "mixed-schedule", "verify-schedule", "n_r", "n_phi",
+            "trial_size-low", "trial_size-high", "seed-n_r", "seed-n_phi",
+        ],
     )
     def test_rejected_with_line_number(self, tmp_path, capsys, section, body, lineno, message):
         out = tmp_path / "out.csv"
@@ -386,12 +393,67 @@ class TestRanges:
             ("disk_mixed", f"{ARC}\nn_modes = 60\nn_phi = 4\nschedule = 3600"),
             ("verify_basis", "i_max = 60\nn_r = 2\nn_phi = 4\nschedule = 3600"),
             ("disk_cauchy", f"{ARC}\nschedule = 4000"),
+            ("disk_cauchy", f"{ARC}\ntrial_size = 1\nn_r = 3\nn_phi = 4\nschedule = 1"),
+            ("disk_cauchy", f"{ARC}\ntrial_size = 231\nn_r = 23\nn_phi = 41\nschedule = 1"),
         ],
-        ids=["disk_mixed", "verify_basis", "disk_cauchy-unbounded-eps"],
+        ids=[
+            "disk_mixed", "verify_basis", "disk_cauchy-unbounded-eps",
+            "disk_cauchy-one-seed", "disk_cauchy-trial-max",
+        ],
     )
     def test_bounds_are_inclusive(self, tmp_path, section, body):
         cfg = cli.parse_config(write_config(tmp_path, f"[{section}]\n{body}\noutput = o.csv\n"))
         assert cfg.experiment == section
+
+
+_TRIAL_SIZES = st.one_of(
+    st.sampled_from([0, 1, 2] + [variational.TRIAL_MAX + k for k in (-1, 0, 1)]),
+    st.integers(1, 30),
+)
+# (gamma_start, gamma_end): the full circle, 1e-6-wide arcs and any arc.
+_ARCS = st.one_of(
+    st.just((0.0, 2.0 * math.pi)),
+    st.floats(0.0, 6.28).map(lambda start: (start, start + 1e-6)),
+    st.tuples(st.floats(0.0, 6.28), st.floats(1e-3, 2.0 * math.pi)).map(
+        lambda t: (t[0], t[0] + t[1])
+    ),
+)
+
+
+@st.composite
+def _cauchy_configs(draw):
+    start, end = draw(_ARCS)
+    body = [
+        f"operator = {draw(st.sampled_from(['gradient', 'cauchy_riemann']))}",
+        f"gamma_start = {start!r}",
+        f"gamma_end = {end!r}",
+        f"trial_size = {draw(_TRIAL_SIZES)}",
+        f"n_r = {draw(st.integers(2, 30))}",
+        f"n_phi = {draw(st.integers(4, 64))}",
+        f"noise_amplitude = {draw(st.sampled_from([0.0, 0.1]))}",
+        "schedule = 1e-1 1e-3 1e-6",
+    ]
+    return "[disk_cauchy]\n" + "\n".join(body) + "\n"
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=_cauchy_configs())
+def test_disk_cauchy_run_fuzz(tmp_path, capsys, text):
+    # Parsed configs run to exit 0 with a CSV, or fail cleanly with 2 or 3
+    # and no CSV; nothing escapes as a traceback.
+    out = tmp_path / "fuzz.csv"
+    out.unlink(missing_ok=True)
+    path = write_config(tmp_path, text + f"output = {out}\n", name="fuzz.ini")
+    code = cli.main(["run", path])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    assert out.exists() == (code == 0)
 
 
 class TestFormatting:

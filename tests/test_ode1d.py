@@ -216,6 +216,22 @@ class TestGridSolution:
             assert deriv == pytest.approx(math.cos(x) / eps, rel=1e-3, abs=0.0)
             assert abs(values[i] - value) <= 1e-12 and abs(derivs[i] - deriv) <= 1e-12
 
+    @pytest.mark.parametrize("f", [math.cos, math.exp], ids=["cos", "exp"])
+    @pytest.mark.parametrize("eps", [1e10, 1e12])
+    def test_value_at_large_epsilon(self, eps, f):
+        # The value kernel integrates f(y) - f(x), and f(x) times its
+        # closed-form mass sdc(k(x-a), s) / k is added, so no two O(1/k)
+        # integrals cancel to the O(1/eps) value.  Measured: within 1.2e-8 of
+        # the grid path; as a difference of the two integrals it was 8.4e-3
+        # off at x = 0.15 and eps 1e12.
+        a, b = 0.0, 1.5
+        grid = np.linspace(a, b, 1001)
+        values, _ = _grid_solution(Ode1dProblem(a, b, 0.0, f), eps, grid)
+        pe = Ode1dProblem(a, b, 0.0, f, eps)
+        for i in (100, 500, 900):
+            value, _ = perturbed_solution(pe, float(grid[i]))
+            assert value == pytest.approx(values[i], rel=1e-7, abs=0.0)
+
     def test_cli_huge_epsilon(self, tmp_path):
         # k = 1e150: the kernels are far narrower than the grid spacing, and
         # u_eps' is about 0 away from b, so the C^1 error is |f(0)| = 1.

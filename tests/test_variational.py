@@ -1,5 +1,6 @@
 """Tests for quadrature, inner products, trial spaces and the disk solvers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -830,17 +831,22 @@ class TestSeedSpectrum:
     def test_duplicated_seed_is_dropped(self, op, quad_small):
         seeds = build_seed_system(UPPER, op, 8, quad_small)
         dup = [*range(8), 3]
-        twin = variational._factor_seeds(
-            op,
-            UPPER,
-            quad_small,
-            [seeds.exponents[k] for k in dup],
-            seeds.norms[dup],
-            seeds.values[:, dup],
-            seeds.grad_x[:, dup],
-            seeds.grad_y[:, dup],
-            seeds.trace_max,
-            drop_tol=1e-10,
+        sub = np.ix_(dup, dup)
+        grams = {name: getattr(seeds, name)[sub] for name in ("l2_gram", "energy_gram")}
+        lam, eigvecs, dropped = variational._seed_spectrum(
+            grams["energy_gram"], grams["l2_gram"], drop_tol=1e-10
+        )
+        twin = dataclasses.replace(
+            seeds,
+            exponents=[seeds.exponents[k] for k in dup],
+            norms=seeds.norms[dup],
+            values=seeds.values[:, dup],
+            grad_x=seeds.grad_x[:, dup],
+            grad_y=seeds.grad_y[:, dup],
+            lam=lam,
+            eigvecs=eigvecs,
+            dropped=dropped,
+            **grams,
         )
         assert len(twin.dropped) == 1 and twin.dropped[0] in (3, 8)
         rng = np.random.default_rng(1)
@@ -884,6 +890,70 @@ class TestSeedSpectrum:
         np.testing.assert_allclose(w.conj().T @ seeds.l2_gram.T @ w, np.eye(12), atol=1e-10)
         np.testing.assert_allclose(w.conj().T @ seeds.energy_gram.T @ w, np.diag(seeds.lam), atol=1e-10)
         assert np.all(np.diff(seeds.lam) >= 0.0) and seeds.lam[0] > 0.0
+
+
+class TestSeparableSeedGrams:
+    # The seed Grams come from radial x angular tables; here they are checked
+    # against Grams of node matrices of the seed Field closures.
+    @pytest.mark.parametrize("op", [GRAD, CR])
+    @pytest.mark.parametrize(
+        "arc", [UPPER, ArcSpec(0.3, 0.8), ArcSpec.full_circle()], ids=["upper", "short", "full"]
+    )
+    @pytest.mark.parametrize("size", [1, 15, 66])
+    def test_matches_node_quadrature(self, op, arc, size, quad_small):
+        seeds = build_seed_system(arc, op, size, quad_small)
+        x, y, w = quad_small.x, quad_small.y, quad_small.w
+        values = np.column_stack([field.value_xy(x, y) for field in seeds.fields])
+        grads = [field.gradient_xy(x, y) for field in seeds.fields]
+        gx = np.column_stack([g[0] for g in grads])
+        gy = np.column_stack([g[1] for g in grads])
+        l2_ref = (w[:, None] * values).T @ values
+        if op is GRAD:
+            energy_ref = (w[:, None] * gx).T @ gx + (w[:, None] * gy).T @ gy
+        else:
+            image = gx + 1j * gy
+            energy_ref = (w[:, None] * image).T @ np.conj(image)
+        for gram, ref in ((seeds.l2_gram, l2_ref), (seeds.energy_gram, energy_ref)):
+            diag = np.sqrt(np.abs(np.real(np.diag(ref))))
+            assert np.all(np.abs(gram - ref) <= 1e-12 * np.outer(diag, diag))
+        # Every seed has unit graph norm ||s||^2 + ||A s||^2.
+        np.testing.assert_allclose(np.diag(l2_ref) + np.real(np.diag(energy_ref)), 1.0, rtol=1e-12)
+        # The residual products read the node matrices row by row.
+        for nodes in (seeds.values, seeds.grad_x, seeds.grad_y):
+            assert nodes.shape == (x.size, size) and nodes.flags.c_contiguous
+
+
+class TestSeedQuadratureRule:
+    # The parse-time rule n_r >= d + 3, n_phi >= 2 d + 1 (d the top seed
+    # degree) is where the seed Grams become exact: on the full circle the
+    # seeds are polynomials, so at the bound they equal the Grams of a far
+    # finer rule, and one node fewer in either direction moves them.
+    @pytest.mark.parametrize("size", [10, 24, 66])
+    def test_bound_is_exact_and_sharp(self, size):
+        arc, op = ArcSpec.full_circle(), CR
+        need = variational.seed_quadrature_needs(size)
+        fine = DiskQuadrature.build(64, 256)
+        ref = build_seed_system(arc, op, size, fine)
+
+        def gram_error(n_r, n_phi):
+            seeds = build_seed_system(
+                arc, op, size, DiskQuadrature.build(n_r, n_phi)
+            )
+            worst = 0.0
+            for got, want in ((seeds.l2_gram, ref.l2_gram), (seeds.energy_gram, ref.energy_gram)):
+                diag = np.sqrt(np.abs(np.real(np.diag(want))))
+                worst = max(worst, float(np.max(np.abs(got - want) / np.outer(diag, diag))))
+            return worst
+
+        # Measured: at most 1.8e-14 at the bound, at least 1.2e-10 one node below.
+        assert gram_error(need["n_r"], need["n_phi"]) <= 1e-13
+        assert gram_error(need["n_r"] - 1, need["n_phi"]) >= 1e-11
+        assert gram_error(need["n_r"], need["n_phi"] - 1) >= 1e-11
+
+    def test_degree_of_graded_seeds(self):
+        for size in range(1, variational.TRIAL_MAX + 1):
+            d = max(px + py for px, py in variational._monomial_exponents(size))
+            assert variational.seed_quadrature_needs(size) == dict(n_r=d + 3, n_phi=2 * d + 1)
 
 
 class TestBasisGrams:
