@@ -108,6 +108,13 @@ class DiscreteOperator:
         """T*T, formed once per operator and shared by every eps of a sweep."""
         return self.adjoint() @ self.matrix
 
+    @cached_property
+    def spectrum(self):
+        """(lam, V) with T*T = V diag(lam) V*, lam clipped at 0; one per operator."""
+        lam, vecs = scipy.linalg.eigh(self.gram)
+        # T*T is positive semidefinite: negative eigenvalues are rounding.
+        return np.maximum(lam, 0.0), vecs
+
 
 @dataclass(frozen=True)
 class PerturbedSolution:
@@ -165,12 +172,14 @@ def _as_vector(v, length: int, name: str) -> np.ndarray:
 
 
 def solve_perturbed(T: DiscreteOperator, f, h, epsilon: float) -> PerturbedSolution:
-    """Solve (T*T + eps I) u = T* f + eps h by Cholesky factorization.
+    """Solve (T*T + eps I) u = T* f + eps h in the eigenbasis of T*T.
 
-    The system matrix is Hermitian positive definite for every eps > 0, so
-    the factorization cannot break down; a single iterative refinement step
-    keeps the recorded residual within 1e-10 * (1 + ||rhs||) even for badly
-    scaled operators.
+    ``T.spectrum`` is computed once per operator, so each eps costs two
+    products with the eigenvectors and the filter 1 / (lam + eps), which
+    is finite for every eps > 0.  A single iterative refinement step keeps
+    the recorded residual ||T*T u + eps u - rhs|| within
+    1e-10 * (1 + ||rhs||) even for badly scaled operators; a solve that
+    misses that contract or overflows raises NumericError.
 
     Parameters
     ----------
@@ -188,26 +197,28 @@ def solve_perturbed(T: DiscreteOperator, f, h, epsilon: float) -> PerturbedSolut
     hv = _as_vector(h, T.dom_dim, "h")
 
     gram = T.gram
-    system = gram + epsilon * np.eye(T.dom_dim, dtype=gram.dtype)
+    lam, vecs = T.spectrum
     rhs = T.adjoint() @ fv + epsilon * hv
 
-    try:
-        factor = scipy.linalg.cho_factor(system, lower=True)
-        u = scipy.linalg.cho_solve(factor, rhs)
-        # One refinement step; cheap and tightens the residual contract.
-        u = u + scipy.linalg.cho_solve(factor, rhs - system @ u)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
-        raise NumericError(f"Cholesky solve failed: {exc}") from exc
+    def apply_inverse(v):
+        return vecs @ ((vecs.conj().T @ v) / (lam + epsilon))
 
-    residual = float(np.linalg.norm(system @ u - rhs))
-    rhs_scale = 1.0 + float(np.linalg.norm(rhs))
-    if not np.all(np.isfinite(u.real)) or residual > 1e-10 * rhs_scale:
+    # Tiny eps can push near-null components past the float range; that
+    # shows up as a missed contract or an infinite norm, reported below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = apply_inverse(rhs)
+        # One refinement step; cheap and tightens the residual contract.
+        u = u + apply_inverse(rhs - (gram @ u + epsilon * u))
+        residual = float(np.linalg.norm(gram @ u + epsilon * u - rhs))
+        norm_h = float(np.linalg.norm(u))
+        norm_eps = math.hypot(float(np.linalg.norm(T.matrix @ u)), math.sqrt(epsilon) * norm_h)
+        rhs_scale = 1.0 + float(np.linalg.norm(rhs))
+    if not np.all(np.isfinite(u)) or not residual <= 1e-10 * rhs_scale:
         raise NumericError(
             f"normal-equation residual {residual:.3e} exceeds 1e-10 * (1 + ||rhs||)"
         )
-
-    norm_h = float(np.linalg.norm(u))
-    norm_eps = math.sqrt(float(np.linalg.norm(T.matrix @ u)) ** 2 + epsilon * norm_h**2)
+    if not math.isfinite(norm_eps):
+        raise NumericError(f"solution norm overflows at eps={epsilon:g}")
     return PerturbedSolution(
         epsilon=float(epsilon), u=u, norm_h=norm_h, norm_eps=norm_eps, residual=residual
     )

@@ -18,8 +18,10 @@ under every eps-inner product at once after the scaling w / sqrt(lam + eps)
 (``trial_space_for_epsilon``).  ``solve_perturbed_galerkin`` is the one
 Galerkin solve: it takes a whole eps schedule and returns one
 seed-coefficient column per eps for the price of one factorization and a
-diagonal scaling per eps.  A separate series solver expands mixed boundary
-data in the boundary-orthonormalized Helmholtz basis.
+diagonal scaling per eps, and the residuals and L^2 distances of the whole
+schedule come from one node-value column at its smallest eps plus exact
+terms in eigen-coordinates (see ``SeedSystem``).  A separate series solver
+expands mixed boundary data in the boundary-orthonormalized Helmholtz basis.
 """
 
 from __future__ import annotations
@@ -744,29 +746,6 @@ def _quad_forms(gram: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return np.maximum(np.real(np.sum(np.conj(coeffs) * (gram.T @ coeffs), axis=0)), 0.0)
 
 
-# Columns of a coefficient matrix turned into node values at a time.
-_NODE_BLOCK = 8
-
-
-def _blockwise_misfit(w: np.ndarray, evaluate: Callable, coeffs: np.ndarray, targets) -> np.ndarray:
-    """sqrt(sum_c ||evaluate(D)_c - targets_c||_w^2) for every column of ``coeffs``.
-
-    ``evaluate`` maps a block of coefficient columns to a list of node-value
-    components.  The misfit is taken from node values, never from a Gram
-    expansion, which cancels to sqrt(eps_mach) times the data norm when the
-    misfit is small; blocks of a few columns keep a long schedule from
-    holding a (nodes x schedule) array.
-    """
-    out = np.empty(coeffs.shape[1])
-    for start in range(0, coeffs.shape[1], _NODE_BLOCK):
-        block = slice(start, start + _NODE_BLOCK)
-        sq = 0.0
-        for got, target in zip(evaluate(coeffs[:, block]), targets):
-            sq = sq + w @ (np.abs(got - np.asarray(target)[:, None]) ** 2)
-        out[block] = np.sqrt(sq)
-    return out
-
-
 def _seed_spectrum(energy_gram: np.ndarray, l2_gram: np.ndarray, drop_tol: float):
     """Generalized eigenpairs K^T w = lam M^T w over the independent seeds.
 
@@ -807,9 +786,19 @@ class SeedSystem:
     (``_seed_tables``); ``l2_gram`` (M) and ``energy_gram`` (K) are the L^2
     and (A., A.) Gram matrices, taken from the same tables without node
     matrices, so the eps-Gram is K + eps M.  ``lam`` and ``eigvecs`` solve
-    K^T w = lam M^T w with W^H M^T W = I on the seeds not in ``dropped``:
-    in that basis the Galerkin system of every eps is diagonal,
-    (K + eps M)^T d = b giving d = W diag(1 / (lam + eps)) W^H b.
+    K^T w = lam M^T w on the seeds not in ``dropped``, so two identities
+    hold, exactly up to rounding because the tensor quadrature integrates
+    the Grams exactly:
+
+        values @ W is L^2-orthonormal:  W^H M^T W = I,
+        A W is orthogonal:              W^H K^T W = diag(lam).
+
+    In that basis the Galerkin system of every eps is diagonal: with
+    p = W^H b the data in eigen-coordinates (``project``), (K + eps M)^T d = b
+    gives d = W g(eps), g(eps) = p / (lam + eps) (``gains``).  The
+    misfits of a whole schedule (``residuals``, ``l2_distances``) follow
+    from one node-value column at the smallest eps plus exact
+    coefficient-space terms.
     """
 
     operator: DiracOperatorKind
@@ -865,16 +854,66 @@ class SeedSystem:
             return [ax, ay]
         return [ax + 1j * ay]
 
-    def residuals(self, coeffs: np.ndarray, f_values) -> np.ndarray:
-        """||A u_j - f||_{L^2} for u_j = sum_k coeffs[k, j] s_k."""
-        targets = f_values if self.operator is DiracOperatorKind.GRADIENT else (f_values,)
-        return _blockwise_misfit(self.quad.w, self.image_at_nodes, coeffs, targets)
+    def project(self, f_values) -> np.ndarray:
+        """p = W^H (f, A s): data f, given by node values, in eigen-coordinates."""
+        return self.eigvecs.conj().T @ self.rhs_vector(f_values)
 
-    def l2_distances(self, coeffs: np.ndarray, target) -> np.ndarray:
-        """||u_j - target||_{L^2} for u_j = sum_k coeffs[k, j] s_k."""
-        return _blockwise_misfit(
-            self.quad.w, lambda block: [_real_matmul(self.values, block)], coeffs, (target,)
-        )
+    def gains(self, proj: np.ndarray, epsilons) -> np.ndarray:
+        """g(eps) = proj / (lam + eps), one eigen-coordinate column per eps.
+
+        ``proj`` is one vector or one column per eps; the Galerkin solution
+        of each eps has the seed coefficients W g(eps).
+        """
+        eps = np.asarray(epsilons, dtype=float)
+        proj = proj[:, None] if proj.ndim == 1 else proj
+        return proj / (self.lam[:, None] + eps[None, :])
+
+    def residuals(self, proj: np.ndarray, epsilons, f_values) -> np.ndarray:
+        """||A u_eps - f||_{L^2} for the Galerkin solutions u_eps = W g(eps).
+
+        ``proj`` is ``project(f_values)`` and g(eps) = proj / (lam + eps).
+        With e0 the smallest eps, g(eps) = g(e0) (1 - t) for
+        t_k = (eps - e0) / (lam_k + eps), and because A W is orthogonal with
+        (A W g(e0) - f, A w_k) = -e0 g_k(e0),
+
+            res(eps)^2 = res(e0)^2 + sum_k |g_k(e0)|^2 t_k (lam_k t_k + 2 e0),
+
+        which is sum_k |p_k|^2 (eps - e0)(lam_k (eps + e0) + 2 eps e0)
+        / ((lam_k + eps)^2 (lam_k + e0)^2) in terms of p.  Every added term is
+        nonnegative and none divides by lam.  res(e0) is taken from the node
+        values of one column, never from the Gram expansion
+        ||A u||^2 - 2 Re (A u, f) + ||f||^2, which cancels to sqrt(eps_mach)
+        ||f|| when the residual is small.
+        """
+        eps = np.asarray(epsilons, dtype=float)
+        first = int(np.argmin(eps))
+        g0 = self.gains(proj, eps[first:first + 1])[:, 0]
+        targets = f_values if self.operator is DiracOperatorKind.GRADIENT else (f_values,)
+        image = self.image_at_nodes(self.eigvecs @ g0)
+        base = sum(self.quad.w @ np.abs(a - np.asarray(f)) ** 2 for a, f in zip(image, targets))
+        lam = self.lam[:, None]
+        t = (eps - eps[first]) / (lam + eps)
+        return np.sqrt(base + np.abs(g0) ** 2 @ (t * (lam * t + 2.0 * eps[first])))
+
+    def l2_distances(self, proj: np.ndarray, epsilons, target) -> np.ndarray:
+        """||u_eps - target||_{L^2} for the Galerkin solutions u_eps = W g(eps).
+
+        With c = W^H (target, s) the eigen-coordinates of the target's L^2
+        projection and e0 the smallest eps, orthonormality of values @ W gives
+
+            dist(eps)^2 = dist(e0)^2 + ||g(eps) - c||^2 - ||g(e0) - c||^2,
+
+        with dist(e0) from the node values of one column.  The difference is
+        taken in coefficient space, where its rounding is eps_mach
+        ||g - c||^2 <= eps_mach dist^2.
+        """
+        gains = self.gains(proj, epsilons)
+        first = int(np.argmin(epsilons))
+        c = self.eigvecs.conj().T @ self.l2_vector(target)
+        column = _real_matmul(self.values, self.eigvecs @ gains[:, first])
+        base = self.quad.w @ np.abs(column - target) ** 2
+        spread = np.sum(np.abs(gains - c[:, None]) ** 2, axis=0)
+        return np.sqrt(np.maximum(base + (spread - spread[first]), 0.0))
 
 
 def build_seed_system(
@@ -957,12 +996,11 @@ def solve_perturbed_galerkin(seeds: SeedSystem, epsilons, f=None, h=None) -> np.
     eps = np.asarray(epsilons, dtype=float)
     if not np.all(eps > 0.0):
         raise InputError(f"epsilon must be positive, got {epsilons}")
-    w_h = seeds.eigvecs.conj().T
-    proj = w_h @ seeds.rhs_vector(f) if f is not None else np.zeros(seeds.lam.size)
+    proj = seeds.project(f) if f is not None else np.zeros(seeds.lam.size)
     proj = proj[:, None]
     if h is not None:
-        proj = proj + eps[None, :] * (w_h @ seeds.l2_vector(h))[:, None]
-    return seeds.eigvecs @ (proj / (seeds.lam[:, None] + eps[None, :]))
+        proj = proj + eps[None, :] * (seeds.eigvecs.conj().T @ seeds.l2_vector(h))[:, None]
+    return seeds.eigvecs @ seeds.gains(proj, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -1172,8 +1210,14 @@ class CauchyProblemSpec:
 
     def __post_init__(self):
         core.validate_schedule(self.schedule)
-        if self.trial_size < 1:
-            raise InputError("trial_size must be >= 1")
+        if not 1 <= self.trial_size <= TRIAL_MAX:
+            raise InputError(f"trial_size must lie in [1, {TRIAL_MAX}], got {self.trial_size}")
+        needs = seed_quadrature_needs(self.trial_size)
+        if self.n_r < needs["n_r"] or self.n_phi < needs["n_phi"]:
+            raise InputError(
+                f"n_r >= {needs['n_r']} and n_phi >= {needs['n_phi']} are needed to integrate "
+                f"the Grams of trial_size {self.trial_size} exactly, got {self.n_r} x {self.n_phi}"
+            )
 
 
 @dataclass(frozen=True)
@@ -1206,6 +1250,13 @@ def cauchy_pipeline(spec: CauchyProblemSpec) -> PipelineResult:
     (f~, h = 0) for the whole schedule at once in the seed eigenbasis,
     classify the path by the slope rule, and select the reported epsilon
     by the L-curve corner.  The returned solution is U0 + u_(best eps).
+
+    The data enter once, as p = W^H (f~, A s); every u_eps is W p / (lam +
+    eps).  Because values @ W is L^2-orthonormal (W^H M^T W = I) and A W is
+    orthogonal (W^H K^T W = diag(lam)), the residuals and ``rel_error`` of
+    the whole schedule come from one node-value column each, at the
+    smallest eps, plus exact coefficient-space terms
+    (``SeedSystem.residuals``, ``SeedSystem.l2_distances``).
     """
     if spec.u0 is None:
         raise InputError("cauchy_pipeline requires an evaluable Cauchy datum u0")
@@ -1228,16 +1279,17 @@ def cauchy_pipeline(spec: CauchyProblemSpec) -> PipelineResult:
         f_tilde = (f_tilde[0], f_tilde[1])
 
     epsilons = np.asarray(spec.schedule, dtype=float)
-    coeffs = solve_perturbed_galerkin(seeds, epsilons, f_tilde)
+    proj = seeds.project(f_tilde)
+    coeffs = seeds.eigvecs @ seeds.gains(proj, epsilons)
     norms = np.sqrt(_quad_forms(seeds.l2_gram, coeffs))
-    residuals = seeds.residuals(coeffs, f_tilde)
+    residuals = seeds.residuals(proj, epsilons, f_tilde)
     rel = np.full(epsilons.size, np.nan)
     if spec.reference is not None:
         ref_vals = Field.wrap(spec.reference).value_xy(quad.x, quad.y)
         ref_norm = math.sqrt(max(float(np.real(quad.integrate(np.abs(ref_vals) ** 2))), 0.0))
         if ref_norm > 0.0:
             misfit = ref_vals - lift.value_xy(quad.x, quad.y)
-            rel = seeds.l2_distances(coeffs, misfit) / ref_norm
+            rel = seeds.l2_distances(proj, epsilons, misfit) / ref_norm
     records = [
         PipelineRecord(epsilon=float(e), l2_norm=float(n), residual=float(r), rel_error=float(q))
         for e, n, r, q in zip(epsilons, norms, residuals, rel)

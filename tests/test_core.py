@@ -1,5 +1,7 @@
 """Tests for the dense (T*T + eps I) engine and path diagnostics."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,7 @@ from epsreg.core import (
     run_path,
     solve_perturbed,
 )
-from epsreg.errors import InputError
+from epsreg.errors import InputError, NumericError
 
 
 def direct_solve_oracle(matrix, f, h, eps):
@@ -69,6 +71,33 @@ class TestSolvePerturbed:
             adj = T.adjoint()
             rhs = adj @ f + eps * h
             assert sol.residual <= 1e-10 * (1.0 + np.linalg.norm(rhs))
+
+    @pytest.mark.parametrize("complex_op", [False, True])
+    def test_rank_deficient_down_to_smallest_normal(self, complex_op):
+        # Null directions of T*T get the filter 1 / eps, which for eps near
+        # the smallest normal float can overflow; every solve must then meet
+        # the residual contract or raise NumericError, never warn.
+        rng = np.random.default_rng(21)
+        matrix = rng.standard_normal((12, 3)) @ rng.standard_normal((3, 8))
+        if complex_op:
+            matrix = matrix + 1j * (rng.standard_normal((12, 3)) @ rng.standard_normal((3, 8)))
+        T = DiscreteOperator(matrix)
+        f = rng.standard_normal(12)
+        outcomes = set()
+        for h in (np.zeros(8), rng.standard_normal(8)):
+            for eps in (1e-1, 1e-8, 1e-100, 1e-300, np.finfo(float).tiny):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        sol = solve_perturbed(T, f, h, eps)
+                    except NumericError:
+                        outcomes.add("NumericError")
+                        continue
+                rhs = T.adjoint() @ f + eps * h
+                assert sol.residual <= 1e-10 * (1.0 + np.linalg.norm(rhs))
+                assert np.isfinite(sol.norm_eps)
+                outcomes.add("solved")
+        assert outcomes == {"solved", "NumericError"}
 
     def test_complex_operator(self):
         T = DiscreteOperator(np.array([[1.0 + 1.0j, 0.0], [0.0, 2.0j]]))
@@ -199,8 +228,12 @@ class TestRunPath:
         gram = T.gram
         assert np.array_equal(gram, T.adjoint() @ T.matrix)
         f = rng.standard_normal(7)
+        spectrum = T.spectrum
         path = run_path(T, f, np.zeros(5), [1.0, 0.1, 0.01])
-        assert T.gram is gram
+        assert T.gram is gram and T.spectrum is spectrum
+        lam, vecs = spectrum
+        assert np.all(lam >= 0.0)
+        np.testing.assert_allclose(vecs @ np.diag(lam) @ vecs.conj().T, gram, atol=1e-12)
         for entry in path.entries:
             expected = direct_solve_oracle(T.matrix, f, np.zeros(5), entry.epsilon)
             assert np.allclose(entry.u, expected, rtol=1e-10, atol=1e-12)

@@ -438,8 +438,8 @@ class TestGalerkin:
         rng = np.random.default_rng(13)
         d_star = rng.standard_normal(10)
         f_vals = (seeds.grad_x @ d_star, seeds.grad_y @ d_star)
-        coeffs = solve_perturbed_galerkin(seeds, (1.0, 0.1, 0.01, 1e-3, 1e-4), f=f_vals)
-        residuals = seeds.residuals(coeffs, f_vals)
+        schedule = (1.0, 0.1, 0.01, 1e-3, 1e-4)
+        residuals = seeds.residuals(seeds.project(f_vals), schedule, f_vals)
         assert all(b <= a + 1e-14 for a, b in zip(residuals, residuals[1:]))
         assert residuals[-1] <= residuals[0] / 5.0
 
@@ -772,6 +772,34 @@ class TestPipeline:
             with pytest.raises(InputError):
                 CauchyProblemSpec(**{**good, "schedule": bad})
 
+    def test_spec_applies_the_parse_rules(self):
+        # The Python API rejects what cli.parse_config rejects: a trial space
+        # above TRIAL_MAX, and a quadrature that cannot integrate its Grams.
+        u_star = cubic_field()
+        good = dict(
+            operator=GRAD,
+            arc=ArcSpec.full_circle(),
+            f=operator_image(GRAD, u_star),
+            u0=lambda phi: u_star.value_xy(np.cos(phi), np.sin(phi)),
+            schedule=[1e-1, 1e-2],
+            trial_size=66,
+            reference=u_star,
+        )
+        for size in (variational.TRIAL_MAX + 1, 400):
+            with pytest.raises(InputError, match="trial_size"):
+                CauchyProblemSpec(**{**good, "trial_size": size, "n_r": 64, "n_phi": 256})
+        CauchyProblemSpec(**{**good, "trial_size": variational.TRIAL_MAX})
+        # Without the rule this spec runs on a rank-deficient Gram and returns
+        # a verdict with rel_error 6.31; at the bound it is 1e-15.
+        with pytest.raises(InputError, match="integrate"):
+            CauchyProblemSpec(**{**good, "n_r": 2, "n_phi": 4})
+        needs = variational.seed_quadrature_needs(66)
+        for key in ("n_r", "n_phi"):
+            with pytest.raises(InputError, match="integrate"):
+                CauchyProblemSpec(**{**good, **needs, key: needs[key] - 1})
+        result = cauchy_pipeline(CauchyProblemSpec(**{**good, **needs}))
+        assert result.rel_error_at_best <= 1e-8
+
 
 def _dense_sweep(spec, result):
     """l2_norm, residual and rel_error from a dense solve of (K + eps M)^T d = b."""
@@ -797,6 +825,28 @@ def _dense_sweep(spec, result):
         err = math.sqrt(float(np.sum(w * np.abs(lift_vals + seeds.values @ d - u_ref) ** 2)))
         rows.append((l2, res, err / ref_norm))
     return np.array(rows)
+
+
+def _twin_with_duplicate(seeds, k):
+    """The seed system with seed k appended a second time, spectrum recomputed."""
+    dup = [*range(seeds.size), k]
+    sub = np.ix_(dup, dup)
+    grams = {name: getattr(seeds, name)[sub] for name in ("l2_gram", "energy_gram")}
+    lam, eigvecs, dropped = variational._seed_spectrum(
+        grams["energy_gram"], grams["l2_gram"], drop_tol=1e-10
+    )
+    return dataclasses.replace(
+        seeds,
+        exponents=[seeds.exponents[j] for j in dup],
+        norms=seeds.norms[dup],
+        values=seeds.values[:, dup],
+        grad_x=seeds.grad_x[:, dup],
+        grad_y=seeds.grad_y[:, dup],
+        lam=lam,
+        eigvecs=eigvecs,
+        dropped=dropped,
+        **grams,
+    )
 
 
 class TestSeedSpectrum:
@@ -830,24 +880,7 @@ class TestSeedSpectrum:
     @pytest.mark.parametrize("op", [GRAD, CR])
     def test_duplicated_seed_is_dropped(self, op, quad_small):
         seeds = build_seed_system(UPPER, op, 8, quad_small)
-        dup = [*range(8), 3]
-        sub = np.ix_(dup, dup)
-        grams = {name: getattr(seeds, name)[sub] for name in ("l2_gram", "energy_gram")}
-        lam, eigvecs, dropped = variational._seed_spectrum(
-            grams["energy_gram"], grams["l2_gram"], drop_tol=1e-10
-        )
-        twin = dataclasses.replace(
-            seeds,
-            exponents=[seeds.exponents[k] for k in dup],
-            norms=seeds.norms[dup],
-            values=seeds.values[:, dup],
-            grad_x=seeds.grad_x[:, dup],
-            grad_y=seeds.grad_y[:, dup],
-            lam=lam,
-            eigvecs=eigvecs,
-            dropped=dropped,
-            **grams,
-        )
+        twin = _twin_with_duplicate(seeds, 3)
         assert len(twin.dropped) == 1 and twin.dropped[0] in (3, 8)
         rng = np.random.default_rng(1)
         f = (rng.standard_normal(quad_small.x.size), rng.standard_normal(quad_small.x.size))
@@ -855,10 +888,13 @@ class TestSeedSpectrum:
             f = f[0] + 1j * f[1]
         eps = [1e-1, 1e-4, 1e-8]
         d_twin = solve_perturbed_galerkin(twin, eps, f)
-        d_ref = solve_perturbed_galerkin(seeds, eps, f)
         assert np.all(np.isfinite(d_twin))
         # The same fields, hence the same residuals.
-        np.testing.assert_allclose(twin.residuals(d_twin, f), seeds.residuals(d_ref, f), rtol=1e-9)
+        np.testing.assert_allclose(
+            twin.residuals(twin.project(f), eps, f),
+            seeds.residuals(seeds.project(f), eps, f),
+            rtol=1e-9,
+        )
         assert trial_space_for_epsilon(twin, 1e-4).shape[1] == 8
 
     def test_all_seeds_dropped_is_numeric_error(self, quad_small, tmp_path, monkeypatch):
@@ -890,6 +926,93 @@ class TestSeedSpectrum:
         np.testing.assert_allclose(w.conj().T @ seeds.l2_gram.T @ w, np.eye(12), atol=1e-10)
         np.testing.assert_allclose(w.conj().T @ seeds.energy_gram.T @ w, np.diag(seeds.lam), atol=1e-10)
         assert np.all(np.diff(seeds.lam) >= 0.0) and seeds.lam[0] > 0.0
+
+
+def _node_misfits(seeds, coeffs, f_vals, target):
+    """Residuals ||A u - f|| and distances ||u - target|| of explicit columns u = s @ d,
+    each from its own node values."""
+    w = seeds.quad.w
+    if seeds.operator is GRAD:
+        images, parts = (seeds.grad_x, seeds.grad_y), f_vals
+    else:
+        images, parts = (seeds.grad_x + 1j * seeds.grad_y,), (f_vals,)
+    res = [
+        math.sqrt(sum(float(w @ np.abs(a @ d - f) ** 2) for a, f in zip(images, parts)))
+        for d in coeffs.T
+    ]
+    dist = [math.sqrt(float(w @ np.abs(seeds.values @ d - target) ** 2)) for d in coeffs.T]
+    return np.array(res), np.array(dist)
+
+
+def _cauchy_data(op, quad, noisy):
+    """f~ = A (u* - U0) and u* - U0 at the nodes for u* = Re z^3 on the upper arc."""
+    u_star = cubic_field()
+
+    def u0(phi):
+        noise = 0.1 * np.cos(20 * phi) if noisy else 0.0
+        return u_star.value_xy(np.cos(phi), np.sin(phi)) + noise
+
+    lift = lift_cauchy_datum(u0, UPPER, quad.n_phi, complex_output=op.is_complex)
+    (sx, sy), (lx, ly) = u_star.gradient_xy(quad.x, quad.y), lift.gradient_xy(quad.x, quad.y)
+    gx, gy = sx - lx, sy - ly
+    f_vals = (gx, gy) if op is GRAD else gx + 1j * gy
+    return f_vals, u_star.value_xy(quad.x, quad.y) - lift.value_xy(quad.x, quad.y)
+
+
+class TestEigenMisfits:
+    # Residuals and L^2 distances of a whole schedule come from one node-value
+    # column at the smallest eps plus coefficient-space terms; here they are
+    # checked against the node values of every column W g(eps).
+    SCHEDULE = np.logspace(-1.0, -8.0, 60)
+
+    @pytest.mark.parametrize("op", [GRAD, CR])
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("duplicated", [False, True])
+    def test_match_node_value_columns(self, op, noisy, duplicated, quad_small):
+        seeds = build_seed_system(UPPER, op, 24, quad_small)
+        if duplicated:
+            seeds = _twin_with_duplicate(seeds, 5)
+            assert len(seeds.dropped) == 1
+        f_vals, target = _cauchy_data(op, quad_small, noisy)
+        proj = seeds.project(f_vals)
+        coeffs = seeds.eigvecs @ seeds.gains(proj, self.SCHEDULE)
+        res, dist = _node_misfits(seeds, coeffs, f_vals, target)
+        np.testing.assert_allclose(seeds.residuals(proj, self.SCHEDULE, f_vals), res, rtol=1e-10)
+        dist_got = seeds.l2_distances(proj, self.SCHEDULE, target)
+        np.testing.assert_allclose(dist_got, dist, rtol=1e-10)
+
+    def test_schedule_order_does_not_matter(self, quad_small):
+        seeds = build_seed_system(UPPER, CR, 24, quad_small)
+        f_vals, target = _cauchy_data(CR, quad_small, True)
+        proj = seeds.project(f_vals)
+        order = np.random.default_rng(2).permutation(self.SCHEDULE.size)
+        for method, data in ((seeds.residuals, f_vals), (seeds.l2_distances, target)):
+            np.testing.assert_allclose(
+                method(proj, self.SCHEDULE[order], data),
+                method(proj, self.SCHEDULE, data)[order],
+                rtol=1e-12,
+            )
+
+    @pytest.mark.parametrize("op", [GRAD, CR])
+    @pytest.mark.parametrize("smallest", [1e-8, 1e-10])
+    def test_residual_does_not_cancel(self, op, smallest, quad_small):
+        # f = A s* with s* = W c* in the span: res(eps) = eps ||sqrt(lam) c* / (lam + eps)||
+        # exactly.  At eps = 1e-8 that is below 2e-9 ||f||; a Gram expansion
+        # ||A u||^2 - 2 Re (A u, f) + ||f||^2 would stall near sqrt(eps_mach) ||f||.
+        seeds = build_seed_system(UPPER, op, 24, quad_small)
+        d_star = np.random.default_rng(1).standard_normal(24)
+        gx, gy = seeds.grad_x @ d_star, seeds.grad_y @ d_star
+        f_vals = (gx, gy) if op is GRAD else gx + 1j * gy
+        f_norm = math.sqrt(float(quad_small.w @ (gx**2 + gy**2)))
+        schedule = np.logspace(-1.0, math.log10(smallest), 10)
+        res = seeds.residuals(seeds.project(f_vals), schedule, f_vals)
+        at = int(np.argmin(np.abs(schedule - 1e-8)))
+        assert res[at] <= 2e-9 * f_norm
+        c_star = seeds.eigvecs.conj().T @ (seeds.l2_gram.T @ d_star)
+        lam = seeds.lam
+        exact = 1e-8 * math.sqrt(float(np.sum(lam * np.abs(c_star) ** 2 / (lam + 1e-8) ** 2)))
+        assert res[at] == pytest.approx(exact, rel=1e-6)
+        assert all(b <= a for a, b in zip(res, res[1:]))
 
 
 class TestSeparableSeedGrams:
