@@ -167,12 +167,13 @@ _SCHEMAS = {
 }
 
 
-# Inclusive ranges: Bessel orders stop at NU_MAX; quadratures need 2 radii, 4 angles.
+# Inclusive ranges: Bessel orders stop at NU_MAX; quadratures need 2 radii,
+# 4 angles and stop at N_R_MAX, N_PHI_MAX.
 _INT_RANGES = dict(
     n_modes=(0, NU_MAX),
     i_max=(0, NU_MAX),
-    n_r=(2, math.inf),
-    n_phi=(4, math.inf),
+    n_r=(2, variational.N_R_MAX),
+    n_phi=(4, variational.N_PHI_MAX),
     trial_size=(1, variational.TRIAL_MAX),
 )
 
@@ -524,13 +525,11 @@ def _verify_suite() -> int:
     arc = variational.ArcSpec(0.0, math.pi)
     seeds = variational.build_seed_system(arc, DiracOperatorKind.GRADIENT, 8, quad)
     d_star = rng.standard_normal(8)
+    u_star, ux_star, uy_star = seeds.at_nodes(d_star)
     # eps 1e-8 checks the spectral solve at the small end of long schedules.
     epsilons = (0.3, 1e-8)
     coeffs = variational.solve_perturbed_galerkin(
-        seeds,
-        epsilons,
-        f=(seeds.grad_x @ d_star, seeds.grad_y @ d_star),
-        h=seeds.values @ d_star,
+        seeds, epsilons, f=(ux_star, uy_star), h=u_star
     )
     for eps, d in zip(epsilons, coeffs.T):
         gram = seeds.energy_gram + eps * seeds.l2_gram

@@ -11,8 +11,9 @@ trapezoid nodes on the boundary, trial spaces seeded by ``delta * P`` with
 monomials, and the explicit Fourier-coefficient solution formulas.  Each
 seed and each component of its gradient is a sum of two radial x angular
 products, so the seed Grams are sums of Hadamard products of radial Grams
-on the n_r radii and angular Grams on the n_phi angles, and the seeds'
-node-value matrices are broadcast from the same tables.  One generalized
+on the n_r radii and angular Grams on the n_phi angles.  The seeds are held
+only as these tables: projections of node data and node values of seed
+combinations are contractions with them, never node matrices.  One generalized
 eigenbasis of the energy and L^2 Grams, K^T w = lam M^T w, is orthonormal
 under every eps-inner product at once after the scaling w / sqrt(lam + eps)
 (``trial_space_for_epsilon``).  ``solve_perturbed_galerkin`` is the one
@@ -56,6 +57,8 @@ __all__ = [
     "GramSchmidtResult",
     "basis_grams",
     "max_offdiag_relative",
+    "N_R_MAX",
+    "N_PHI_MAX",
     "TRIAL_MAX",
     "seed_quadrature_needs",
     "SeedSystem",
@@ -80,6 +83,13 @@ _TWO_PI = 2.0 * math.pi
 # ---------------------------------------------------------------------------
 
 
+# Largest quadrature sizes.  leggauss(n) solves an n x n eigenproblem (0.2 s
+# at n = 1024 and 1.2 s at 2048 on one 2-core Xeon thread), so far larger
+# sizes would stall the build.
+N_R_MAX = 1024
+N_PHI_MAX = 4096
+
+
 @dataclass(frozen=True)
 class DiskQuadrature:
     """Tensor quadrature on the unit disk in polar form.
@@ -101,8 +111,9 @@ class DiskQuadrature:
 
     @classmethod
     def build(cls, n_r: int = 64, n_phi: int = 256) -> "DiskQuadrature":
-        if n_r < 2 or n_phi < 4:
-            raise InputError(f"quadrature sizes too small: n_r={n_r}, n_phi={n_phi}")
+        if not (2 <= n_r <= N_R_MAX and 4 <= n_phi <= N_PHI_MAX):
+            bounds = f"[2, {N_R_MAX}] x [4, {N_PHI_MAX}]"
+            raise InputError(f"quadrature sizes outside {bounds}: {n_r} x {n_phi}")
         nodes, weights = np.polynomial.legendre.leggauss(n_r)
         r = 0.5 * (nodes + 1.0)
         wr = 0.5 * weights * r
@@ -704,16 +715,19 @@ def _seed_tables(arc: ArcSpec, exponents, r, phi):
     (len(r), 2, size) for s and for its gradient, and angular tables of
     shape (len(phi), 2, size) for s, ds/dx and ds/dy.
     """
-    px, py = np.array(exponents, dtype=float).T
+    px, py = np.array(exponents, dtype=int).T
     d, r = px + py, r[:, None]
     ring = 1.0 - r * r
     value_radial = np.stack([ring * r**d, r ** (d + 2.0)], axis=1)
     slope_radial = np.stack([ring * r ** (d - 1.0), r ** (d + 1.0)], axis=1)
 
+    # cos^k and sin^k for k <= d, indexed per seed.
+    powers = np.arange(d.max() + 1.0)
     c, s = np.cos(phi)[:, None], np.sin(phi)[:, None]
-    theta = c**px * s**py
-    mx = px * c ** np.maximum(px - 1.0, 0.0) * s**py
-    my = py * c**px * s ** np.maximum(py - 1.0, 0.0)
+    cos_k, sin_k = c**powers, s**powers
+    theta = cos_k[:, px] * sin_k[:, py]
+    mx = px * cos_k[:, np.maximum(px - 1, 0)] * sin_k[:, py]
+    my = py * cos_k[:, px] * sin_k[:, np.maximum(py - 1, 0)]
     sigma, dsigma = (v[:, None] for v in _sigma(arc, phi))
     angular = [
         np.stack([theta, sigma * theta], axis=1),
@@ -723,22 +737,23 @@ def _seed_tables(arc: ArcSpec, exponents, r, phi):
     return value_radial, slope_radial, angular
 
 
-def _tensor_nodes(radial: np.ndarray, angular: np.ndarray) -> np.ndarray:
-    """C-contiguous node matrix (len(radial) len(angular), size) of
-    sum_t radial[:, t] x angular[:, t], for C-contiguous tables."""
-    return np.einsum("rts,pts->rps", radial, angular).reshape(-1, radial.shape[-1])
+def _tensor_combination(radial: np.ndarray, angular: np.ndarray, coeffs) -> np.ndarray:
+    """Node values of sum_k coeffs[k, ...] sum_t radial[:, t, k] x angular[:, t, k].
+
+    Rows run over (radius, angle) pairs in the order of ``DiskQuadrature``;
+    the trailing axes are those of ``coeffs``.
+    """
+    coeffs = np.asarray(coeffs)
+    cols = coeffs.reshape(coeffs.shape[0], -1)
+    n_r, n_phi, m = radial.shape[0], angular.shape[0], cols.shape[1]
+    scaled = (radial[..., None] * cols).transpose(0, 3, 1, 2).reshape(n_r * m, -1)
+    nodes = (scaled @ angular.reshape(n_phi, -1).T).reshape(n_r, m, n_phi)
+    return nodes.transpose(0, 2, 1).reshape((n_r * n_phi,) + coeffs.shape[1:])
 
 
 def _gram(w: np.ndarray, cols_a: np.ndarray, cols_b: np.ndarray) -> np.ndarray:
     """G[i, j] = sum_n w_n A[n, i] conj(B[n, j])."""
     return (w[:, None] * cols_a).T @ np.conj(cols_b)
-
-
-def _real_matmul(mat: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """mat @ other for a real ``mat`` without promoting it to complex."""
-    if np.iscomplexobj(other):
-        return mat @ other.real + 1j * (mat @ other.imag)
-    return mat @ other
 
 
 def _quad_forms(gram: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -779,19 +794,22 @@ def _seed_spectrum(energy_gram: np.ndarray, l2_gram: np.ndarray, drop_tol: float
 
 @dataclass
 class SeedSystem:
-    """Trial seeds delta * P as node matrices, with their Grams and spectrum.
+    """Trial seeds delta * P as radial x angular tables, with Grams and spectrum.
 
-    ``values``/``grad_x``/``grad_y`` hold one real column per seed at the
-    disk quadrature nodes, broadcast from radial x angular tables
-    (``_seed_tables``); ``l2_gram`` (M) and ``energy_gram`` (K) are the L^2
-    and (A., A.) Gram matrices, taken from the same tables without node
-    matrices, so the eps-Gram is K + eps M.  ``lam`` and ``eigvecs`` solve
-    K^T w = lam M^T w on the seeds not in ``dropped``, so two identities
-    hold, exactly up to rounding because the tensor quadrature integrates
-    the Grams exactly:
+    ``tables`` holds, for each seed quantity q_k (s_k, ds_k/dx, ds_k/dy), a
+    radial table on the quadrature radii and an angular table on its angles
+    with q_k = sum_t radial[:, t, k] x angular[:, t, k] (``_seed_tables``,
+    normalized to unit graph norm); projections of node data onto the seeds
+    and node values of seed combinations (``at_nodes``) are contractions with
+    them, so no node matrix is formed.
+    ``l2_gram`` (M) and ``energy_gram`` (K) are the L^2 and (A., A.) Gram
+    matrices, taken from the same tables, so the eps-Gram is K + eps M.
+    ``lam`` and ``eigvecs`` solve K^T w = lam M^T w on the seeds not in
+    ``dropped``, so two identities hold, exactly up to rounding because the
+    tensor quadrature integrates the Grams exactly:
 
-        values @ W is L^2-orthonormal:  W^H M^T W = I,
-        A W is orthogonal:              W^H K^T W = diag(lam).
+        s W is L^2-orthonormal:  W^H M^T W = I,
+        A s W is orthogonal:     W^H K^T W = diag(lam).
 
     In that basis the Galerkin system of every eps is diagonal: with
     p = W^H b the data in eigen-coordinates (``project``), (K + eps M)^T d = b
@@ -806,9 +824,7 @@ class SeedSystem:
     quad: DiskQuadrature
     exponents: list
     norms: np.ndarray
-    values: np.ndarray
-    grad_x: np.ndarray
-    grad_y: np.ndarray
+    tables: tuple
     l2_gram: np.ndarray
     energy_gram: np.ndarray
     trace_max: float
@@ -818,7 +834,7 @@ class SeedSystem:
 
     @property
     def size(self) -> int:
-        return self.values.shape[1]
+        return self.norms.size
 
     @cached_property
     def fields(self) -> list:
@@ -829,30 +845,36 @@ class SeedSystem:
             for norm, (px, py) in zip(self.norms, self.exponents)
         ]
 
+    def _weighted_sum(self, part: int, data) -> np.ndarray:
+        """sum_n w_n data_n q_k(x_n) for seed quantity ``part`` (0 value, 1 d/dx, 2 d/dy).
+
+        The weighted node data, reshaped to (n_r, n_phi), meet the angular
+        table first and the radial table second; the two terms are summed.
+        """
+        q = self.quad
+        radial, angular = self.tables[part]
+        grid = (q.w * np.asarray(data)).reshape(q.n_r, q.n_phi)
+        per_radius = (grid @ angular.reshape(q.n_phi, -1)).reshape(radial.shape)
+        return np.sum(radial * per_radius, axis=(0, 1))
+
     def rhs_vector(self, f_values) -> np.ndarray:
         """b_k = (f, A s_k) for f given by node values."""
-        w = self.quad.w
         if self.operator is DiracOperatorKind.GRADIENT:
             fx, fy = f_values
-            return _real_matmul(self.grad_x.T, w * fx) + _real_matmul(self.grad_y.T, w * fy)
-        wf = w * f_values
-        return _real_matmul(self.grad_x.T, wf) - 1j * _real_matmul(self.grad_y.T, wf)
+            return self._weighted_sum(1, fx) + self._weighted_sum(2, fy)
+        return self._weighted_sum(1, f_values) - 1j * self._weighted_sum(2, f_values)
 
     def l2_vector(self, h_values) -> np.ndarray:
         """b_k = (h, s_k) for h given by node values."""
-        return _real_matmul(self.values.T, self.quad.w * h_values)
+        return self._weighted_sum(0, h_values)
 
-    def image_at_nodes(self, coeffs: np.ndarray) -> list:
-        """Node values of A u for u = sum_k coeffs[k, j] s_k, per column j.
+    def at_nodes(self, coeffs) -> tuple:
+        """Node values of u = sum_k coeffs[k, ...] s_k and of du/dx, du/dy.
 
-        Two real components for the gradient, one complex component for
-        Cauchy-Riemann.
+        Each array has one row per quadrature node and the trailing axes of
+        ``coeffs``.
         """
-        ax = _real_matmul(self.grad_x, coeffs)
-        ay = _real_matmul(self.grad_y, coeffs)
-        if self.operator is DiracOperatorKind.GRADIENT:
-            return [ax, ay]
-        return [ax + 1j * ay]
+        return tuple(_tensor_combination(r, a, coeffs) for r, a in self.tables)
 
     def project(self, f_values) -> np.ndarray:
         """p = W^H (f, A s): data f, given by node values, in eigen-coordinates."""
@@ -889,7 +911,8 @@ class SeedSystem:
         first = int(np.argmin(eps))
         g0 = self.gains(proj, eps[first:first + 1])[:, 0]
         targets = f_values if self.operator is DiracOperatorKind.GRADIENT else (f_values,)
-        image = self.image_at_nodes(self.eigvecs @ g0)
+        _, ax, ay = self.at_nodes(self.eigvecs @ g0)
+        image = [ax, ay] if self.operator is DiracOperatorKind.GRADIENT else [ax + 1j * ay]
         base = sum(self.quad.w @ np.abs(a - np.asarray(f)) ** 2 for a, f in zip(image, targets))
         lam = self.lam[:, None]
         t = (eps - eps[first]) / (lam + eps)
@@ -899,7 +922,7 @@ class SeedSystem:
         """||u_eps - target||_{L^2} for the Galerkin solutions u_eps = W g(eps).
 
         With c = W^H (target, s) the eigen-coordinates of the target's L^2
-        projection and e0 the smallest eps, orthonormality of values @ W gives
+        projection and e0 the smallest eps, L^2-orthonormality of s W gives
 
             dist(eps)^2 = dist(e0)^2 + ||g(eps) - c||^2 - ||g(e0) - c||^2,
 
@@ -910,7 +933,7 @@ class SeedSystem:
         gains = self.gains(proj, epsilons)
         first = int(np.argmin(epsilons))
         c = self.eigvecs.conj().T @ self.l2_vector(target)
-        column = _real_matmul(self.values, self.eigvecs @ gains[:, first])
+        column = self.at_nodes(self.eigvecs @ gains[:, first])[0]
         base = self.quad.w @ np.abs(column - target) ** 2
         spread = np.sum(np.abs(gains - c[:, None]) ** 2, axis=0)
         return np.sqrt(np.maximum(base + (spread - spread[first]), 0.0))
@@ -927,7 +950,8 @@ def build_seed_system(
     """Construct ``size`` trial seeds vanishing on Gamma and factor their Grams.
 
     Seeds are delta * monomial in graded order, normalized to unit graph
-    norm.  Their boundary traces on Gamma quadrature nodes, taken from the
+    norm, and kept as the radial x angular tables their Grams are summed
+    from.  Their boundary traces on Gamma quadrature nodes, taken from the
     tables the seeds are built from, are verified against ``trace_tol``; by
     construction they vanish there exactly.  One generalized
     eigendecomposition of the seed Grams (see ``_seed_spectrum``) serves
@@ -963,16 +987,15 @@ def build_seed_system(
     g_phi, _ = arc.quadrature(quad.n_phi)
     if g_phi.size:
         ring, _, (ring_ang, _, _) = _seed_tables(arc, exponents, np.ones(1), g_phi)
-        trace_max = float(np.max(np.abs(_tensor_nodes(ring / norms, ring_ang))))
+        traces = _tensor_combination(ring / norms, ring_ang, np.eye(size))
+        trace_max = float(np.max(np.abs(traces)))
         if trace_max > trace_tol:
             raise NumericError(f"seed trace on Gamma {trace_max:.3e} exceeds {trace_tol:.1e}")
 
     lam, eigvecs, dropped = _seed_spectrum(k_gram, m_gram, drop_tol)
     return SeedSystem(
         operator=operator, arc=arc, quad=quad, exponents=exponents, norms=norms,
-        values=_tensor_nodes(value_radial, value_ang),
-        grad_x=_tensor_nodes(slope_radial, gx_ang),
-        grad_y=_tensor_nodes(slope_radial, gy_ang),
+        tables=((value_radial, value_ang), (slope_radial, gx_ang), (slope_radial, gy_ang)),
         l2_gram=m_gram, energy_gram=k_gram, trace_max=trace_max,
         lam=lam, eigvecs=eigvecs, dropped=dropped,
     )
@@ -1252,7 +1275,7 @@ def cauchy_pipeline(spec: CauchyProblemSpec) -> PipelineResult:
     by the L-curve corner.  The returned solution is U0 + u_(best eps).
 
     The data enter once, as p = W^H (f~, A s); every u_eps is W p / (lam +
-    eps).  Because values @ W is L^2-orthonormal (W^H M^T W = I) and A W is
+    eps).  Because s W is L^2-orthonormal (W^H M^T W = I) and A s W is
     orthogonal (W^H K^T W = diag(lam)), the residuals and ``rel_error`` of
     the whole schedule come from one node-value column each, at the
     smallest eps, plus exact coefficient-space terms

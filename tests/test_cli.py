@@ -357,8 +357,8 @@ ARC = "gamma_start = 0\ngamma_end = 3"
 class TestRanges:
     # Bessel orders stop at NU_MAX = 60 and arguments at X_MAX = 60, so
     # n_modes, i_max and the disk_mixed / verify_basis eps are bounded; the
-    # quadratures need n_r >= 2 and n_phi >= 4.  Each fails at parse time
-    # with the config line.
+    # quadratures need n_r in [2, 1024] and n_phi in [4, 4096].  Each fails
+    # at parse time with the config line.
     @pytest.mark.parametrize(
         "section, body, lineno, message",
         [
@@ -366,8 +366,12 @@ class TestRanges:
             ("verify_basis", "i_max = 61", 2, "'i_max' must lie in [0, 60]"),
             ("disk_mixed", f"{ARC}\nschedule = 4000 1", 4, "bad 'schedule': eps above 3600"),
             ("verify_basis", "schedule = 3601 1", 2, "bad 'schedule': eps above 3600"),
-            ("verify_basis", "n_r = 1", 2, "'n_r' must lie in [2, inf]"),
-            ("disk_cauchy", f"{ARC}\nn_phi = 3", 4, "'n_phi' must lie in [4, inf]"),
+            ("verify_basis", "n_r = 1", 2, "'n_r' must lie in [2, 1024]"),
+            ("disk_cauchy", f"{ARC}\nn_phi = 3", 4, "'n_phi' must lie in [4, 4096]"),
+            ("verify_basis", "n_r = 1025", 2, "'n_r' must lie in [2, 1024]"),
+            ("disk_mixed", f"{ARC}\nn_phi = 4097", 4, "'n_phi' must lie in [4, 4096]"),
+            ("disk_cauchy", f"{ARC}\nn_r = 1025", 4, "'n_r' must lie in [2, 1024]"),
+            ("disk_cauchy", f"{ARC}\nn_phi = 4097", 4, "'n_phi' must lie in [4, 4096]"),
             ("disk_cauchy", f"{ARC}\ntrial_size = 0", 4, "'trial_size' must lie in [1, 231]"),
             ("disk_cauchy", f"{ARC}\ntrial_size = 232", 4, "'trial_size' must lie in [1, 231]"),
             ("disk_cauchy", f"{ARC}\ntrial_size = 66\nn_r = 12", 5, "'n_r' must be >= 13"),
@@ -375,6 +379,7 @@ class TestRanges:
         ],
         ids=[
             "n_modes", "i_max", "mixed-schedule", "verify-schedule", "n_r", "n_phi",
+            "n_r-high", "mixed-n_phi-high", "cauchy-n_r-high", "cauchy-n_phi-high",
             "trial_size-low", "trial_size-high", "seed-n_r", "seed-n_phi",
         ],
     )
@@ -395,10 +400,14 @@ class TestRanges:
             ("disk_cauchy", f"{ARC}\nschedule = 4000"),
             ("disk_cauchy", f"{ARC}\ntrial_size = 1\nn_r = 3\nn_phi = 4\nschedule = 1"),
             ("disk_cauchy", f"{ARC}\ntrial_size = 231\nn_r = 23\nn_phi = 41\nschedule = 1"),
+            ("verify_basis", "n_r = 1024\nn_phi = 4096\nschedule = 1"),
+            ("disk_mixed", f"{ARC}\nn_phi = 4096\nschedule = 1"),
+            ("disk_cauchy", f"{ARC}\nn_r = 1024\nn_phi = 4096\nschedule = 1"),
         ],
         ids=[
             "disk_mixed", "verify_basis", "disk_cauchy-unbounded-eps",
             "disk_cauchy-one-seed", "disk_cauchy-trial-max",
+            "verify_basis-quad-max", "disk_mixed-n_phi-max", "disk_cauchy-quad-max",
         ],
     )
     def test_bounds_are_inclusive(self, tmp_path, section, body):

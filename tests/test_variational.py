@@ -89,6 +89,10 @@ class TestDiskQuadrature:
     def test_size_validation(self):
         with pytest.raises(InputError):
             DiskQuadrature.build(1, 256)
+        # Above the bounds the build refuses before any Gauss-Legendre solve.
+        for n_r, n_phi in ((variational.N_R_MAX + 1, 8), (8, variational.N_PHI_MAX + 1)):
+            with pytest.raises(InputError, match="outside"):
+                DiskQuadrature.build(n_r, n_phi)
 
 
 class TestArcSpec:
@@ -263,7 +267,7 @@ class TestGramSchmidt:
 class TestTrialSpace:
     def test_full_circle_defining_function(self, quad_small):
         seeds = build_seed_system(ArcSpec.full_circle(), GRAD, 1, quad_small)
-        ratio = seeds.values[:, 0] / (1.0 - quad_small.x**2 - quad_small.y**2)
+        ratio = seeds.at_nodes([1.0])[0] / (1.0 - quad_small.x**2 - quad_small.y**2)
         np.testing.assert_allclose(ratio, ratio[0], rtol=1e-12)
 
     def test_traces_vanish_on_gamma(self, quad_small):
@@ -282,7 +286,7 @@ class TestTrialSpace:
 
     def test_single_seed_positive_inside(self, quad_small):
         seeds = build_seed_system(UPPER, GRAD, 1, quad_small)
-        assert np.all(np.real(seeds.values[:, 0]) > 0.0)
+        assert np.all(seeds.at_nodes([1.0])[0] > 0.0)
 
     def test_orthonormal_under_eps(self, quad_small):
         seeds = build_seed_system(UPPER, GRAD, 16, quad_small)
@@ -334,8 +338,8 @@ class TestGalerkin:
         seeds = build_seed_system(UPPER, GRAD, 10, quad_small)
         rng = np.random.default_rng(5)
         d_star = rng.standard_normal(10)
-        f_vals = (seeds.grad_x @ d_star, seeds.grad_y @ d_star)
-        h_vals = seeds.values @ d_star
+        h_vals, gx, gy = seeds.at_nodes(d_star)
+        f_vals = (gx, gy)
         d = solve_perturbed_galerkin(seeds, [eps], f=f_vals, h=h_vals)[:, 0]
         diff = d - d_star
         gram = seeds.energy_gram + eps * seeds.l2_gram
@@ -426,7 +430,7 @@ class TestGalerkin:
         coeffs = solve_perturbed_galerkin(seeds, schedule, f=f_vals)
         for eps, tol, d in zip(schedule, (1e-6, 1e-8, 1e-11), coeffs.T):
             ref = closed_form(eps)
-            got = seeds.values @ d
+            got = seeds.at_nodes(d)[0]
             err = math.sqrt(float(np.real(quad64.integrate(np.abs(got - ref) ** 2))))
             nrm = math.sqrt(float(np.real(quad64.integrate(np.abs(ref) ** 2))))
             assert err <= tol * nrm
@@ -437,7 +441,7 @@ class TestGalerkin:
         seeds = build_seed_system(UPPER, GRAD, 10, quad_small)
         rng = np.random.default_rng(13)
         d_star = rng.standard_normal(10)
-        f_vals = (seeds.grad_x @ d_star, seeds.grad_y @ d_star)
+        f_vals = seeds.at_nodes(d_star)[1:]
         schedule = (1.0, 0.1, 0.01, 1e-3, 1e-4)
         residuals = seeds.residuals(seeds.project(f_vals), schedule, f_vals)
         assert all(b <= a + 1e-14 for a, b in zip(residuals, residuals[1:]))
@@ -806,13 +810,14 @@ def _dense_sweep(spec, result):
     quad = DiskQuadrature.build(spec.n_r, spec.n_phi)
     seeds = build_seed_system(spec.arc, spec.operator, spec.trial_size, quad)
     w = quad.w
+    values, grad_x, grad_y = seeds.at_nodes(np.eye(seeds.size))
     lx, ly = result.lift.gradient_xy(quad.x, quad.y)
     fx, fy = spec.reference.gradient_xy(quad.x, quad.y)
     if spec.operator is GRAD:
-        f_parts, images = [fx - lx, fy - ly], [seeds.grad_x, seeds.grad_y]
+        f_parts, images = [fx - lx, fy - ly], [grad_x, grad_y]
         b = sum((w * f) @ a for f, a in zip(f_parts, images))
     else:
-        f_parts, images = [fx - lx + 1j * (fy - ly)], [seeds.grad_x + 1j * seeds.grad_y]
+        f_parts, images = [fx - lx + 1j * (fy - ly)], [grad_x + 1j * grad_y]
         b = (w * f_parts[0]) @ np.conj(images[0])
     u_ref = spec.reference.value_xy(quad.x, quad.y)
     ref_norm = math.sqrt(float(np.sum(w * np.abs(u_ref) ** 2)))
@@ -822,7 +827,7 @@ def _dense_sweep(spec, result):
         d = np.linalg.solve((seeds.energy_gram + eps * seeds.l2_gram).T, b)
         l2 = math.sqrt(float(np.real(np.conj(d) @ (seeds.l2_gram.T @ d))))
         res = math.sqrt(sum(float(np.sum(w * np.abs(a @ d - f) ** 2)) for a, f in zip(images, f_parts)))
-        err = math.sqrt(float(np.sum(w * np.abs(lift_vals + seeds.values @ d - u_ref) ** 2)))
+        err = math.sqrt(float(np.sum(w * np.abs(lift_vals + values @ d - u_ref) ** 2)))
         rows.append((l2, res, err / ref_norm))
     return np.array(rows)
 
@@ -839,9 +844,7 @@ def _twin_with_duplicate(seeds, k):
         seeds,
         exponents=[seeds.exponents[j] for j in dup],
         norms=seeds.norms[dup],
-        values=seeds.values[:, dup],
-        grad_x=seeds.grad_x[:, dup],
-        grad_y=seeds.grad_y[:, dup],
+        tables=tuple((radial[..., dup], angular[..., dup]) for radial, angular in seeds.tables),
         lam=lam,
         eigvecs=eigvecs,
         dropped=dropped,
@@ -854,11 +857,12 @@ class TestSeedSpectrum:
     def test_node_columns_equal_seed_fields(self, op, quad_small):
         seeds = build_seed_system(UPPER, op, 15, quad_small)
         x, y = quad_small.x, quad_small.y
+        values, grad_x, grad_y = seeds.at_nodes(np.eye(seeds.size))
         for k, field in enumerate(seeds.fields):
             gx, gy = field.gradient_xy(x, y)
-            np.testing.assert_allclose(seeds.values[:, k], field.value_xy(x, y), rtol=0, atol=1e-14)
-            np.testing.assert_allclose(seeds.grad_x[:, k], gx, rtol=0, atol=1e-14)
-            np.testing.assert_allclose(seeds.grad_y[:, k], gy, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(values[:, k], field.value_xy(x, y), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(grad_x[:, k], gx, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(grad_y[:, k], gy, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("op", [GRAD, CR])
     @pytest.mark.parametrize("size", [24, 66])
@@ -932,16 +936,14 @@ def _node_misfits(seeds, coeffs, f_vals, target):
     """Residuals ||A u - f|| and distances ||u - target|| of explicit columns u = s @ d,
     each from its own node values."""
     w = seeds.quad.w
+    values, gx, gy = seeds.at_nodes(coeffs)
     if seeds.operator is GRAD:
-        images, parts = (seeds.grad_x, seeds.grad_y), f_vals
+        images, parts = (gx, gy), f_vals
     else:
-        images, parts = (seeds.grad_x + 1j * seeds.grad_y,), (f_vals,)
-    res = [
-        math.sqrt(sum(float(w @ np.abs(a @ d - f) ** 2) for a, f in zip(images, parts)))
-        for d in coeffs.T
-    ]
-    dist = [math.sqrt(float(w @ np.abs(seeds.values @ d - target) ** 2)) for d in coeffs.T]
-    return np.array(res), np.array(dist)
+        images, parts = (gx + 1j * gy,), (f_vals,)
+    res = sum(w @ np.abs(a - np.asarray(f)[:, None]) ** 2 for a, f in zip(images, parts))
+    dist = w @ np.abs(values - target[:, None]) ** 2
+    return np.sqrt(res), np.sqrt(dist)
 
 
 def _cauchy_data(op, quad, noisy):
@@ -1001,7 +1003,7 @@ class TestEigenMisfits:
         # ||A u||^2 - 2 Re (A u, f) + ||f||^2 would stall near sqrt(eps_mach) ||f||.
         seeds = build_seed_system(UPPER, op, 24, quad_small)
         d_star = np.random.default_rng(1).standard_normal(24)
-        gx, gy = seeds.grad_x @ d_star, seeds.grad_y @ d_star
+        _, gx, gy = seeds.at_nodes(d_star)
         f_vals = (gx, gy) if op is GRAD else gx + 1j * gy
         f_norm = math.sqrt(float(quad_small.w @ (gx**2 + gy**2)))
         schedule = np.logspace(-1.0, math.log10(smallest), 10)
@@ -1041,9 +1043,28 @@ class TestSeparableSeedGrams:
             assert np.all(np.abs(gram - ref) <= 1e-12 * np.outer(diag, diag))
         # Every seed has unit graph norm ||s||^2 + ||A s||^2.
         np.testing.assert_allclose(np.diag(l2_ref) + np.real(np.diag(energy_ref)), 1.0, rtol=1e-12)
-        # The residual products read the node matrices row by row.
-        for nodes in (seeds.values, seeds.grad_x, seeds.grad_y):
-            assert nodes.shape == (x.size, size) and nodes.flags.c_contiguous
+        # Projections of node data and node values of seed combinations are
+        # contractions with the same tables; check them against the closures,
+        # scaled by Cauchy-Schwarz bounds from the Gram diagonals.
+        rng = np.random.default_rng(size)
+        h = rng.standard_normal(x.size)
+        if op is GRAD:
+            f = (h, rng.standard_normal(x.size))
+            rhs_ref = (w * f[0]) @ gx + (w * f[1]) @ gy
+        else:
+            f = h + 1j * rng.standard_normal(x.size)
+            rhs_ref = (w * f) @ np.conj(image)
+        f_norm = math.sqrt(float(sum(w @ np.abs(part) ** 2 for part in np.atleast_2d(f))))
+        h_norm = math.sqrt(float(w @ h**2))
+        energy_diag = np.sqrt(np.real(np.diag(energy_ref)))
+        l2_diag = np.sqrt(np.diag(l2_ref))
+        assert np.all(np.abs(seeds.rhs_vector(f) - rhs_ref) <= 1e-12 * f_norm * energy_diag)
+        assert np.all(np.abs(seeds.l2_vector(h) - (w * h) @ values) <= 1e-12 * h_norm * l2_diag)
+        coeffs = rng.standard_normal((size, 3))
+        for nodes, closure in zip(seeds.at_nodes(coeffs), (values, gx, gy)):
+            # Termwise bound sum_k |c_k| max |q_k| on every node value.
+            scale = np.max(np.abs(closure), axis=0) @ np.abs(coeffs)
+            assert np.all(np.abs(nodes - closure @ coeffs) <= 1e-12 * scale)
 
 
 class TestSeedQuadratureRule:
