@@ -143,8 +143,6 @@ class RegularizationPath:
     entries: tuple
     verdict: Verdict
     growth_slope: float
-    bounded_slope: float = BOUNDED_SLOPE
-    unbounded_slope: float = UNBOUNDED_SLOPE
 
     def __post_init__(self):
         if not self.entries:
@@ -272,44 +270,25 @@ def fit_growth_slope(epsilons, norms) -> float:
     return float(np.dot(x, y - y.mean()) / denom)
 
 
-def classify_slope(
-    slope: float,
-    bounded_slope: float = BOUNDED_SLOPE,
-    unbounded_slope: float = UNBOUNDED_SLOPE,
-) -> Verdict:
-    if slope < bounded_slope:
+def classify_slope(slope: float) -> Verdict:
+    if slope < BOUNDED_SLOPE:
         return Verdict.BOUNDED
-    if slope > unbounded_slope:
+    if slope > UNBOUNDED_SLOPE:
         return Verdict.UNBOUNDED
     return Verdict.INCONCLUSIVE
 
 
-def run_path(
-    T: DiscreteOperator,
-    f,
-    h,
-    schedule,
-    bounded_slope: float = BOUNDED_SLOPE,
-    unbounded_slope: float = UNBOUNDED_SLOPE,
-) -> RegularizationPath:
+def run_path(T: DiscreteOperator, f, h, schedule) -> RegularizationPath:
     """Solve the perturbed problem along a decreasing eps schedule.
 
     The verdict is a finite-sample proxy for the boundedness criterion:
     the growth slope of the norms over the final decade of the schedule is
-    compared against the two thresholds.  The proxy nature is recorded on
-    the returned path (thresholds are carried along with the verdict).
+    compared against BOUNDED_SLOPE and UNBOUNDED_SLOPE.
     """
     sched = validate_schedule(schedule)
     entries = tuple(solve_perturbed(T, f, h, float(eps)) for eps in sched)
     slope = fit_growth_slope(sched, [e.norm_h for e in entries])
-    verdict = classify_slope(slope, bounded_slope, unbounded_slope)
-    return RegularizationPath(
-        entries=entries,
-        verdict=verdict,
-        growth_slope=slope,
-        bounded_slope=bounded_slope,
-        unbounded_slope=unbounded_slope,
-    )
+    return RegularizationPath(entries=entries, verdict=classify_slope(slope), growth_slope=slope)
 
 
 def minimal_norm_solution(T: DiscreteOperator, f, rank_tol: float = 1e-12, range_tol: float = 1e-9):

@@ -6,9 +6,11 @@ Cauchy-Riemann operator, both with ``A*A = -Laplace``), the functions
     b_i^(j)(r, phi) = I_i(sqrt(eps) r) * H_i^(j)(phi)
 
 solve ``(-Laplace + eps) b = 0`` on the whole disk.  The angular factors
-``H_i^(j)`` are orthonormal on the circle and are eigenfunctions of the
-boundary operator ``n o A`` with eigenvalue ``lambda_i^(j)``; the normal
-trace of ``A b`` therefore has the closed form
+``H_i^(j)`` are orthogonal on the circle, with unit norm except the
+Cauchy-Riemann factors ``e^{+-i i phi} / sqrt(pi)`` with ``i >= 1``, whose
+squared norm is 2.  They are eigenfunctions of the boundary operator
+``n o A`` with eigenvalue ``lambda_i^(j)``; the normal trace of ``A b``
+therefore has the closed form
 
     n(A b_i^(j)) = (r g_i' + (lambda_i^(j) - i) g_i) * H_i^(j)
 
@@ -93,7 +95,12 @@ class DiracOperatorKind(enum.Enum):
         return 0.0 if branch == 1 else 2.0 * i
 
     def angular(self, i: int, branch: int, phi):
-        """Orthonormal angular factor H_i^(j)(phi)."""
+        """Angular factor H_i^(j)(phi), orthogonal over the modes on the circle.
+
+        H_0 = 1 / sqrt(2 pi); the gradient factors cos(i phi) / sqrt(pi) and
+        sin(i phi) / sqrt(pi) have unit norm, the Cauchy-Riemann factors
+        e^{+-i i phi} / sqrt(pi) with i >= 1 squared norm 2.
+        """
         _validate_mode(i, branch)
         phi = np.asarray(phi, dtype=float)
         if i == 0:

@@ -22,7 +22,8 @@ seed-coefficient column per eps for the price of one factorization and a
 diagonal scaling per eps, and the residuals and L^2 distances of the whole
 schedule come from one node-value column at its smallest eps plus exact
 terms in eigen-coordinates (see ``SeedSystem``).  A separate series solver
-expands mixed boundary data in the boundary-orthonormalized Helmholtz basis.
+fits mixed boundary data over the Helmholtz modes by least squares, from one
+SVD of their weighted boundary matrix.
 """
 
 from __future__ import annotations
@@ -515,50 +516,6 @@ def gram_schmidt(vectors: Sequence, inner: Callable, drop_tol: float = 1e-10) ->
     return GramSchmidtResult(basis=basis, coefficients=coefficients, dropped=dropped)
 
 
-def _metric_inner(gram: np.ndarray):
-    """Coefficient-space inner product for the metric ``gram[i, j] = (s_i, s_j)``."""
-
-    def inner(a, b):
-        return np.conj(b) @ (gram.T @ a)
-
-    return inner
-
-
-def gram_schmidt_metric(gram: np.ndarray, drop_tol: float = 1e-10):
-    """Gram-Schmidt on coefficient vectors under a Hermitian metric.
-
-    The metric is symmetrically rescaled to unit diagonal first, which
-    keeps the orthogonalization well conditioned when the directions carry
-    wildly different scales; directions with vanishing or non-finite
-    diagonal are dropped outright.  Returns (C, dropped) with columns of C
-    the orthonormal coefficient vectors: C^H G C = I on the kept subspace.
-    """
-    n = gram.shape[0]
-    dtype = complex if np.iscomplexobj(gram) else float
-    diag = np.real(np.diag(gram)).astype(float)
-    usable = np.isfinite(diag) & (diag > 0.0)
-    scale = np.where(usable, np.sqrt(np.abs(diag)), 1.0)
-    scaled = gram / np.outer(scale, scale)
-
-    offered = [k for k in range(n) if usable[k]]
-    unit = []
-    for k in offered:
-        e = np.zeros(n, dtype=dtype)
-        e[k] = 1.0
-        unit.append(e)
-    result = gram_schmidt(unit, _metric_inner(scaled), drop_tol)
-
-    kept_cols = [col / scale for col in result.basis]
-    dropped = sorted(
-        [k for k in range(n) if not usable[k]] + [offered[j] for j in result.dropped]
-    )
-    if kept_cols:
-        columns = np.column_stack(kept_cols)
-    else:
-        columns = np.zeros((n, 0), dtype=dtype)
-    return columns.astype(dtype, copy=False), dropped
-
-
 def _radial_table(i_max: int, epsilon: float, r: np.ndarray):
     """Columns I_i(sqrt(eps) r) and sqrt(eps) I_i'(sqrt(eps) r), i = 0..i_max."""
     root = math.sqrt(epsilon)
@@ -751,11 +708,6 @@ def _tensor_combination(radial: np.ndarray, angular: np.ndarray, coeffs) -> np.n
     return nodes.transpose(0, 2, 1).reshape((n_r * n_phi,) + coeffs.shape[1:])
 
 
-def _gram(w: np.ndarray, cols_a: np.ndarray, cols_b: np.ndarray) -> np.ndarray:
-    """G[i, j] = sum_n w_n A[n, i] conj(B[n, j])."""
-    return (w[:, None] * cols_a).T @ np.conj(cols_b)
-
-
 def _quad_forms(gram: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """d^H G^T d for every column d of ``coeffs``, clipped at 0."""
     return np.maximum(np.real(np.sum(np.conj(coeffs) * (gram.T @ coeffs), axis=0)), 0.0)
@@ -911,7 +863,8 @@ class SeedSystem:
         first = int(np.argmin(eps))
         g0 = self.gains(proj, eps[first:first + 1])[:, 0]
         targets = f_values if self.operator is DiracOperatorKind.GRADIENT else (f_values,)
-        _, ax, ay = self.at_nodes(self.eigvecs @ g0)
+        coeffs = self.eigvecs @ g0
+        ax, ay = (_tensor_combination(r, a, coeffs) for r, a in self.tables[1:])
         image = [ax, ay] if self.operator is DiracOperatorKind.GRADIENT else [ax + 1j * ay]
         base = sum(self.quad.w @ np.abs(a - np.asarray(f)) ** 2 for a, f in zip(image, targets))
         lam = self.lam[:, None]
@@ -933,7 +886,7 @@ class SeedSystem:
         gains = self.gains(proj, epsilons)
         first = int(np.argmin(epsilons))
         c = self.eigvecs.conj().T @ self.l2_vector(target)
-        column = self.at_nodes(self.eigvecs @ gains[:, first])[0]
+        column = _tensor_combination(*self.tables[0], self.eigvecs @ gains[:, first])
         base = self.quad.w @ np.abs(column - target) ** 2
         spread = np.sum(np.abs(gains - c[:, None]) ** 2, axis=0)
         return np.sqrt(np.maximum(base + (spread - spread[first]), 0.0))
@@ -1033,11 +986,13 @@ def solve_perturbed_galerkin(seeds: SeedSystem, epsilons, f=None, h=None) -> np.
 
 @dataclass
 class SeriesSolution:
-    """Expansion u = sum_i k_i B_i over the h-orthonormalized disk basis.
+    """Expansion u = sum_i k_i B_i over an h-orthonormal basis of the disk modes.
 
-    ``raw_coeffs`` express the solution over the unnormalized products
+    The columns of ``coeff`` are the B_i in raw-mode coefficients and ``k``
+    holds the h-projections (data, B_i)_h of the boundary data; ``raw_coeffs``
+    = coeff @ k express the solution over the unnormalized products
     g_i H_i^(j).  For very small epsilon the boundary magnitude of deep
-    modes underflows, so their raw coefficients can be numerically large
+    modes is tiny, so their raw coefficients can be numerically large
     while contributing nothing: evaluation pairs each coefficient with the
     correspondingly tiny basis values, and the reconstruction stays at
     machine accuracy.  ``trace_scale`` / ``conormal_scale`` hold each mode's
@@ -1052,7 +1007,6 @@ class SeriesSolution:
     coeff: np.ndarray
     k: np.ndarray
     raw_coeffs: np.ndarray
-    dropped: list
     trace_scale: np.ndarray
     conormal_scale: np.ndarray
 
@@ -1074,6 +1028,12 @@ def _mode_columns(operator, modes, scales, phi):
     )
 
 
+# Singular values of the weighted boundary matrix below this fraction of the
+# largest are dropped: their directions are near-dependent mode combinations,
+# on which the solve would amplify the rounding of the data by over 1e12.
+_SERIES_RCOND = 1e-12
+
+
 def solve_mixed_boundary_series(
     operator: DiracOperatorKind,
     arc: ArcSpec,
@@ -1082,16 +1042,21 @@ def solve_mixed_boundary_series(
     epsilon: float,
     n_modes: int = 16,
     n_phi: int = 256,
-    drop_tol: float = 1e-12,
 ) -> SeriesSolution:
     """Series solution of the mixed problem with boundary data only.
 
     The solution of (-Laplace + eps) u = 0 with t(u) = u0 on Gamma and
-    n(Au) = u1 on the complement is expanded over the h-orthonormalized
-    basis {B_i}: u = sum k_i B_i with k_i = (u0, t(B_i))_Gamma +
-    (u1, n(A B_i))_complement.  A diagonal h-value that underflows (deep
-    modes at small eps) raises NumericError; near-dependent off-diagonal
-    directions are dropped exactly as in gram_schmidt.
+    n(Au) = u1 on the complement is the least-squares fit of the data in
+    the boundary form h over the modes through index ``n_modes``.  Each mode
+    column is divided by its trace amplitude I_i(sqrt(eps)), so the trace
+    columns are H_i and the conormal columns (n_i / t_i) H_i, and the
+    weighted boundary matrix A = [sqrt(w_g) T; sqrt(w_c) N] is factored by
+    one SVD, A = U S V^H, never squared into a Gram (Golub and Van Loan,
+    Matrix Computations, 5.3).  The singular values above ``_SERIES_RCOND``
+    times the largest give the h-orthonormal basis V S^-1 / I_i(sqrt(eps))
+    and the projections k = U^H b of the weighted data b.  A trace
+    amplitude below the smallest normal float (deep modes at small eps),
+    or a coefficient beyond the largest, raises NumericError.
     """
     if not epsilon > 0.0:
         raise InputError(f"epsilon must be positive, got {epsilon}")
@@ -1104,27 +1069,31 @@ def solve_mixed_boundary_series(
         raise InputError("Gamma and its complement cannot both be empty")
 
     trace_scale, conormal_scale = diskbasis.boundary_amplitudes(operator, modes, epsilon)
-    t_cols = _mode_columns(operator, modes, trace_scale, g_phi)
-    n_cols = _mode_columns(operator, modes, conormal_scale, c_phi)
-    h_gram = _gram(g_w, t_cols, t_cols) + _gram(c_w, n_cols, n_cols)
-    # A diagonal below the smallest normal float means the mode's boundary
-    # values underflowed, and the unit-diagonal rescaling would overflow.
-    low = np.flatnonzero(np.real(np.diag(h_gram)) < np.finfo(float).tiny)
+    low = np.flatnonzero(trace_scale < np.finfo(float).tiny)
     if low.size:
         raise NumericError(f"boundary values of mode {modes[low[0]]} underflow at eps={epsilon:g}")
 
-    coeff, dropped = gram_schmidt_metric(h_gram, drop_tol)
+    root_g, root_c = np.sqrt(g_w), np.sqrt(c_w)
+    matrix = np.vstack([
+        root_g[:, None] * _mode_columns(operator, modes, np.ones(len(modes)), g_phi),
+        root_c[:, None] * _mode_columns(operator, modes, conormal_scale / trace_scale, c_phi),
+    ])
 
-    data = np.zeros(len(modes), dtype=complex if operator.is_complex else float)
-    if u0 is not None and g_phi.size:
-        u0_vals = np.asarray(u0(g_phi))
-        data = data + (g_w * u0_vals) @ np.conj(t_cols)
-    if u1 is not None and c_phi.size:
-        u1_vals = np.asarray(u1(c_phi))
-        data = data + (c_w * u1_vals) @ np.conj(n_cols)
+    def weighted(data, phi, root):
+        return root * np.asarray(data(phi)) if data is not None and phi.size else np.zeros(phi.size)
 
-    k = coeff.conj().T @ data
-    raw = coeff @ k
+    rhs = np.concatenate([weighted(u0, g_phi, root_g), weighted(u1, c_phi, root_c)])
+    left, sing, right_h = np.linalg.svd(matrix, full_matrices=False)
+    kept = sing > _SERIES_RCOND * sing[0]
+    k = left[:, kept].conj().T @ rhs
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeff = right_h[kept].conj().T / sing[kept] / trace_scale[:, None]
+        raw = coeff @ k
+    # 1 / (s I_i(sqrt(eps))) can exceed the largest float a little above the
+    # trace underflow.
+    high = np.flatnonzero(~(np.isfinite(coeff).all(axis=1) & np.isfinite(raw)))
+    if high.size:
+        raise NumericError(f"coefficients of mode {modes[high[0]]} overflow at eps={epsilon:g}")
     return SeriesSolution(
         operator=operator,
         arc=arc,
@@ -1134,7 +1103,6 @@ def solve_mixed_boundary_series(
         coeff=coeff,
         k=k,
         raw_coeffs=raw,
-        dropped=dropped,
         trace_scale=trace_scale,
         conormal_scale=conormal_scale,
     )
@@ -1227,9 +1195,6 @@ class CauchyProblemSpec:
     n_r: int = 64
     n_phi: int = 256
     reference: Optional[Field] = None
-    drop_tol: float = 1e-10
-    bounded_slope: float = core.BOUNDED_SLOPE
-    unbounded_slope: float = core.UNBOUNDED_SLOPE
 
     def __post_init__(self):
         core.validate_schedule(self.schedule)
@@ -1287,9 +1252,7 @@ def cauchy_pipeline(spec: CauchyProblemSpec) -> PipelineResult:
     lift = lift_cauchy_datum(
         spec.u0, spec.arc, spec.n_phi, complex_output=spec.operator.is_complex
     )
-    seeds = build_seed_system(
-        spec.arc, spec.operator, spec.trial_size, quad, drop_tol=spec.drop_tol
-    )
+    seeds = build_seed_system(spec.arc, spec.operator, spec.trial_size, quad)
 
     lift_gx, lift_gy = lift.gradient_xy(quad.x, quad.y)
     a_lift = spec.operator.apply_gradient(lift_gx, lift_gy)
@@ -1319,7 +1282,7 @@ def cauchy_pipeline(spec: CauchyProblemSpec) -> PipelineResult:
     ]
 
     slope = core.fit_growth_slope(epsilons, norms)
-    verdict = core.classify_slope(slope, spec.bounded_slope, spec.unbounded_slope)
+    verdict = core.classify_slope(slope)
 
     best = l_curve_corner(norms, residuals)
     solution = LinearCombination(

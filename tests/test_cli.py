@@ -234,12 +234,13 @@ class TestNonFiniteOutput:
             "operator = cauchy_riemann\n"
             f"gamma_start = {0.5 * math.pi!r}\n"
             f"gamma_end = {1.5 * math.pi!r}\n"
-            "n_modes = 40\n"
-            "schedule = 1e-5\n"
+            "n_modes = 60\n"
+            "schedule = 1e-8\n"
             f"output = {out}\n",
         )
         assert cli.main(["run", cfg]) == 3
-        assert "underflow" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "underflow" in err and "(55, 1)" in err
         assert not out.exists()
 
     def test_nan_row_from_any_runner_exits_3_without_csv(self, tmp_path, monkeypatch, capsys):

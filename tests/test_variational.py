@@ -234,18 +234,6 @@ class TestGramSchmidt:
         assert result.dropped == [1]
         assert len(result.basis) == 2
 
-    def test_metric_variant_reports_original_indices(self):
-        from epsreg.variational import gram_schmidt_metric
-
-        # direction 1 has zero diagonal, direction 2 repeats direction 0
-        vectors = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 1.0]]).T
-        gram = vectors @ vectors.T
-        coeff, dropped = gram_schmidt_metric(gram)
-        assert dropped == [1, 2]
-        assert coeff.shape == (3, 1)
-        ortho = coeff.conj().T @ gram.T @ coeff
-        np.testing.assert_allclose(ortho, np.eye(1), atol=1e-12)
-
     def test_field_level_under_boundary_form(self, quad_small):
         # Gram-Schmidt of the first three basis functions under the boundary
         # form, cross-checked against a brute-force classical pass.
@@ -475,13 +463,14 @@ class TestSeriesSolver:
             sol.trace_on(phis), src.value_polar(1.0, phis), atol=1e-8
         )
 
-    def test_orthonormal_coefficient_matches_projection_oracle(self, quad_small):
+    @pytest.mark.parametrize("op", [GRAD, CR])
+    def test_orthonormal_coefficient_matches_projection_oracle(self, op, quad_small):
         # k_i from boundary data must equal the direct h-projection of the
         # source onto each orthonormal basis element.
         eps = 0.5
-        src = BasisFunction(RadialFactor(2, eps), 1, GRAD)
+        src = BasisFunction(RadialFactor(2, eps), 1, op)
         sol = solve_mixed_boundary_series(
-            GRAD,
+            op,
             UPPER,
             lambda phi: src.value_polar(1.0, phi),
             lambda phi: src.normal_trace_values(phi),
@@ -490,12 +479,12 @@ class TestSeriesSolver:
         )
         basis_fields = [Field.wrap(b) for b in sol.raw_basis]
         for i in range(sol.coeff.shape[1]):
-            e_i = np.real(sol.coeff[:, i]) if not GRAD.is_complex else sol.coeff[:, i]
+            e_i = np.real(sol.coeff[:, i]) if not op.is_complex else sol.coeff[:, i]
             member = sum(
                 (c * f for c, f in zip(e_i[1:], basis_fields[1:])),
                 e_i[0] * basis_fields[0],
             )
-            direct = complex(boundary_form_h(src, member, GRAD, UPPER))
+            direct = complex(boundary_form_h(src, member, op, UPPER))
             assert complex(sol.k[i]) == pytest.approx(direct, abs=1e-8)
 
     def test_trace_error_small_for_b11_data(self):
@@ -594,12 +583,38 @@ class TestSeriesSolver:
             counts.append(len(calls))
         assert counts == [2, 2, 2]
 
-    def test_underflowed_mode_is_numeric_error(self):
-        # I_39(sqrt(1e-5))^2 is below the smallest normal float; the solver
-        # must stop before its unit-diagonal rescaling overflows.
+    @pytest.mark.parametrize("eps", [1e-5, 1e-8])
+    def test_deep_modes_at_small_epsilon_reproduce_source(self, eps):
+        # I_39(sqrt(eps)) is a normal float here, though its square is not:
+        # the boundary-normalized columns keep every mode.
         arc = ArcSpec(0.5 * math.pi, 1.5 * math.pi)
-        with pytest.raises(NumericError, match=r"mode \(39, 1\).*eps=1e-05"):
-            solve_mixed_boundary_series(CR, arc, None, None, 1e-5, n_modes=40)
+        src = BasisFunction(RadialFactor(3, eps), 2, CR)
+        u0 = lambda phi: src.value_polar(1.0, phi)
+        u1 = lambda phi: src.normal_trace_values(phi)
+        sol = solve_mixed_boundary_series(CR, arc, u0, u1, eps, n_modes=40)
+        g_phi, g_w = arc.quadrature(256)
+        c_phi, c_w = arc.complement_quadrature(256)
+        for got, want, w, phi in (
+            (sol.trace_on, u0, g_w, g_phi),
+            (sol.conormal_on, u1, c_w, c_phi),
+        ):
+            err = math.sqrt(float(np.sum(w * np.abs(got(phi) - want(phi)) ** 2)))
+            assert err <= 1e-12 * math.sqrt(float(np.sum(w * np.abs(want(phi)) ** 2)))
+        assert abs(sol.raw_coeffs[sol.modes.index((3, 2))] - 1.0) <= 1e-12
+
+    def test_underflowed_mode_is_numeric_error(self):
+        # I_55(sqrt(1e-8)) is below the smallest normal float; dividing its
+        # column by it would overflow.
+        arc = ArcSpec(0.5 * math.pi, 1.5 * math.pi)
+        with pytest.raises(NumericError, match=r"mode \(55, 1\).*eps=1e-08"):
+            solve_mixed_boundary_series(CR, arc, None, None, 1e-8, n_modes=60)
+
+    def test_overflowing_coefficient_is_numeric_error(self):
+        # I_54(sqrt(7.5e-9)) is a normal float, but the h-orthonormal
+        # coefficients of mode 54 are about 1e311, beyond the largest float.
+        arc = ArcSpec(0.5 * math.pi, 1.5 * math.pi)
+        with pytest.raises(NumericError, match=r"overflow at eps=7.5e-09"):
+            solve_mixed_boundary_series(CR, arc, None, None, 7.5e-9, n_modes=54)
 
     def test_helmholtz_residual_of_solution(self):
         from epsreg.diskbasis import check_helmholtz
