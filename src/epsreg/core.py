@@ -22,6 +22,7 @@ thresholds.
 from __future__ import annotations
 
 import enum
+import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -82,10 +83,11 @@ class DiscreteOperator:
         mat = np.asarray(self.matrix)
         if mat.ndim != 2 or mat.size == 0:
             raise InputError(f"operator matrix must be 2-d and nonempty, got shape {mat.shape}")
-        if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
+        if not np.all(np.isfinite(mat)):
             raise InputError("operator matrix contains non-finite entries")
-        if not np.iscomplexobj(mat):
-            mat = mat.astype(float)
+        # An own read-only copy: neither the caller's array nor a later load
+        # that shares this operator can change it under its cached spectrum.
+        mat = _read_only(mat.astype(np.result_type(mat, float)))
         object.__setattr__(self, "matrix", mat)
 
     @property
@@ -106,14 +108,19 @@ class DiscreteOperator:
     @cached_property
     def gram(self) -> np.ndarray:
         """T*T, formed once per operator and shared by every eps of a sweep."""
-        return self.adjoint() @ self.matrix
+        return _read_only(self.adjoint() @ self.matrix)
 
     @cached_property
     def spectrum(self):
         """(lam, V) with T*T = V diag(lam) V*, lam clipped at 0; one per operator."""
         lam, vecs = scipy.linalg.eigh(self.gram)
         # T*T is positive semidefinite: negative eigenvalues are rounding.
-        return np.maximum(lam, 0.0), vecs
+        return _read_only(np.maximum(lam, 0.0)), _read_only(vecs)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -164,7 +171,7 @@ def _as_vector(v, length: int, name: str) -> np.ndarray:
     arr = np.asarray(v)
     if arr.ndim != 1 or arr.shape[0] != length:
         raise InputError(f"{name} must be a vector of length {length}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.all(np.isfinite(arr)):
         raise InputError(f"{name} contains non-finite entries")
     return arr
 
@@ -361,24 +368,60 @@ def parse_matrix_text(text: str) -> DiscreteOperator:
     try:
         if "," in text:
             arr = np.array([_parse_entry(tok) for tok in body])
-        else:  # one call; numpy applies float() to each token
-            arr = np.array(body, dtype=float)
+        else:  # float() of each token, straight into one float array
+            arr = np.fromiter(map(float, body), dtype=float, count=len(body))
     except ValueError as exc:
         raise InputError(f"malformed matrix entry: {exc}") from exc
     return DiscreteOperator(arr.reshape(rows, cols))
 
 
-def read_text(path, what: str) -> str:
-    """UTF-8 text of a file; a missing, unreadable or undecodable file is an InputError."""
+def _read_bytes(path, what: str) -> bytes:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "rb") as handle:
             return handle.read()
     except FileNotFoundError as exc:
         raise InputError(f"{what} not found: {path}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
 
 
+def _decode(data: bytes, path, what: str) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_text(path, what: str) -> str:
+    """UTF-8 text of a file; a missing, unreadable or undecodable file is an InputError."""
+    return _decode(_read_bytes(path, what), path, what)
+
+
+# (sha256 of the file bytes, operator) of the last matrix file loaded.  One
+# tuple, read and replaced whole, so a thread never pairs one key with
+# another file's operator.
+_last_matrix = (None, None)
+
+
 def load_matrix(path) -> DiscreteOperator:
-    """Read a DiscreteOperator from a text file in the plain-text format."""
-    return parse_matrix_text(read_text(path, "matrix file"))
+    """Read a DiscreteOperator from a text file in the plain-text format.
+
+    The operator is keyed on the sha256 of the file's bytes, never on its
+    path or mtime.  When the bytes match the last file loaded, that
+    operator is returned again with the read-only ``gram`` and
+    ``spectrum`` it has formed, so a process parses and factors one
+    operator content once however many data it sweeps.  Only the last
+    operator is kept; other bytes are decoded, parsed and validated as a
+    first load, and a file that fails to load leaves the kept one alone.
+    """
+    global _last_matrix
+    data = _read_bytes(path, "matrix file")
+    digest = hashlib.sha256(data).digest()
+    key, operator = _last_matrix
+    if digest == key:
+        return operator
+    text = _decode(data, path, "matrix file")
+    del data  # kept alive through the parse, the bytes raise peak RSS
+    operator = parse_matrix_text(text)
+    _last_matrix = (digest, operator)
+    return operator

@@ -1,11 +1,14 @@
 """Tests for the dense (T*T + eps I) engine and path diagnostics."""
 
+import os
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from epsreg import core
 from epsreg.core import (
     DiscreteOperator,
     _parse_entry,
@@ -119,6 +122,20 @@ class TestSolvePerturbed:
             solve_perturbed(T, [1.0, 1.0], [0.0, 0.0], -1.0)
         with pytest.raises(InputError):
             DiscreteOperator(np.array([[np.nan, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.nan, np.inf, -np.inf, complex(np.inf, 0.0), complex(np.nan, 1.0),
+         complex(0.0, np.inf), complex(1.0, np.nan), complex(0.0, -np.inf)],
+    )
+    @pytest.mark.parametrize("where", ["operator", "f", "h"])
+    def test_non_finite_entries(self, where, bad):
+        dtype = complex if isinstance(bad, complex) else float
+        data = {"operator": np.eye(2, dtype=dtype), "f": np.ones(2, dtype), "h": np.zeros(2, dtype)}
+        data[where][(0, 1) if where == "operator" else 1] = bad
+        name = "operator matrix" if where == "operator" else where
+        with pytest.raises(InputError, match=f"^{name} contains non-finite entries$"):
+            solve_perturbed(DiscreteOperator(data["operator"]), data["f"], data["h"], 1.0)
 
 
 class TestTikhonovIdentity:
@@ -238,6 +255,15 @@ class TestRunPath:
             expected = direct_solve_oracle(T.matrix, f, np.zeros(5), entry.epsilon)
             assert np.allclose(entry.u, expected, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_operator_owns_its_matrix(self, dtype):
+        m = np.eye(2, dtype=dtype)
+        T = DiscreteOperator(m)
+        gram = T.gram
+        m[0, 0] = 5.0
+        assert m.flags.writeable and T.matrix[0, 0] == 1.0
+        assert np.array_equal(T.gram, gram) and T.matrix.dtype == dtype
+
     def test_schedule_validation(self):
         T = DiscreteOperator(np.eye(2))
         f, h = np.zeros(2), np.zeros(2)
@@ -302,6 +328,83 @@ class TestKernelOrthogonality:
         sol = solve_perturbed(T, [1.0, 0.0], [0.0, 0.0], 1.0)
         with pytest.raises(InputError):
             kernel_orthogonality_check(T, sol, [np.array([1.0, 0.0])])
+
+
+class TestLoadMatrixCache:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(core, "_last_matrix", (None, None))
+
+    def test_same_bytes_same_operator_one_eigh(self, tmp_path, monkeypatch):
+        calls = []
+        eigh = scipy.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+        first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+        for path in (first, second):
+            path.write_text("3 2\n1 0\n0 2\n1 1\n")
+        T = load_matrix(first)
+        path_1 = run_path(T, [1.0, 2.0, 3.0], np.zeros(2), [1.0, 0.1, 0.01])
+        assert load_matrix(second) is T
+        path_2 = run_path(load_matrix(first), [0.0, -1.0, 4.0], np.zeros(2), [1.0, 0.1])
+        assert len(calls) == 1
+        assert path_1.entries[0].norm_h != path_2.entries[0].norm_h
+
+    def test_keyed_on_bytes_not_mtime(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("1 2\n1 2\n")
+        stat = os.stat(path)
+        assert load_matrix(path).matrix.tolist() == [[1.0, 2.0]]
+        path.write_text("1 2\n3 4\n")
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert os.stat(path).st_size == stat.st_size
+        assert load_matrix(path).matrix.tolist() == [[3.0, 4.0]]
+
+    def test_shared_operator_is_read_only(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("2 2\n1 0\n0 2\n")
+        T = load_matrix(path)
+        run_path(T, [1.0, 1.0], np.zeros(2), [1.0, 0.1])
+        lam, vecs = T.spectrum
+        for arr in (T.matrix, T.gram, lam, vecs):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        with pytest.raises(ValueError):
+            load_matrix(path).matrix[0, 0] = 1
+        assert load_matrix(path).matrix.tolist() == [[1.0, 0.0], [0.0, 2.0]]
+
+    def test_read_errors_unchanged_by_a_kept_operator(self, tmp_path):
+        good, missing, binary = tmp_path / "m.txt", tmp_path / "none.txt", tmp_path / "b.txt"
+        good.write_text("1 1\n1\n")
+        binary.write_bytes(b"1 1\n\xff\n")
+
+        def messages():
+            out = []
+            for path in (missing, binary):
+                with pytest.raises(InputError) as error:
+                    load_matrix(path)
+                out.append(str(error.value))
+            return out
+
+        cold = messages()
+        assert cold[0] == f"matrix file not found: {missing}"
+        assert cold[1].startswith(f"cannot read matrix file {binary}: 'utf-8' codec")
+        T = load_matrix(good)
+        assert messages() == cold
+        assert load_matrix(good) is T
+
+    def test_failed_parse_keeps_last_operator(self, tmp_path):
+        good, bad = tmp_path / "m.txt", tmp_path / "bad.txt"
+        good.write_text("1 1\n1\n")
+        bad.write_text("1 2\n1\n")
+        T = load_matrix(good)
+        with pytest.raises(InputError, match="expected 2 matrix entries"):
+            load_matrix(bad)
+        assert load_matrix(good) is T
 
 
 class TestMatrixText:
