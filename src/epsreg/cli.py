@@ -311,7 +311,7 @@ def _run_disk_cauchy(cfg: ExperimentConfig) -> RunResult:
     op = p["operator"]
     arc = variational.ArcSpec(p["gamma_start"], p["gamma_end"])
     u_star = _manufactured_cubic()
-    f_closure = variational.operator_image(op, u_star)
+    f_closure = diskbasis.apply_operator(op, u_star)
     amp, freq = p["noise_amplitude"], p["noise_frequency"]
 
     def u0(phi):

@@ -365,11 +365,9 @@ def parse_matrix_text(text: str) -> DiscreteOperator:
     body = tokens[2:]
     if len(body) != rows * cols:
         raise InputError(f"expected {rows * cols} matrix entries, found {len(body)}")
+    kind, convert = (complex, _parse_entry) if "," in text else (float, float)
     try:
-        if "," in text:
-            arr = np.array([_parse_entry(tok) for tok in body])
-        else:  # float() of each token, straight into one float array
-            arr = np.fromiter(map(float, body), dtype=float, count=len(body))
+        arr = np.fromiter(map(convert, body), dtype=kind, count=len(body))
     except ValueError as exc:
         raise InputError(f"malformed matrix entry: {exc}") from exc
     return DiscreteOperator(arr.reshape(rows, cols))

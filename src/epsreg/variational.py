@@ -16,10 +16,10 @@ only as these tables: projections of node data and node values of seed
 combinations are contractions with them, never node matrices.  One generalized
 eigenbasis of the energy and L^2 Grams, K^T w = lam M^T w, is orthonormal
 under every eps-inner product at once after the scaling w / sqrt(lam + eps)
-(``trial_space_for_epsilon``).  ``solve_perturbed_galerkin`` is the one
-Galerkin solve: it takes a whole eps schedule and returns one
-seed-coefficient column per eps for the price of one factorization and a
-diagonal scaling per eps, and the residuals and L^2 distances of the whole
+(``trial_space_for_epsilon``).  A whole eps schedule costs one factorization
+and a diagonal scaling per eps (``SeedSystem.project``, ``.gains``; the same
+solves as seed-coefficient columns are ``solve_perturbed_galerkin``, for
+``--verify`` and the tests), and the residuals and L^2 distances of the whole
 schedule come from one node-value column at its smallest eps plus exact
 terms in eigen-coordinates (see ``SeedSystem``).  A separate series solver
 fits mixed boundary data over the Helmholtz modes by least squares, from one
@@ -47,7 +47,6 @@ __all__ = [
     "Field",
     "LinearCombination",
     "FourierHarmonicField",
-    "operator_image",
     "inner_l2",
     "inner_energy",
     "inner_eps",
@@ -382,17 +381,6 @@ class FourierHarmonicField(Field):
         return self._cast(dp + dq), self._cast(1j * (dp - dq))
 
 
-def operator_image(op: DiracOperatorKind, u) -> Callable:
-    """Vector-field closure A u (2-row stack for the gradient operator,
-    complex scalar for Cauchy-Riemann)."""
-    f = Field.wrap(u)
-
-    def image(x, y):
-        return op.apply_gradient(*f.gradient_xy(x, y))
-
-    return image
-
-
 # ---------------------------------------------------------------------------
 # Inner products and boundary forms
 # ---------------------------------------------------------------------------
@@ -634,7 +622,8 @@ def defining_function(arc: ArcSpec) -> Field:
     """Smooth nonnegative field vanishing exactly on Gamma.
 
     delta = 1 - r^2 + r^2 sigma(phi) (see ``_delta_nodes``): zero on Gamma,
-    positive elsewhere on the boundary and throughout the open disk.
+    positive elsewhere on the boundary and throughout the open disk.  Only
+    ``SeedSystem.fields``, the tests' closure reference, evaluates it.
     """
     return Field(
         lambda x, y: _delta_nodes(arc, x, y)[0],
@@ -643,6 +632,7 @@ def defining_function(arc: ArcSpec) -> Field:
 
 
 def _product_field(a: Field, b: Field) -> Field:
+    """a * b with the product-rule gradient, for the closure seeds ``SeedSystem.fields``."""
     def value(x, y):
         return a.value_xy(x, y) * b.value_xy(x, y)
 
@@ -790,7 +780,7 @@ class SeedSystem:
 
     @cached_property
     def fields(self) -> list:
-        """The seeds as Field closures (built on first use, off the hot path)."""
+        """The seeds as Field closures: the tests' reference for ``tables``, built on first use."""
         delta = defining_function(self.arc)
         return [
             (1.0 / norm) * _product_field(delta, Field.monomial(px, py))
@@ -892,20 +882,22 @@ class SeedSystem:
         return np.sqrt(np.maximum(base + (spread - spread[first]), 0.0))
 
 
+_SEED_TRACE_TOL = 1e-9
+_SEED_DROP_TOL = 1e-10
+
+
 def build_seed_system(
     arc: ArcSpec,
     operator: DiracOperatorKind,
     size: int,
     quad: DiskQuadrature,
-    trace_tol: float = 1e-9,
-    drop_tol: float = 1e-10,
 ) -> SeedSystem:
     """Construct ``size`` trial seeds vanishing on Gamma and factor their Grams.
 
     Seeds are delta * monomial in graded order, normalized to unit graph
     norm, and kept as the radial x angular tables their Grams are summed
     from.  Their boundary traces on Gamma quadrature nodes, taken from the
-    tables the seeds are built from, are verified against ``trace_tol``; by
+    tables the seeds are built from, are verified against ``_SEED_TRACE_TOL``; by
     construction they vanish there exactly.  One generalized
     eigendecomposition of the seed Grams (see ``_seed_spectrum``) serves
     every eps of a sweep.
@@ -942,10 +934,10 @@ def build_seed_system(
         ring, _, (ring_ang, _, _) = _seed_tables(arc, exponents, np.ones(1), g_phi)
         traces = _tensor_combination(ring / norms, ring_ang, np.eye(size))
         trace_max = float(np.max(np.abs(traces)))
-        if trace_max > trace_tol:
-            raise NumericError(f"seed trace on Gamma {trace_max:.3e} exceeds {trace_tol:.1e}")
+        if trace_max > _SEED_TRACE_TOL:
+            raise NumericError(f"seed trace on Gamma {trace_max:.3e} exceeds {_SEED_TRACE_TOL:.1e}")
 
-    lam, eigvecs, dropped = _seed_spectrum(k_gram, m_gram, drop_tol)
+    lam, eigvecs, dropped = _seed_spectrum(k_gram, m_gram, _SEED_DROP_TOL)
     return SeedSystem(
         operator=operator, arc=arc, quad=quad, exponents=exponents, norms=norms,
         tables=((value_radial, value_ang), (slope_radial, gx_ang), (slope_radial, gy_ang)),
@@ -1003,7 +995,6 @@ class SeriesSolution:
     arc: ArcSpec
     epsilon: float
     modes: list
-    raw_basis: list
     coeff: np.ndarray
     k: np.ndarray
     raw_coeffs: np.ndarray
@@ -1012,7 +1003,10 @@ class SeriesSolution:
 
     @property
     def field(self) -> LinearCombination:
-        return LinearCombination(self.raw_coeffs, [Field.wrap(b) for b in self.raw_basis])
+        """u as a combination of the mode closures g_i H_i^(j), built per access."""
+        eps, op = self.epsilon, self.operator
+        basis = [Field.wrap(BasisFunction(RadialFactor(i, eps), j, op)) for i, j in self.modes]
+        return LinearCombination(self.raw_coeffs, basis)
 
     def trace_on(self, phi) -> np.ndarray:
         return _mode_columns(self.operator, self.modes, self.trace_scale, phi) @ self.raw_coeffs
@@ -1099,7 +1093,6 @@ def solve_mixed_boundary_series(
         arc=arc,
         epsilon=float(epsilon),
         modes=modes,
-        raw_basis=[BasisFunction(RadialFactor(i, epsilon), j, operator) for i, j in modes],
         coeff=coeff,
         k=k,
         raw_coeffs=raw,
@@ -1118,13 +1111,12 @@ def lift_cauchy_datum(
     arc: ArcSpec,
     n_phi: int = 256,
     complex_output: bool = False,
-    n_modes: Optional[int] = None,
 ) -> FourierHarmonicField:
     """Lift a Cauchy datum on Gamma to a harmonic field on the disk.
 
     The datum is multiplied by a C^1 cosine-taper window (1 on Gamma,
     decaying to 0 at the far side of the complement), expanded in a
-    truncated Fourier series (n_phi / 4 modes by default) and extended
+    truncated Fourier series (orders |n| <= n_phi / 4) and extended
     harmonically mode by mode.
     """
     phis = _TWO_PI * np.arange(n_phi) / n_phi
@@ -1137,13 +1129,10 @@ def lift_cauchy_datum(
         window = np.cos(math.pi * arc.distance_to_arc(phis) / lc) ** 2
     values = np.asarray(u0(phis)) * window
 
-    cutoff = n_phi // 4 if n_modes is None else int(n_modes)
+    cutoff = n_phi // 4
     spectrum = np.fft.fft(values) / n_phi
-    orders, coeffs = [], []
-    for n in range(-cutoff, cutoff + 1):
-        c = spectrum[n % n_phi]
-        orders.append(n)
-        coeffs.append(c)
+    orders = np.arange(-cutoff, cutoff + 1)
+    coeffs = spectrum[orders % n_phi]
     return FourierHarmonicField(orders, coeffs, real_output=not complex_output)
 
 
@@ -1226,7 +1215,6 @@ class PipelineResult:
     best_epsilon: float
     best_index: int
     lift: FourierHarmonicField
-    solution: Field
     rel_error_at_best: float
 
 
@@ -1237,7 +1225,8 @@ def cauchy_pipeline(spec: CauchyProblemSpec) -> PipelineResult:
     Cauchy data via f~ = f - A U0, solve the perturbed problem with
     (f~, h = 0) for the whole schedule at once in the seed eigenbasis,
     classify the path by the slope rule, and select the reported epsilon
-    by the L-curve corner.  The returned solution is U0 + u_(best eps).
+    by the L-curve corner.  The result keeps U0; u_eps, given below, is
+    never built as a closure.
 
     The data enter once, as p = W^H (f~, A s); every u_eps is W p / (lam +
     eps).  Because s W is L^2-orthonormal (W^H M^T W = I) and A s W is
@@ -1285,10 +1274,6 @@ def cauchy_pipeline(spec: CauchyProblemSpec) -> PipelineResult:
     verdict = core.classify_slope(slope)
 
     best = l_curve_corner(norms, residuals)
-    solution = LinearCombination(
-        np.concatenate(([1.0], coeffs[:, best])),
-        [lift] + list(seeds.fields),
-    )
     return PipelineResult(
         records=records,
         verdict=verdict,
@@ -1296,6 +1281,5 @@ def cauchy_pipeline(spec: CauchyProblemSpec) -> PipelineResult:
         best_epsilon=records[best].epsilon,
         best_index=best,
         lift=lift,
-        solution=solution,
         rel_error_at_best=records[best].rel_error,
     )

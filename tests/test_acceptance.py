@@ -20,6 +20,7 @@ from epsreg.core import (
 from epsreg.diskbasis import (
     BasisFunction,
     DiracOperatorKind,
+    apply_operator,
     nonvanishing_check,
     symbol_defect,
 )
@@ -37,7 +38,6 @@ from epsreg.variational import (
     conormal_values,
     gram_schmidt,
     max_offdiag_relative,
-    operator_image,
     solve_mixed_boundary_series,
     trace_values,
 )
@@ -248,7 +248,7 @@ def _disk_cauchy_spec(noise_amplitude: float) -> CauchyProblemSpec:
     return CauchyProblemSpec(
         operator=GRAD,
         arc=UPPER,
-        f=operator_image(GRAD, u_star),
+        f=apply_operator(GRAD, u_star),
         u0=u0,
         schedule=[1e-1, 1e-2, 1e-3, 1e-4, 1e-5],
         trial_size=24,

@@ -445,7 +445,25 @@ class TestMatrixText:
         assert T.matrix.dtype == np.complex128
         assert np.array_equal(T.matrix.ravel(), self.token_loop(text))
 
-    @pytest.mark.parametrize("text", ["1 2 1 zz", "1 2 1,x 2", "1 2 0x10 1"])
+    def test_mixed_body_bitwise_equal_to_token_loop(self):
+        # re,im and plain-real tokens mixed, with signed zeros, subnormals and
+        # tokens float() reads in its own way on either side of the comma.
+        rng = np.random.default_rng(6)
+        re, im = rng.standard_normal((2, 30, 20)) * 10.0 ** rng.integers(-300, 300, (2, 30, 20))
+        plain = rng.random((30, 20)) < 0.5
+        rows = [
+            [repr(a) if p else f"{a!r},{b!r}" for a, b, p in zip(*row)]
+            for row in zip(re.tolist(), im.tolist(), plain.tolist())
+        ]
+        rows.append(["-0,-0", "0,-0", "-0", "1_0,+1", "1.,.5", "1e-400,-1e-320"] + ["0"] * 14)
+        text = "31 20\n" + "\n".join(" ".join(row) for row in rows)
+        T = parse_matrix_text(text)
+        assert T.matrix.dtype == np.complex128
+        assert T.matrix.tobytes() == self.token_loop(text).tobytes()
+
+    @pytest.mark.parametrize(
+        "text", ["1 2 1 zz", "1 2 1,x 2", "1 2 0x10 1", "1 2 1,2,3 2", "1 2 ,1 2", "1 2 1, 2"]
+    )
     def test_malformed_entry_message(self, text):
         with pytest.raises(ValueError) as loop_error:
             self.token_loop(text)

@@ -1,0 +1,58 @@
+"""The package's public names and the README's library examples."""
+
+import ast
+import contextlib
+import importlib
+import io
+import pkgutil
+import re
+from pathlib import Path
+
+import pytest
+
+import epsreg
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+MODULES = sorted(info.name for info in pkgutil.iter_modules(epsreg.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    module = importlib.import_module(f"epsreg.{name}")
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert missing == []
+
+
+def test_package_imports_resolve():
+    tree = ast.parse(Path(epsreg.__file__).read_text(encoding="utf-8"))
+    names = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert names
+    assert [name for name in names if not hasattr(epsreg, name)] == []
+
+
+def _readme_examples():
+    return re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+
+
+def _run_example(source: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(source, str(README), "exec"), {"__name__": "readme_example"})
+    return out.getvalue()
+
+
+def test_readme_path_example():
+    verdict, _slope = _run_example(_readme_examples()[0]).split()
+    assert verdict == "Bounded"
+
+
+def test_readme_disk_example():
+    verdict, best_epsilon, rel_error = _run_example(_readme_examples()[1]).split()
+    assert verdict == "Bounded"
+    assert float(best_epsilon) > 0.0
+    assert float(rel_error) < 0.05
