@@ -21,7 +21,10 @@ and a diagonal scaling per eps (``SeedSystem.project``, ``.gains``; the same
 solves as seed-coefficient columns are ``solve_perturbed_galerkin``, for
 ``--verify`` and the tests), and the residuals and L^2 distances of the whole
 schedule come from one node-value column at its smallest eps plus exact
-terms in eigen-coordinates (see ``SeedSystem``).  A separate series solver
+terms in eigen-coordinates (see ``SeedSystem``).  The harmonic lift of the
+Cauchy datum takes its node values on the tensor grid from one inverse FFT
+per radius (``FourierHarmonicField.at_nodes``) and its values at arbitrary
+points from Horner's rule.  A separate series solver
 fits mixed boundary data over the Helmholtz modes by least squares, from one
 SVD of their weighted boundary matrix.
 """
@@ -35,6 +38,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.special
 
 from . import core, diskbasis
 from .bessel import RadialFactor, bessel_i, bessel_i_prime
@@ -83,9 +87,10 @@ _TWO_PI = 2.0 * math.pi
 # ---------------------------------------------------------------------------
 
 
-# Largest quadrature sizes.  leggauss(n) solves an n x n eigenproblem (0.2 s
-# at n = 1024 and 1.2 s at 2048 on one 2-core Xeon thread), so far larger
-# sizes would stall the build.
+# Largest quadrature sizes.  scipy.special.roots_legendre builds the
+# Gauss-Legendre rule of n_r = 1024 in 0.03-0.04 s on one 2-core Xeon
+# thread (numpy's leggauss, which solves an n x n eigenproblem, takes
+# 0.14-0.19 s); far larger sizes would stall the build.
 N_R_MAX = 1024
 N_PHI_MAX = 4096
 
@@ -114,14 +119,13 @@ class DiskQuadrature:
         if not (2 <= n_r <= N_R_MAX and 4 <= n_phi <= N_PHI_MAX):
             bounds = f"[2, {N_R_MAX}] x [4, {N_PHI_MAX}]"
             raise InputError(f"quadrature sizes outside {bounds}: {n_r} x {n_phi}")
-        nodes, weights = np.polynomial.legendre.leggauss(n_r)
+        nodes, weights = scipy.special.roots_legendre(n_r)
         r = 0.5 * (nodes + 1.0)
         wr = 0.5 * weights * r
         phi = _TWO_PI * np.arange(n_phi) / n_phi
         wphi = _TWO_PI / n_phi
-        rr, pp = np.meshgrid(r, phi, indexing="ij")
-        x = (rr * np.cos(pp)).ravel()
-        y = (rr * np.sin(pp)).ravel()
+        x = np.outer(r, np.cos(phi)).ravel()
+        y = np.outer(r, np.sin(phi)).ravel()
         w = (np.repeat(wr, n_phi) * wphi).ravel()
         return cls(n_r=n_r, n_phi=n_phi, r=r, wr=wr, phi=phi, wphi=wphi, x=x, y=y, w=w)
 
@@ -345,7 +349,10 @@ class FourierHarmonicField(Field):
     """Harmonic field sum_n c_n r^{|n|} e^{i n phi} from boundary Fourier data.
 
     The field is P(z) + Q(conj z) with P and Q the polynomials of the
-    nonnegative and negative orders; both are evaluated by Horner's rule.
+    nonnegative and negative orders.  At arbitrary points (``value_xy``,
+    ``gradient_xy``) both are evaluated by Horner's rule; on the nodes of a
+    ``DiskQuadrature`` (``at_nodes``) each quantity is one inverse FFT per
+    radius.
     """
 
     def __init__(self, orders, coeffs, real_output: bool):
@@ -379,6 +386,33 @@ class FourierHarmonicField(Field):
         dp = _horner(self._holo_prime, z)
         dq = _horner(self._anti_prime, np.conj(z))
         return self._cast(dp + dq), self._cast(1j * (dp - dq))
+
+    def at_nodes(self, quad: DiskQuadrature) -> tuple:
+        """Node values of u, du/dx and du/dy, flat in ``DiskQuadrature`` order.
+
+        On the tensor grid r^|n| e^{i n phi} separates, and on the uniform
+        angles e^{i n phi_j} = e^{i (n mod n_phi) phi_j} exactly, so each
+        quantity is an inverse FFT over phi of the (n_r, n_phi) table with
+        c_n r^|n| added at column n mod n_phi, for any degree.  The
+        gradient tables hold P' + Q' and i (P' - Q'), whose order-m terms
+        are m-th powers of z and conj z.
+        """
+        m = np.arange(self._holo_prime.size)
+        grad_orders = np.concatenate([m, -m])
+        quantities = (
+            (self.orders, self.fourier),
+            (grad_orders, np.concatenate([self._holo_prime, self._anti_prime])),
+            (grad_orders, 1j * np.concatenate([self._holo_prime, -self._anti_prime])),
+        )
+        n_r, n_phi = quad.n_r, quad.n_phi
+        rows = n_phi * np.arange(n_r)[:, None]
+        table = np.zeros((3, n_r * n_phi), dtype=complex)
+        for part, (orders, coeffs) in zip(table, quantities):
+            terms = quad.r[:, None] ** np.abs(orders) * coeffs
+            # Flat indices: 1-D np.add.at is several times faster than a 2-D one.
+            np.add.at(part, (rows + orders % n_phi).ravel(), terms.ravel())
+        grid = np.fft.ifft(table.reshape(3, n_r, n_phi), axis=-1, norm="forward")
+        return tuple(self._cast(values.ravel()) for values in grid)
 
 
 # ---------------------------------------------------------------------------
@@ -1213,7 +1247,6 @@ class PipelineResult:
     verdict: core.Verdict
     growth_slope: float
     best_epsilon: float
-    best_index: int
     lift: FourierHarmonicField
     rel_error_at_best: float
 
@@ -1221,7 +1254,8 @@ class PipelineResult:
 def cauchy_pipeline(spec: CauchyProblemSpec) -> PipelineResult:
     """Run the full Cauchy-problem pipeline.
 
-    Steps: lift the datum u0 to a harmonic U0, reduce to homogeneous
+    Steps: lift the datum u0 to a harmonic U0 (its node values and gradient
+    from ``FourierHarmonicField.at_nodes``), reduce to homogeneous
     Cauchy data via f~ = f - A U0, solve the perturbed problem with
     (f~, h = 0) for the whole schedule at once in the seed eigenbasis,
     classify the path by the slope rule, and select the reported epsilon
@@ -1243,7 +1277,7 @@ def cauchy_pipeline(spec: CauchyProblemSpec) -> PipelineResult:
     )
     seeds = build_seed_system(spec.arc, spec.operator, spec.trial_size, quad)
 
-    lift_gx, lift_gy = lift.gradient_xy(quad.x, quad.y)
+    lift_u, lift_gx, lift_gy = lift.at_nodes(quad)
     a_lift = spec.operator.apply_gradient(lift_gx, lift_gy)
     if spec.f is not None:
         f_raw = spec.f(quad.x, quad.y)
@@ -1263,7 +1297,7 @@ def cauchy_pipeline(spec: CauchyProblemSpec) -> PipelineResult:
         ref_vals = Field.wrap(spec.reference).value_xy(quad.x, quad.y)
         ref_norm = math.sqrt(max(float(np.real(quad.integrate(np.abs(ref_vals) ** 2))), 0.0))
         if ref_norm > 0.0:
-            misfit = ref_vals - lift.value_xy(quad.x, quad.y)
+            misfit = ref_vals - lift_u
             rel = seeds.l2_distances(proj, epsilons, misfit) / ref_norm
     records = [
         PipelineRecord(epsilon=float(e), l2_norm=float(n), residual=float(r), rel_error=float(q))
@@ -1279,7 +1313,6 @@ def cauchy_pipeline(spec: CauchyProblemSpec) -> PipelineResult:
         verdict=verdict,
         growth_slope=slope,
         best_epsilon=records[best].epsilon,
-        best_index=best,
         lift=lift,
         rel_error_at_best=records[best].rel_error,
     )

@@ -93,6 +93,23 @@ class TestDiskQuadrature:
             with pytest.raises(InputError, match="outside"):
                 DiskQuadrature.build(n_r, n_phi)
 
+    @pytest.mark.parametrize("n_r, n_phi", [(64, 256), (16, 64), (7, 12)])
+    def test_nodes_equal_meshgrid_form(self, n_r, n_phi):
+        quad = DiskQuadrature.build(n_r, n_phi)
+        rr, pp = np.meshgrid(quad.r, quad.phi, indexing="ij")
+        assert np.array_equal(quad.x, (rr * np.cos(pp)).ravel())
+        assert np.array_equal(quad.y, (rr * np.sin(pp)).ravel())
+
+    # Worst relative errors measured for this rule (scipy roots_legendre):
+    # 1.4e-13, 5.1e-12 and 3.2e-11 (numpy leggauss: 5.0e-14, 4.3e-13, 5.7e-12).
+    @pytest.mark.parametrize("n_r, bound", [(64, 5e-13), (256, 2e-11), (1024, 1e-10)])
+    def test_radial_rule_is_exact_to_degree_2n_minus_1(self, n_r, bound):
+        # wr carries the Jacobian r, so sum wr r^k integrates r^(k+1) = 1 / (k + 2).
+        quad = DiskQuadrature.build(n_r, 4)
+        k = np.arange(2 * n_r - 1)
+        moments = np.array([np.sum(quad.wr * quad.r**j) for j in k])
+        assert float(np.max(np.abs(moments * (k + 2) - 1.0))) <= bound
+
 
 class TestArcSpec:
     def test_geometry(self):
@@ -653,6 +670,26 @@ class TestLift:
         np.testing.assert_allclose(ux, dz + dzbar, rtol=0, atol=1e-12)
         np.testing.assert_allclose(uy, 1j * (dz - dzbar), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("real_output", [True, False])
+    @pytest.mark.parametrize(
+        "n_r, n_phi, degree",
+        [(64, 256, 64), (16, 64, 16), (64, 256, 160), (16, 64, 40), (16, 64, 0)],
+        ids=["64x256", "16x64", "64x256-folded", "16x64-folded", "degree-0"],
+    )
+    def test_at_nodes_matches_horner(self, n_r, n_phi, degree, real_output):
+        # Degrees above n_phi / 2 fold onto column n mod n_phi of the FFT table.
+        rng = np.random.default_rng(degree)
+        orders = np.arange(-degree, degree + 1)
+        coeffs = rng.standard_normal(orders.size) + 1j * rng.standard_normal(orders.size)
+        coeffs /= (1.0 + np.abs(orders)) ** 2
+        field = FourierHarmonicField(orders, coeffs, real_output=real_output)
+        quad = DiskQuadrature.build(n_r, n_phi)
+        got = field.at_nodes(quad)
+        want = (field.value_xy(quad.x, quad.y), *field.gradient_xy(quad.x, quad.y))
+        for g, h in zip(got, want):
+            assert g.shape == quad.x.shape and np.iscomplexobj(g) is not real_output
+            np.testing.assert_allclose(g, h, rtol=0, atol=1e-13 * float(np.max(np.abs(h))))
+
     def test_trace_matches_datum_on_gamma(self):
         u0 = lambda phi: np.cos(3.0 * np.asarray(phi))
         lift = lift_cauchy_datum(u0, UPPER, 256)
@@ -746,6 +783,29 @@ class TestPipeline:
         assert result.verdict is Verdict.BOUNDED
         assert result.rel_error_at_best <= 1e-10
         assert all(r.l2_norm <= 1e-10 for r in result.records)
+
+    def test_lift_enters_by_node_values_only(self, monkeypatch):
+        # The pipeline takes U0 and its gradient from at_nodes; the pointwise
+        # Horner evaluators stay as the arbitrary-point API.
+        def refuse(self, x, y):
+            raise AssertionError("cauchy_pipeline evaluated the lift pointwise")
+
+        for name in ("value_xy", "gradient_xy"):
+            monkeypatch.setattr(FourierHarmonicField, name, refuse)
+        u_star = cubic_field()
+        spec = CauchyProblemSpec(
+            operator=GRAD,
+            arc=UPPER,
+            f=apply_operator(GRAD, u_star),
+            u0=lambda phi: u_star.value_xy(np.cos(phi), np.sin(phi)),
+            schedule=[1e-1, 1e-2, 1e-3],
+            trial_size=8,
+            n_r=40,
+            n_phi=128,
+            reference=u_star,
+        )
+        result = cauchy_pipeline(spec)
+        assert all(np.isfinite(r.rel_error) for r in result.records)
 
     def test_cauchy_riemann_complex_path(self):
         # u* = conj(z): A u* = 2, so the right-hand side is constant and the
