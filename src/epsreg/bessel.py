@@ -12,6 +12,16 @@ independently computed ``I_0``) for large ones.  The recurrence runs on
 all large arguments of a call at once, each from its own start order
 (Gautschi, SIAM Review 9, 1967).  No external special function library is
 required.
+
+The series stops once every element's term is at most 1e-18 of its sum.
+The terms of one element first grow and then fall, and a term that small
+can only come on the falling side, so every later term is smaller still
+and below half an ulp of the sum (a subnormal sum needs x below 5e-4,
+where the next term underflows to zero): adding it leaves the sum's bits
+as they are.  An element may therefore run past its own stop without
+changing, which is what happens when a slower element shares its call,
+and also when the stop is tested only every _SERIES_STRIDE terms, which
+saves four of the loop's nine array operations on the other terms.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ NU_MAX = 60
 X_MAX = 60.0
 
 _SERIES_SWITCH = 15.0
+_SERIES_STRIDE = 4
 _MILLER_BUFFER = 40
 _FACTORIALS = np.array([float(math.factorial(n)) for n in range(171)])  # 171! overflows
 
@@ -54,8 +65,8 @@ def _series(nu, x: np.ndarray) -> np.ndarray:
     """Ascending series sum_k (x/2)^(2k+nu) / (k! (k+nu)!), one order per element.
 
     All terms are positive, so nothing cancels, and x <= X_MAX needs well under
-    200 terms.  Terms after the 1e-18 stop are below half an ulp of the sum, so
-    each element keeps the bits of a run for its order alone.
+    200 terms.  The stop is tested every _SERIES_STRIDE terms (see the module
+    docstring for why the bits do not depend on where the loop stops).
     """
     half = 0.5 * x
     quarter_sq = half * half
@@ -65,7 +76,7 @@ def _series(nu, x: np.ndarray) -> np.ndarray:
     for k in range(1, 200):
         term = term * quarter_sq / (k * (k + nu))
         total += term
-        if (term <= 1e-18 * (total + 1e-300)).all():
+        if k % _SERIES_STRIDE == 0 and (term <= 1e-18 * (total + 1e-300)).all():
             break
     return total
 

@@ -39,6 +39,7 @@ __all__ = [
     "centered_gradient",
     "normal_trace",
     "check_helmholtz",
+    "basis_table",
     "boundary_amplitudes",
     "nonvanishing_check",
     "symbol_defect",
@@ -123,6 +124,34 @@ class DiracOperatorKind(enum.Enum):
         sign = 1.0 if branch == 1 else -1.0
         return 1j * sign * i * np.exp(1j * sign * i * phi) / _SQRT_PI
 
+    def angular_table(self, modes, phi):
+        """H_i^(j)(phi) of every mode (i, j), shape phi.shape + (len(modes),).
+
+        Column k holds the bits of ``angular(*modes[k], phi)``.
+        """
+        orders, second = _mode_arrays(modes)
+        phi = np.asarray(phi, dtype=float)[..., None]
+        if self is DiracOperatorKind.GRADIENT:
+            arg = orders * phi
+            out = np.where(second, np.sin(arg), np.cos(arg)) / _SQRT_PI
+        else:
+            out = np.exp(1j * np.where(second, -1.0, 1.0) * orders * phi) / _SQRT_PI
+        out[..., orders == 0] = 1.0 / _SQRT_2PI
+        return out
+
+    def angular_derivative_table(self, modes, phi):
+        """d/dphi of every angular factor, laid out and bitwise as ``angular_table``."""
+        orders, second = _mode_arrays(modes)
+        phi = np.asarray(phi, dtype=float)[..., None]
+        if self is DiracOperatorKind.GRADIENT:
+            arg = orders * phi
+            out = np.where(second, orders * np.cos(arg), -orders * np.sin(arg)) / _SQRT_PI
+        else:
+            factor = 1j * np.where(second, -1.0, 1.0) * orders
+            out = factor * np.exp(factor * phi) / _SQRT_PI
+        out[..., orders == 0] = 0.0
+        return out
+
 
 def _validate_mode(i: int, branch: int) -> None:
     if i < 0:
@@ -131,6 +160,14 @@ def _validate_mode(i: int, branch: int) -> None:
         raise InputError("mode 0 carries a single angular branch")
     if branch not in (1, 2):
         raise InputError(f"angular branch must be 1 or 2, got {branch}")
+
+
+def _mode_arrays(modes):
+    """Orders and second-branch mask of a mode list, every mode validated."""
+    for i, branch in modes:
+        _validate_mode(i, branch)
+    orders = np.array([i for i, _ in modes], dtype=int)
+    return orders, np.array([branch == 2 for _, branch in modes], dtype=bool)
 
 
 def enumerate_modes(i_max: int):
@@ -260,6 +297,21 @@ def normal_trace(op: DiracOperatorKind, b: BasisFunction, phi):
     return b.normal_trace_values(phi)
 
 
+def basis_table(op: DiracOperatorKind, modes, epsilon: float, x, y):
+    """Values of every b_i^(j) at the Cartesian points (x, y), one column per mode.
+
+    One Bessel table of the distinct orders on the radii times one angular
+    table; column k holds the bits of the mode's ``BasisFunction.value_xy``.
+    """
+    if not epsilon > 0.0:
+        raise InputError(f"epsilon must be positive, got {epsilon}")
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    orders, inverse = np.unique(np.array([i for i, _ in modes], dtype=int), return_inverse=True)
+    radial = bessel_i(orders, math.sqrt(epsilon) * np.hypot(x, y)[..., None])
+    return radial[..., inverse] * op.angular_table(modes, np.arctan2(y, x))
+
+
 def boundary_amplitudes(op: DiracOperatorKind, modes, epsilon: float):
     """Amplitudes of t(b) and n(A b) per mode (i, j), from one Bessel table at sqrt(eps).
 
@@ -288,7 +340,9 @@ def check_helmholtz(u, epsilon: float, sample_points) -> float:
     truncation term of one stencil.  Points must lie in the annulus
     1e-3 <= r < 1.  ``u`` is a BasisFunction or a vectorized callable of
     Cartesian coordinates, called once on all stencil points; its analytic
-    formula is evaluated directly, so stencil arms may cross r = 1.
+    formula is evaluated directly, so stencil arms may cross r = 1.  A
+    callable may return a trailing axis of several fields (``basis_table``
+    gives one column per mode); the result is then one max per field.
     """
     if epsilon < 0.0:
         raise InputError(f"epsilon must be nonnegative, got {epsilon}")
@@ -303,12 +357,13 @@ def check_helmholtz(u, epsilon: float, sample_points) -> float:
     # Offsets dx + i dy: the center, then the four arms of each step.
     arms = np.array([0.0] + [h * d for h in _LAPLACE_STEPS for d in (1, -1, 1j, -1j)])
     vals = value(np.add.outer(arms.real, x).ravel(), np.add.outer(arms.imag, y).ravel())
-    vals = vals.reshape(arms.size, -1)
+    vals = vals.reshape(arms.size, x.size, *vals.shape[1:])
     coarse, fine = (
         (vals[1 + 4 * k : 5 + 4 * k].sum(axis=0) - 4.0 * vals[0]) / (h * h)
         for k, h in enumerate(_LAPLACE_STEPS)
     )
-    return float(np.max(np.abs(-(4.0 * fine - coarse) / 3.0 + epsilon * vals[0])))
+    worst = np.max(np.abs(-(4.0 * fine - coarse) / 3.0 + epsilon * vals[0]), axis=0)
+    return float(worst) if worst.ndim == 0 else worst
 
 
 def symbol_defect(op: DiracOperatorKind, xis) -> float:

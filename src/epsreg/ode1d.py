@@ -27,7 +27,6 @@ from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import validate_schedule
 from .errors import InputError
@@ -89,6 +88,8 @@ class Ode1dProblem:
 
 def exact_solution(p: Ode1dProblem, x: float) -> float:
     """u(x) = u0 + int_a^x f(y) dy by adaptive quadrature (abs err <= 1e-12)."""
+    from scipy.integrate import quad  # on first use: no disk or matrix run needs it
+
     x = p._require_inside(x)
     integral, _ = quad(p.f, p.a, x, epsabs=1e-13, epsrel=1e-13, limit=200)
     return p.u0 + integral
@@ -107,6 +108,8 @@ def perturbed_solution(p: Ode1dProblem, x: float):
         the value, ``1 - cdc(k(x-a), s)`` for the derivative) is added, so
         no O(1/k) terms cancel to an O(1/eps) result.
     """
+    from scipy.integrate import quad
+
     if p.epsilon is None or not p.epsilon > 0.0:
         raise InputError("perturbed_solution requires a positive epsilon on the problem")
     x = p._require_inside(x)
@@ -176,8 +179,14 @@ def _pair_weights(z):
     return 0.5 * (j2 - 3.0 * j1 + 2.0 * j0), 2.0 * j1 - j2, 0.5 * (j2 - j1)
 
 
-def _grid_solution(p: Ode1dProblem, epsilon: float, x: np.ndarray):
-    """u_eps and u_eps' on the uniform grid ``x``, from a grid _OVERSAMPLE times finer.
+def _fine_samples(p: Ode1dProblem, x: np.ndarray) -> np.ndarray:
+    """f on the uniform grid _OVERSAMPLE times finer than ``x``."""
+    fine = np.linspace(p.a, p.b, _OVERSAMPLE * (x.size - 1) + 1)
+    return np.array([p.f(float(t)) for t in fine], dtype=float)
+
+
+def _grid_solution(p: Ode1dProblem, epsilon: float, x: np.ndarray, fvals: np.ndarray):
+    """u_eps and u_eps' on the uniform grid ``x``, from f sampled by ``_fine_samples``.
 
     With F = int_a^x f e^{-k(x-y)}, G = int_x^b f e^{-k(y-x)}, P = int_a^x f e^{-k(y-a)},
     Q = int_a^x f e^{-k(b-y)}, N = 2 (1 + e^{-2s}), A = e^{-k(x-a)} (P(b) - e^{-s}(Q(b) - Q))
@@ -189,8 +198,7 @@ def _grid_solution(p: Ode1dProblem, epsilon: float, x: np.ndarray):
     """
     k = math.sqrt(epsilon)
     s = k * (p.b - p.a)
-    fine = np.linspace(p.a, p.b, _OVERSAMPLE * (x.size - 1) + 1)
-    fvals = np.array([p.f(float(t)) for t in fine], dtype=float)
+    fine = np.linspace(p.a, p.b, fvals.size)
     h = (p.b - p.a) / (fine.size - 1)
     w0, w1, w2 = _pair_weights(k * h)
     f0, f1, f2 = fvals[:-2:2], fvals[1::2], fvals[2::2]
@@ -222,10 +230,11 @@ def convergence_report(p: Ode1dProblem, schedule, grid_points: int = 1001):
     grid = np.linspace(p.a, p.b, grid_points)
     exact_vals = np.array([exact_solution(p, float(x)) for x in grid])
     exact_derivs = np.array([p.f(float(x)) for x in grid])
+    fvals = _fine_samples(p, grid)
 
     rows = []
     for eps in sched:
-        vals, derivs = _grid_solution(p, float(eps), grid)
+        vals, derivs = _grid_solution(p, float(eps), grid, fvals)
         c0, c1 = np.max(np.abs(vals - exact_vals)), np.max(np.abs(derivs - exact_derivs))
         rows.append(ConvergenceRow(float(eps), float(c0), float(c1)))
     return rows

@@ -559,7 +559,7 @@ def basis_grams(operator: DiracOperatorKind, i_max: int, epsilon: float, quad: D
     values, slopes = _radial_table(i_max, epsilon, quad.r)
     g, g_prime = values[:, orders], slopes[:, orders]
     ratio = g / quad.r[:, None]
-    h = np.column_stack([operator.angular(i, j, quad.phi) for i, j in modes])
+    h = operator.angular_table(modes, quad.phi)
 
     def gram(radial, angular):
         return ((quad.wr[:, None] * radial).T @ radial) * (
@@ -573,7 +573,7 @@ def basis_grams(operator: DiracOperatorKind, i_max: int, epsilon: float, quad: D
         energy_gram = gram(g_prime + shift * ratio, h)
     else:
         # |grad b|^2 = |g' H|^2 + |(g / r) H'|^2 in the polar frame.
-        h_prime = np.column_stack([operator.angular_derivative(i, j, quad.phi) for i, j in modes])
+        h_prime = operator.angular_derivative_table(modes, quad.phi)
         energy_gram = gram(g_prime, h) + gram(ratio, h_prime)
     return modes, gram(g, h), energy_gram
 
@@ -1051,9 +1051,7 @@ class SeriesSolution:
 
 def _mode_columns(operator, modes, scales, phi):
     """One column per mode: its boundary amplitude times H_i^(j)(phi)."""
-    return np.column_stack(
-        [s * operator.angular(i, branch, phi) for s, (i, branch) in zip(scales, modes)]
-    )
+    return scales * operator.angular_table(modes, phi)
 
 
 # Singular values of the weighted boundary matrix below this fraction of the

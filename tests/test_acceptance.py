@@ -325,7 +325,7 @@ def test_criterion_08b_disk_reconstruction_noisy():
     residual lies below the noisy beta.
 
     The dense-range case, where the paper's equivalence makes noise flip
-    the family to Unbounded (Cauchy-Riemann), is ROADMAP item 4.
+    the family to Unbounded (Cauchy-Riemann), is ROADMAP item 1.
     """
     noisy_spec = _disk_cauchy_spec(0.1)
     noisy = cauchy_pipeline(noisy_spec)

@@ -10,7 +10,9 @@ from epsreg.bessel import (
     NU_MAX,
     RadialFactor,
     _MILLER_BUFFER,
+    _SERIES_STRIDE,
     _bessel_i,
+    _series,
     bessel_i,
     bessel_i_prime,
     radial_factor_eval,
@@ -192,6 +194,25 @@ class TestPerElementKernel:
             bessel_i(np.array([0, 61]), np.ones(2))
         with pytest.raises(InputError, match="must be an integer"):
             bessel_i_prime(np.array([0.0, 1.0]), np.ones(2))
+
+
+class TestStridedSeries:
+    # Linear points over the series branch and geometric ones down to where
+    # the sums are subnormal, the one range in which a term at the 1e-18 stop
+    # is not far below half an ulp.
+    XS = np.concatenate([np.linspace(0.0, 15.0, 45, endpoint=False), np.geomspace(1e-9, 1.0, 15)])
+
+    def test_bitwise_equal_to_every_term_stop_alone(self):
+        # One element alone stops at the first tested term past its own stop;
+        # in one call for the whole table it runs on with the slowest one.
+        assert _SERIES_STRIDE > 1
+        nu, x = np.meshgrid(np.arange(NU_MAX + 1), self.XS, indexing="ij")
+        table = _series(nu.ravel(), x.ravel()).reshape(nu.shape)
+        for n in range(NU_MAX + 1):
+            every = np.concatenate([series_per_order(n, np.array([v])) for v in self.XS])
+            strided = np.concatenate([_series(np.array([n]), np.array([v])) for v in self.XS])
+            assert strided.tobytes() == every.tobytes(), n
+            assert table[n].tobytes() == every.tobytes(), n
 
 
 class TestBesselIPrime:

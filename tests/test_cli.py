@@ -1,13 +1,17 @@
 """Tests for config parsing, CSV output and CLI exit codes."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from epsreg import cli, variational
-from epsreg.diskbasis import BasisFunction, DiracOperatorKind
+from epsreg import cli, diskbasis, variational
+from epsreg.diskbasis import DiracOperatorKind
 from epsreg.errors import InputError
 
 ODE_CONFIG = """\
@@ -211,15 +215,16 @@ class TestRunVerifyBasis:
         # b (1 + 1e-3 r^2) misses the equation by 4e-3 (b + r b_r): the
         # normalized residual must see it at every eps, while the basis
         # itself stays below the 1e-5 tolerance.
-        class Perturbed(BasisFunction):
-            def value_xy(self, x, y):
-                return super().value_xy(x, y) * (1.0 + 1e-3 * (x * x + y * y))
+        table = diskbasis.basis_table
+
+        def perturbed_table(op, modes, eps, x, y):
+            return table(op, modes, eps, x, y) * (1.0 + 1e-3 * (x * x + y * y))[:, None]
 
         quad = variational.DiskQuadrature.build(16, 64)
         points = cli._ring_points(0.5, 12)
         schedule = [400.0, 100.0, 30.0, 10.0, 3.0, 1.0, 0.3, 0.1, 0.03, 0.01]
         clean = [cli._basis_checks(op, 8, eps, quad, points)[2] for eps in schedule]
-        monkeypatch.setattr(cli, "BasisFunction", Perturbed)
+        monkeypatch.setattr(diskbasis, "basis_table", perturbed_table)
         perturbed = [cli._basis_checks(op, 8, eps, quad, points)[2] for eps in schedule]
         assert max(clean) <= cli._VERIFY_TOLS["max_helmholtz_residual"]
         assert min(perturbed) >= 1.1e-3
@@ -268,6 +273,17 @@ class TestExitCodes:
 
     def test_no_command_prints_usage(self, capsys):
         assert cli.main([]) == 2
+
+
+class TestImports:
+    def test_cli_import_leaves_out_scipy_integrate(self):
+        # Only ode1d's adaptive quadrature uses scipy.integrate; it is
+        # imported where quad is called, so the other runs never load it.
+        code = "import sys, epsreg.cli; print('scipy.integrate' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["False"]
 
 
 class TestUnreadableInputs:

@@ -10,6 +10,7 @@ from epsreg.diskbasis import (
     BasisFunction,
     DiracOperatorKind,
     apply_operator,
+    basis_table,
     boundary_amplitudes,
     check_helmholtz,
     enumerate_modes,
@@ -186,6 +187,45 @@ class TestHelmholtz:
             check_helmholtz(b, 1.0, np.array([[0.0, 0.0]]))
         with pytest.raises(InputError):
             check_helmholtz(b, 1.0, np.array([[1.0, 0.0]]))
+
+
+class TestModeTables:
+    # Angles on [0, 2 pi) and beyond it on both sides, negative zero included.
+    @staticmethod
+    def angles(n):
+        uniform = 2.0 * math.pi * np.arange(n) / n
+        return np.concatenate([uniform, -uniform, np.random.default_rng(n).uniform(-7.0, 14.0, n)])
+
+    @pytest.mark.parametrize("op", [GRAD, CR])
+    @pytest.mark.parametrize("n", [7, 13, 108, 257])
+    def test_angular_tables_bitwise_equal_to_per_mode(self, op, n):
+        modes = enumerate_modes(NU_MAX)
+        phi = self.angles(n)
+        values = op.angular_table(modes, phi)
+        slopes = op.angular_derivative_table(modes, phi)
+        assert values.shape == slopes.shape == (phi.size, len(modes))
+        for k, (i, j) in enumerate(modes):
+            assert values[:, k].tobytes() == op.angular(i, j, phi).tobytes(), (i, j)
+            assert slopes[:, k].tobytes() == op.angular_derivative(i, j, phi).tobytes(), (i, j)
+
+    def test_angular_table_shape_and_validation(self):
+        assert CR.angular_table([(0, 1), (2, 2)], 0.3).shape == (2,)
+        assert GRAD.angular_table([(1, 1)], np.zeros((3, 4))).shape == (3, 4, 1)
+        with pytest.raises(InputError):
+            GRAD.angular_table([(0, 2)], 0.0)
+
+    @pytest.mark.parametrize("op", [GRAD, CR])
+    @pytest.mark.parametrize("eps", [400.0, 1.0, 0.01])
+    def test_table_residuals_bitwise_equal_to_per_mode(self, op, eps):
+        modes = enumerate_modes(8)
+        pts = ring(0.5, 12)
+        residuals = check_helmholtz(lambda x, y: basis_table(op, modes, eps, x, y), eps, pts)
+        values = basis_table(op, modes, eps, *pts.T)
+        assert residuals.shape == (len(modes),)
+        for k, (i, j) in enumerate(modes):
+            b = BasisFunction(RadialFactor(i, eps), j, op)
+            assert residuals[k] == check_helmholtz(b, eps, pts), (i, j)
+            assert values[:, k].tobytes() == b.value_xy(*pts.T).tobytes(), (i, j)
 
 
 class TestNonvanishing:

@@ -9,6 +9,7 @@ from epsreg import cli
 from epsreg.errors import InputError
 from epsreg.ode1d import (
     Ode1dProblem,
+    _fine_samples,
     _grid_solution,
     convergence_report,
     exact_solution,
@@ -173,7 +174,8 @@ class TestGridSolution:
         es, norm = math.exp(-s), 1.0 + math.exp(-2.0 * s)
         exact = (u0 * (ea + eb * es) + (eb - ea * es) / k) / norm
         exact_deriv = (-u0 * k * (ea - eb * es) + eb + ea * es) / norm
-        values, derivs = _grid_solution(Ode1dProblem(a, b, u0, _unit_rhs), eps, grid)
+        p = Ode1dProblem(a, b, u0, _unit_rhs)
+        values, derivs = _grid_solution(p, eps, grid, _fine_samples(p, grid))
         # Measured: values within 3.4e-16, derivatives within 7.3e-15 (1 + u0 k).
         assert np.max(np.abs(values - exact)) <= 1e-14
         assert np.max(np.abs(derivs - exact_deriv)) <= 1e-13 * (1.0 + u0 * k)
@@ -192,7 +194,8 @@ class TestGridSolution:
         a, b, u0 = 0.0, 1.5, 0.5
         eps = (kba / (b - a)) ** 2
         grid = np.linspace(a, b, 1001)
-        values, derivs = _grid_solution(Ode1dProblem(a, b, u0, f), eps, grid)
+        p = Ode1dProblem(a, b, u0, f)
+        values, derivs = _grid_solution(p, eps, grid, _fine_samples(p, grid))
         pe = Ode1dProblem(a, b, u0, f, eps)
         for i in range(0, grid.size, 50):
             value, deriv = perturbed_solution(pe, float(grid[i]))
@@ -207,7 +210,8 @@ class TestGridSolution:
         # the grid path agrees to 1e-12.
         a, b = 0.0, 1.5
         grid = np.linspace(a, b, 1001)
-        values, derivs = _grid_solution(Ode1dProblem(a, b, 0.0, math.cos), eps, grid)
+        p = Ode1dProblem(a, b, 0.0, math.cos)
+        values, derivs = _grid_solution(p, eps, grid, _fine_samples(p, grid))
         pe = Ode1dProblem(a, b, 0.0, math.cos, eps)
         for i in (100, 500, 900):
             x = float(grid[i])
@@ -226,7 +230,8 @@ class TestGridSolution:
         # off at x = 0.15 and eps 1e12.
         a, b = 0.0, 1.5
         grid = np.linspace(a, b, 1001)
-        values, _ = _grid_solution(Ode1dProblem(a, b, 0.0, f), eps, grid)
+        p = Ode1dProblem(a, b, 0.0, f)
+        values, _ = _grid_solution(p, eps, grid, _fine_samples(p, grid))
         pe = Ode1dProblem(a, b, 0.0, f, eps)
         for i in (100, 500, 900):
             value, _ = perturbed_solution(pe, float(grid[i]))
