@@ -11,7 +11,6 @@ property check fails).
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import sys
 from dataclasses import dataclass, field as dc_field
@@ -370,7 +369,7 @@ def _run_disk_mixed(cfg: ExperimentConfig) -> RunResult:
         normal_err = math.sqrt(
             float(np.sum(c_w * np.abs(sol.conormal_on(c_phi) - u1(c_phi)) ** 2))
         ) if c_phi.size else 0.0
-        helm = diskbasis.check_helmholtz(sol.field, eps, points)
+        helm = float(diskbasis.check_helmholtz(sol.field, eps, points))
         rows.append((eps, trace_err, normal_err, helm))
     return RunResult(rows, None, f"experiment=disk_mixed rows={len(rows)}")
 
@@ -397,7 +396,7 @@ def _basis_checks(op, i_max, eps, quad, points):
     ring = bessel_i(orders, np.full(orders.shape, math.sqrt(eps) * float(np.hypot(*points[0]))))
     # Both branches of H_i share the amplitude |H_i^(1)(0)|.
     scale = 1.0 + np.abs(ring) * np.abs(op.angular_table([(i, 1) for i in orders], 0.0))
-    values = functools.partial(diskbasis.basis_table, op, modes, eps)
+    values = lambda x, y: diskbasis.basis_table(op, modes, eps, x, y)
     helm = diskbasis.check_helmholtz(values, eps, points) / scale
     _, conormal = diskbasis.boundary_amplitudes(op, modes, eps)
     return (

@@ -96,56 +96,45 @@ class DiracOperatorKind(enum.Enum):
         return 0.0 if branch == 1 else 2.0 * i
 
     def angular(self, i: int, branch: int, phi):
-        """Angular factor H_i^(j)(phi), orthogonal over the modes on the circle.
-
-        H_0 = 1 / sqrt(2 pi); the gradient factors cos(i phi) / sqrt(pi) and
-        sin(i phi) / sqrt(pi) have unit norm, the Cauchy-Riemann factors
-        e^{+-i i phi} / sqrt(pi) with i >= 1 squared norm 2.
-        """
-        _validate_mode(i, branch)
-        phi = np.asarray(phi, dtype=float)
-        if i == 0:
-            return np.full(phi.shape, 1.0 / _SQRT_2PI, dtype=self.dtype)
-        if self is DiracOperatorKind.GRADIENT:
-            trig = np.cos(i * phi) if branch == 1 else np.sin(i * phi)
-            return trig / _SQRT_PI
-        sign = 1.0 if branch == 1 else -1.0
-        return np.exp(1j * sign * i * phi) / _SQRT_PI
+        """Angular factor H_i^(j)(phi): the one column of ``angular_table``."""
+        return self.angular_table([(i, branch)], phi)[..., 0]
 
     def angular_derivative(self, i: int, branch: int, phi):
-        """d/dphi of the angular factor."""
-        _validate_mode(i, branch)
-        phi = np.asarray(phi, dtype=float)
-        if i == 0:
-            return np.zeros(phi.shape, dtype=self.dtype)
-        if self is DiracOperatorKind.GRADIENT:
-            trig = -i * np.sin(i * phi) if branch == 1 else i * np.cos(i * phi)
-            return trig / _SQRT_PI
-        sign = 1.0 if branch == 1 else -1.0
-        return 1j * sign * i * np.exp(1j * sign * i * phi) / _SQRT_PI
+        """d/dphi of the angular factor: the one column of ``angular_derivative_table``."""
+        return self.angular_derivative_table([(i, branch)], phi)[..., 0]
 
     def angular_table(self, modes, phi):
         """H_i^(j)(phi) of every mode (i, j), shape phi.shape + (len(modes),).
 
-        Column k holds the bits of ``angular(*modes[k], phi)``.
+        The factors are orthogonal over the modes on the circle.  H_0 =
+        1 / sqrt(2 pi); the gradient factors cos(i phi) / sqrt(pi) (branch 1)
+        and sin(i phi) / sqrt(pi) (branch 2) have unit norm, the
+        Cauchy-Riemann factors e^{+-i i phi} / sqrt(pi) with i >= 1 squared
+        norm 2.
         """
         orders, second = _mode_arrays(modes)
         phi = np.asarray(phi, dtype=float)[..., None]
         if self is DiracOperatorKind.GRADIENT:
             arg = orders * phi
-            out = np.where(second, np.sin(arg), np.cos(arg)) / _SQRT_PI
+            out = np.empty(arg.shape)
+            out[..., ~second] = np.cos(arg[..., ~second])
+            out[..., second] = np.sin(arg[..., second])
+            out /= _SQRT_PI
         else:
             out = np.exp(1j * np.where(second, -1.0, 1.0) * orders * phi) / _SQRT_PI
         out[..., orders == 0] = 1.0 / _SQRT_2PI
         return out
 
     def angular_derivative_table(self, modes, phi):
-        """d/dphi of every angular factor, laid out and bitwise as ``angular_table``."""
+        """d/dphi of every angular factor, laid out as ``angular_table``."""
         orders, second = _mode_arrays(modes)
         phi = np.asarray(phi, dtype=float)[..., None]
         if self is DiracOperatorKind.GRADIENT:
             arg = orders * phi
-            out = np.where(second, orders * np.cos(arg), -orders * np.sin(arg)) / _SQRT_PI
+            out = np.empty(arg.shape)
+            out[..., ~second] = -orders[~second] * np.sin(arg[..., ~second])
+            out[..., second] = orders[second] * np.cos(arg[..., second])
+            out /= _SQRT_PI
         else:
             factor = 1j * np.where(second, -1.0, 1.0) * orders
             out = factor * np.exp(factor * phi) / _SQRT_PI
@@ -332,7 +321,7 @@ def nonvanishing_check(op: DiracOperatorKind, i: int, branch: int, epsilon: floa
     return float(boundary_amplitudes(op, [(i, branch)], epsilon)[1][0])
 
 
-def check_helmholtz(u, epsilon: float, sample_points) -> float:
+def check_helmholtz(u, epsilon: float, sample_points) -> float | np.ndarray:
     """Max |(-Laplace + eps) u| over sample points by Richardson differences.
 
     The Laplacian is ``(4 L_{5e-4} - L_{1e-3}) / 3`` with ``L_h`` the
@@ -340,9 +329,10 @@ def check_helmholtz(u, epsilon: float, sample_points) -> float:
     truncation term of one stencil.  Points must lie in the annulus
     1e-3 <= r < 1.  ``u`` is a BasisFunction or a vectorized callable of
     Cartesian coordinates, called once on all stencil points; its analytic
-    formula is evaluated directly, so stencil arms may cross r = 1.  A
-    callable may return a trailing axis of several fields (``basis_table``
-    gives one column per mode); the result is then one max per field.
+    formula is evaluated directly, so stencil arms may cross r = 1.  The
+    result is one max per field: a numpy scalar for a single field, an
+    array when the callable returns a trailing axis of several fields
+    (``basis_table`` gives one column per mode).
     """
     if epsilon < 0.0:
         raise InputError(f"epsilon must be nonnegative, got {epsilon}")
@@ -362,8 +352,7 @@ def check_helmholtz(u, epsilon: float, sample_points) -> float:
         (vals[1 + 4 * k : 5 + 4 * k].sum(axis=0) - 4.0 * vals[0]) / (h * h)
         for k, h in enumerate(_LAPLACE_STEPS)
     )
-    worst = np.max(np.abs(-(4.0 * fine - coarse) / 3.0 + epsilon * vals[0]), axis=0)
-    return float(worst) if worst.ndim == 0 else worst
+    return np.max(np.abs(-(4.0 * fine - coarse) / 3.0 + epsilon * vals[0]), axis=0)
 
 
 def symbol_defect(op: DiracOperatorKind, xis) -> float:
