@@ -286,6 +286,12 @@ def _run_matrix_path(cfg: ExperimentConfig) -> RunResult:
         operator = core.load_matrix(p["matrix"])
     except InputError as exc:
         raise InputError(f"{cfg.source}:{cfg.lines['matrix']}: bad 'matrix': {exc}") from exc
+    for key, length in (("f", operator.cod_dim), ("h", operator.dom_dim)):
+        if key in p and len(p[key]) != length:
+            raise InputError(
+                f"{cfg.source}:{cfg.lines[key]}: bad {key!r}: {key} must be a vector of length "
+                f"{length}, got shape ({len(p[key])},)"
+            )
     h = p.get("h", np.zeros(operator.dom_dim))
     path = core.run_path(operator, p["f"], h, p["schedule"])
     rows = [(e.epsilon, e.norm_h, e.norm_eps, e.residual) for e in path.entries]

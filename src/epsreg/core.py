@@ -22,7 +22,6 @@ thresholds.
 from __future__ import annotations
 
 import enum
-import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -340,37 +339,70 @@ def kernel_orthogonality_check(
     return worst
 
 
-def _parse_entry(token: str):
-    if "," in token:
-        re_part, im_part = token.split(",", 1)
+def _parse_entry(token):
+    comma = "," if isinstance(token, str) else b","
+    if comma in token:
+        re_part, im_part = token.split(comma, 1)
         return complex(float(re_part), float(im_part))
     return float(token)
 
 
-def parse_matrix_text(text: str) -> DiscreteOperator:
+def _ascii_tokens(data: bytes) -> bool:
+    """Whether ``data.split()`` and ``float`` read ``data`` as they read its text.
+
+    Bytes know only ASCII digits and the ASCII whitespace; ``str`` also reads
+    non-ASCII digits and spaces, and splits on the separators ``\\x1c``-``\\x1f``.
+    """
+    return data.isascii() and not any(sep in data for sep in b"\x1c\x1d\x1e\x1f")
+
+
+def parse_matrix_text(text: str | bytes) -> DiscreteOperator:
     """Parse the plain-text matrix format.
 
     First line: ``rows cols``.  Then ``rows * cols`` whitespace-separated
     entries in row-major order; complex entries are written ``re,im``.
+
+    ``text`` is a ``str`` or its UTF-8 ``bytes``, which give the same
+    operator and the same error messages.  ASCII bytes are split and
+    converted as they are, with no decoded copy; other bytes are decoded
+    first, and bytes that are not UTF-8 raise ``UnicodeDecodeError``.
     """
+    if isinstance(text, bytes) and not _ascii_tokens(text):
+        text = text.decode("utf-8")
     tokens = text.split()
     if len(tokens) < 2:
         raise InputError("matrix text must start with 'rows cols'")
     try:
         rows, cols = int(tokens[0]), int(tokens[1])
     except ValueError as exc:
-        raise InputError(f"malformed matrix header: {tokens[:2]}") from exc
+        header = [_as_str(token) for token in tokens[:2]]
+        raise InputError(f"malformed matrix header: {header}") from exc
     if rows <= 0 or cols <= 0:
         raise InputError(f"matrix dimensions must be positive, got {rows} x {cols}")
     body = tokens[2:]
+    del tokens  # one list of the entries through the conversion, not two
     if len(body) != rows * cols:
         raise InputError(f"expected {rows * cols} matrix entries, found {len(body)}")
-    kind, convert = (complex, _parse_entry) if "," in text else (float, float)
+    comma = "," if isinstance(text, str) else b","
+    kind, convert = (complex, _parse_entry) if comma in text else (float, float)
     try:
         arr = np.fromiter(map(convert, body), dtype=kind, count=len(body))
     except ValueError as exc:
-        raise InputError(f"malformed matrix entry: {exc}") from exc
+        raise InputError(f"malformed matrix entry: {_entry_error(convert, body)}") from exc
     return DiscreteOperator(arr.reshape(rows, cols))
+
+
+def _as_str(token) -> str:
+    return token if isinstance(token, str) else token.decode("ascii")
+
+
+def _entry_error(convert, body) -> ValueError:
+    """The error of converting ``body`` as text: float(b"x") names b'x', float("x") 'x'."""
+    for token in body:
+        try:
+            convert(_as_str(token))
+        except ValueError as exc:
+            return exc
 
 
 def _read_bytes(path, what: str) -> bytes:
@@ -395,31 +427,35 @@ def read_text(path, what: str) -> str:
     return _decode(_read_bytes(path, what), path, what)
 
 
-# (sha256 of the file bytes, operator) of the last matrix file loaded.  One
-# tuple, read and replaced whole, so a thread never pairs one key with
-# another file's operator.
+# (file bytes, operator) of the last matrix file loaded.  One tuple, read
+# and replaced whole, so a thread never pairs one file's bytes with another
+# file's operator.
 _last_matrix = (None, None)
 
 
 def load_matrix(path) -> DiscreteOperator:
     """Read a DiscreteOperator from a text file in the plain-text format.
 
-    The operator is keyed on the sha256 of the file's bytes, never on its
-    path or mtime.  When the bytes match the last file loaded, that
-    operator is returned again with the read-only ``gram`` and
-    ``spectrum`` it has formed, so a process parses and factors one
-    operator content once however many data it sweeps.  Only the last
-    operator is kept; other bytes are decoded, parsed and validated as a
-    first load, and a file that fails to load leaves the kept one alone.
+    The operator is keyed on the file's bytes themselves, never on its
+    path or mtime.  When the bytes equal those of the last file loaded
+    (one read and one compare), that operator is returned again with the
+    read-only ``gram`` and ``spectrum`` it has formed, so a process parses
+    and factors one operator content once however many data it sweeps.
+    Only the last operator is kept; other bytes are parsed and validated
+    as a first load, and a file that fails to load leaves the kept one
+    alone.  The price is that the process holds the last file's bytes
+    between loads, not a digest: 10.4 MB for an 800 x 600 matrix of
+    ``repr`` floats, whose operator is 3.84 MB.  A first load parses those
+    bytes without a decoded copy, so the peak memory of a load still falls.
     """
     global _last_matrix
     data = _read_bytes(path, "matrix file")
-    digest = hashlib.sha256(data).digest()
-    key, operator = _last_matrix
-    if digest == key:
+    kept, operator = _last_matrix
+    if data == kept:
         return operator
-    text = _decode(data, path, "matrix file")
-    del data  # kept alive through the parse, the bytes raise peak RSS
-    operator = parse_matrix_text(text)
-    _last_matrix = (digest, operator)
+    try:
+        operator = parse_matrix_text(data)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read matrix file {path}: {exc}") from exc
+    _last_matrix = (data, operator)
     return operator

@@ -312,6 +312,25 @@ class TestUnreadableInputs:
         assert f"{cfg}:3: bad 'matrix'" in err and str(matrix) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "vectors, line, message",
+        [
+            ("f = 1 2 3\nh = 0 0", 3, "bad 'f': f must be a vector of length 2, got shape (3,)"),
+            ("f = 1 2\nh = 0 0 0", 4, "bad 'h': h must be a vector of length 2, got shape (3,)"),
+        ],
+    )
+    def test_matrix_path_vector_length_names_line(self, tmp_path, capsys, vectors, line, message):
+        matrix = tmp_path / "m.txt"
+        matrix.write_text("2 2\n1 0\n0 1\n")
+        out = tmp_path / "mp.csv"
+        cfg = write_config(
+            tmp_path,
+            f"[matrix_path]\nmatrix = {matrix}\n{vectors}\nschedule = 1 0.1\noutput = {out}\n",
+        )
+        assert cli.main(["run", cfg]) == 2
+        assert capsys.readouterr().err.strip() == f"error: {cfg}:{line}: {message}"
+        assert not out.exists()
+
 
 class TestVerifySuite:
     def test_all_checks_pass(self, capsys):

@@ -406,6 +406,140 @@ class TestLoadMatrixCache:
             load_matrix(bad)
         assert load_matrix(good) is T
 
+    def test_last_byte_differs_at_same_size(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"1 2\n1 2")
+        T = load_matrix(path)
+        path.write_bytes(b"1 2\n1 3")
+        changed = load_matrix(path)
+        assert changed is not T
+        assert changed.matrix.tolist() == [[1.0, 3.0]]
+
+    def test_second_file_replaces_the_kept_bytes(self, tmp_path):
+        first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+        first.write_text("1 1\n1\n")
+        second.write_text("1 1\n2\n")
+        T = load_matrix(first)
+        assert core._last_matrix == (first.read_bytes(), T)
+        S = load_matrix(second)
+        assert core._last_matrix == (second.read_bytes(), S)
+        again = load_matrix(first)
+        assert again is not T and again.matrix.tolist() == [[1.0]]
+        assert core._last_matrix == (first.read_bytes(), again)
+
+    @staticmethod
+    def text_parse(text):
+        """The str parse the operator was read with before it took bytes."""
+        tokens = text.split()[2:]
+        if "," not in text:
+            return np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
+
+        def entry(token):
+            if "," in token:
+                re_part, im_part = token.split(",", 1)
+                return complex(float(re_part), float(im_part))
+            return float(token)
+
+        return np.fromiter(map(entry, tokens), dtype=complex, count=len(tokens))
+
+    @staticmethod
+    def random_tokens(rng, shape, complex_share):
+        values = rng.standard_normal((2,) + shape) * 10.0 ** rng.integers(-300, 300, (2,) + shape)
+        re, im = (part.ravel().tolist() for part in values)
+        plain = (rng.random(shape) >= complex_share).ravel()
+        return [repr(a) if p else f"{a!r},{b!r}" for a, b, p in zip(re, im, plain)]
+
+    @pytest.mark.parametrize("complex_share", [0.0, 0.5])
+    @pytest.mark.parametrize(
+        "separators",
+        [
+            [" ", "\n"],
+            ["\t", "  ", "\r\n", "\x0b", "\x0c", " \n\n ", "\r"],
+            # separators only str.split knows: bytes with them parse as text
+            [" ", "\x1c", "\x1d\n", "\x1e", "\x1f"],
+            [" ", "\xa0", " ", "\n"],
+        ],
+    )
+    def test_bytes_parse_bitwise_equal_to_text_parse(self, tmp_path, complex_share, separators):
+        rng = np.random.default_rng(len(separators) + int(10 * complex_share))
+        tokens = self.random_tokens(rng, (30, 17), complex_share)
+        tokens = ["37", "14"] + tokens + ["1_0", "+1", "1.", ".5", "-0", "1e-400", "-1e-320", "0"]
+        gaps = rng.choice(separators, size=len(tokens))
+        text = "".join(s + t for s, t in zip(gaps, tokens)) + rng.choice(["", "\n"])
+        expected = self.text_parse(text)
+        path = tmp_path / "m.txt"
+        path.write_bytes(text.encode())
+        for T in (parse_matrix_text(text.encode()), load_matrix(path)):
+            assert T.matrix.dtype == expected.dtype
+            assert T.matrix.tobytes() == expected.tobytes()
+
+    def test_non_ascii_digits_parse_as_text(self):
+        text = "1 3 ١ ２.5 -٣e1"
+        assert parse_matrix_text(text.encode()).matrix.tolist() == [[1.0, 2.5, -30.0]]
+
+    def test_bench_sized_repr_matrix_bitwise_equal_to_text_parse(self, tmp_path):
+        m = np.random.default_rng(3).standard_normal((800, 600))
+        body = "\n".join(" ".join(map(repr, row)) for row in m.tolist())
+        path = tmp_path / "operator.txt"
+        path.write_text(f"800 600\n{body}\n")
+        T = load_matrix(path)
+        assert T.matrix.tobytes() == self.text_parse(path.read_text()).tobytes()
+        assert np.array_equal(T.matrix, m)
+        assert load_matrix(path) is T
+
+    @pytest.mark.parametrize(
+        "name, content, expected",
+        [
+            ("missing", None, "matrix file not found: {path}"),
+            (
+                "directory",
+                None,
+                "cannot read matrix file {path}: [Errno 21] Is a directory: '{path}'",
+            ),
+            (
+                "bad_utf8",
+                b"1 1\n\xff\n",
+                "cannot read matrix file {path}: 'utf-8' codec can't decode byte 0xff in "
+                "position 4: invalid start byte",
+            ),
+            (
+                "non_ascii",
+                "1 2\n1 é\n".encode(),
+                "malformed matrix entry: could not convert string to float: 'é'",
+            ),
+            ("empty", b"", "matrix text must start with 'rows cols'"),
+            ("bad_header", b"2 x\n1 2\n", "malformed matrix header: ['2', 'x']"),
+            ("non_positive", b"0 2\n", "matrix dimensions must be positive, got 0 x 2"),
+            ("too_few", b"2 2\n1 2 3\n", "expected 4 matrix entries, found 3"),
+            ("too_many", b"2 2\n1 2 3 4 5\n", "expected 4 matrix entries, found 5"),
+            (
+                "bad_real",
+                b"1 2\n1 x\n",
+                "malformed matrix entry: could not convert string to float: 'x'",
+            ),
+            (
+                "bad_complex",
+                b"1 2\n1,2 3,y\n",
+                "malformed matrix entry: could not convert string to float: 'y'",
+            ),
+        ],
+    )
+    def test_load_error_messages(self, tmp_path, name, content, expected):
+        path = tmp_path / name
+        if name == "directory":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        with pytest.raises(InputError) as error:
+            load_matrix(path)
+        assert str(error.value) == expected.format(path=path)
+        if content is not None and name != "bad_utf8":
+            with pytest.raises(InputError) as text_error:
+                parse_matrix_text(content.decode())
+            with pytest.raises(InputError) as bytes_error:
+                parse_matrix_text(content)
+            assert str(bytes_error.value) == str(text_error.value) == str(error.value)
+
 
 class TestMatrixText:
     def test_real_round_trip(self):
