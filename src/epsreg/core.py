@@ -79,15 +79,20 @@ class DiscreteOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix)
-        if mat.ndim != 2 or mat.size == 0:
-            raise InputError(f"operator matrix must be 2-d and nonempty, got shape {mat.shape}")
-        if not np.all(np.isfinite(mat)):
-            raise InputError("operator matrix contains non-finite entries")
+        mat = _checked_matrix(self.matrix)
         # An own read-only copy: neither the caller's array nor a later load
         # that shares this operator can change it under its cached spectrum.
-        mat = _read_only(mat.astype(np.result_type(mat, float)))
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", _read_only(mat.astype(np.result_type(mat, float))))
+
+    @classmethod
+    def _adopt(cls, mat: np.ndarray) -> DiscreteOperator:
+        """Operator over a fresh float or complex array that nothing else holds.
+
+        The array is checked and made read-only in place, not copied.
+        """
+        operator = cls.__new__(cls)
+        object.__setattr__(operator, "matrix", _read_only(_checked_matrix(mat)))
+        return operator
 
     @property
     def dom_dim(self) -> int:
@@ -115,6 +120,15 @@ class DiscreteOperator:
         lam, vecs = scipy.linalg.eigh(self.gram)
         # T*T is positive semidefinite: negative eigenvalues are rounding.
         return _read_only(np.maximum(lam, 0.0)), _read_only(vecs)
+
+
+def _checked_matrix(matrix) -> np.ndarray:
+    mat = np.asarray(matrix)
+    if mat.ndim != 2 or mat.size == 0:
+        raise InputError(f"operator matrix must be 2-d and nonempty, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise InputError("operator matrix contains non-finite entries")
+    return mat
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -389,7 +403,7 @@ def parse_matrix_text(text: str | bytes) -> DiscreteOperator:
         arr = np.fromiter(map(convert, body), dtype=kind, count=len(body))
     except ValueError as exc:
         raise InputError(f"malformed matrix entry: {_entry_error(convert, body)}") from exc
-    return DiscreteOperator(arr.reshape(rows, cols))
+    return DiscreteOperator._adopt(arr.reshape(rows, cols))
 
 
 def _as_str(token) -> str:

@@ -557,6 +557,31 @@ class TestMatrixText:
         T = load_matrix(path)
         assert T.matrix[1, 1] == 0.5 + 0.25j
 
+    @pytest.mark.parametrize("text", ["2 2\n1 0\n0 2\n", b"1 2  1,2 3,-4"], ids=["real", "complex"])
+    def test_parsed_array_adopted_without_copy(self, monkeypatch, text):
+        # The parser's fresh array becomes the operator's matrix as it is.
+        made, fromiter = [], np.fromiter
+
+        def spy(*args, **kwargs):
+            made.append(fromiter(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(np, "fromiter", spy)
+        T = parse_matrix_text(text)
+        assert len(made) == 1 and np.shares_memory(T.matrix, made[0])
+        assert not T.matrix.flags.writeable
+
+    @pytest.mark.parametrize("dtype", [float, complex, int])
+    def test_caller_array_copied(self, dtype):
+        m = np.eye(3, dtype=dtype)
+        T = DiscreteOperator(m)
+        assert not np.shares_memory(T.matrix, m)
+        assert m.flags.writeable and not T.matrix.flags.writeable
+
+    def test_adopted_array_checked(self):
+        with pytest.raises(InputError, match="non-finite"):
+            parse_matrix_text("1 2\n1 nan\n")
+
     @staticmethod
     def token_loop(text):
         return np.array([_parse_entry(tok) for tok in text.split()[2:]])

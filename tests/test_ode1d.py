@@ -9,6 +9,8 @@ from epsreg import cli
 from epsreg.errors import InputError
 from epsreg.ode1d import (
     Ode1dProblem,
+    _decaying_sums,
+    _exact_on_grid,
     _fine_samples,
     _grid_solution,
     convergence_report,
@@ -150,6 +152,98 @@ class TestConvergenceReport:
             convergence_report(p, [0.1, 1.0])
         with pytest.raises(InputError):
             convergence_report(p, [0.1, float("nan")])
+
+
+    @pytest.mark.parametrize("grid_points", [1, 0, 2.5])
+    def test_grid_points_validation(self, grid_points):
+        p = Ode1dProblem(0.0, 1.0, 0.0, math.cos)
+        with pytest.raises(InputError, match="grid_points"):
+            convergence_report(p, [1.0], grid_points=grid_points)
+
+    @pytest.mark.parametrize(
+        "f, antiderivative", [(math.cos, math.sin), (math.exp, math.exp)], ids=["cos", "exp"]
+    )
+    def test_exact_values(self, f, antiderivative):
+        # Measured: within 5.0e-15 of u0 + F(x) - F(a) over 50 random intervals.
+        a, b, u0 = -0.3, 1.4, 0.7
+        p = Ode1dProblem(a, b, u0, f)
+        grid = np.linspace(a, b, 1001)
+        fvals = _fine_samples(p, grid)
+        exact = u0 + np.array([antiderivative(x) for x in grid]) - antiderivative(a)
+        assert np.max(np.abs(_exact_on_grid(p, fvals) - exact)) <= 1e-14
+        # The report's exact derivatives are samples at the grid abscissae.
+        assert np.array_equal(fvals[::8], np.array([f(x) for x in grid]))
+
+    def test_errors_match_closed_form_for_cosine(self):
+        # f = cos: u_eps = sin x / (1 + eps) + al cosh(k(b-x))/cosh(s)
+        # + be sinh(k(x-a))/cosh(s), with al = u0 - sin a / (1 + eps) from
+        # u_eps(a) = u0 and be = k cos b / (1 + eps) from u_eps'(b) = cos b.
+        # Measured against this float64 evaluation: within 1.3e-15 on c0 and
+        # on c1 (3.3e-14 and 1.1e-14 with the earlier sequential sums and
+        # quad-based exact values); against a 40-digit one, 4.3e-15 and 2.7e-15.
+        a, b, u0 = 0.0, 1.5, 0.5
+        schedule = [10.0**j for j in range(2, -9, -1)]
+        rows = convergence_report(Ode1dProblem(a, b, u0, math.cos), schedule)
+        x = np.linspace(a, b, 1001)
+        for row in rows:
+            eps = row.epsilon
+            k = math.sqrt(eps)
+            s = k * (b - a)
+            al, be = u0 - math.sin(a) / (1.0 + eps), k * math.cos(b) / (1.0 + eps)
+            # cosh(t)/cosh(s) and sinh(t)/cosh(s) for 0 <= t <= s, scaled.
+            norm = 1.0 + math.exp(-2.0 * s)
+            tb, ta = k * (b - x), k * (x - a)
+            cb = (np.exp(tb - s) + np.exp(-tb - s)) / norm
+            sb = (np.exp(tb - s) - np.exp(-tb - s)) / norm
+            ca = (np.exp(ta - s) + np.exp(-ta - s)) / norm
+            sa = (np.exp(ta - s) - np.exp(-ta - s)) / norm
+            value = np.sin(x) / (1.0 + eps) + al * cb + be * sa
+            deriv = np.cos(x) / (1.0 + eps) + k * (be * ca - al * sb)
+            c0 = np.max(np.abs(value - (u0 + np.sin(x) - math.sin(a))))
+            c1 = np.max(np.abs(deriv - np.cos(x)))
+            assert abs(row.c0_error - c0) <= 1e-14
+            assert abs(row.c1_error - c1) <= 1e-14
+
+
+class TestDecayingSums:
+    # S_m = e^{-rate} S_(m-1) + t_m.  The report's rate 2 k h runs from 0 at
+    # eps = 0 through 3.8e-5 (k = 0.1 on the bench grid) to values where
+    # e^{-rate} underflows (kernels far below the grid spacing).
+    @pytest.mark.parametrize("rate", [0.0, 3.8e-5, 6.9, 460.0, 800.0])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 1023, 1024, 1025, 4000])
+    def test_matches_exact_sums(self, n, rate):
+        # Reference S_m = fsum of e^{-rate (m-j)} t_j at 21 indices, exact up
+        # to one rounding per product.  Measured worst: 0.99 eps sum_j |w_j t_j|.
+        terms = np.random.default_rng(n).standard_normal(n)
+        sums = _decaying_sums(terms, rate)
+        assert sums.shape == (n + 1,) and sums[0] == 0.0
+        for m in sorted(set(np.linspace(0, n, 21).astype(int))):
+            weighted = np.exp(-rate * np.arange(m - 1, -1, -1.0)) * terms[:m]
+            bound = 4.0 * np.finfo(float).eps * np.abs(weighted).sum()
+            assert abs(sums[m] - math.fsum(weighted)) <= bound
+
+    @pytest.mark.parametrize("rate", [0.0, 3.8e-5, 800.0])
+    def test_matches_sequential_recurrence(self, rate):
+        # Against the scalar recurrence it replaces.  Measured up to 9.0e-13 of
+        # |S| + max|t| near decay 1 over six seeds (this one is the worst):
+        # the recurrence's own rounding, as the scan is within one rounding of
+        # the exact sums above.
+        terms = np.random.default_rng(1).standard_normal(4000)
+        decay, sequential = math.exp(-rate), [0.0]
+        for t in terms:
+            sequential.append(decay * sequential[-1] + t)
+        scale = np.abs(sequential) + np.max(np.abs(terms))
+        assert np.all(np.abs(_decaying_sums(terms, rate) - sequential) <= 2e-12 * scale)
+
+    @pytest.mark.parametrize("rate", [800.0, math.inf])
+    def test_zero_decay_returns_the_terms(self, rate):
+        terms = np.random.default_rng(5).standard_normal(33)
+        assert np.array_equal(_decaying_sums(terms, rate), np.concatenate(([0.0], terms)))
+
+    def test_terms_left_unchanged(self):
+        terms = np.arange(1.0, 6.0)
+        _decaying_sums(terms, 0.5)
+        assert np.array_equal(terms, np.arange(1.0, 6.0))
 
 
 def _unit_rhs(x):
