@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError, NumericError
 
@@ -117,6 +116,8 @@ class DiscreteOperator:
     @cached_property
     def spectrum(self):
         """(lam, V) with T*T = V diag(lam) V*, lam clipped at 0; one per operator."""
+        import scipy.linalg  # on first use: of the runs, only matrix_path needs it
+
         lam, vecs = scipy.linalg.eigh(self.gram)
         # T*T is positive semidefinite: negative eigenvalues are rounding.
         return _read_only(np.maximum(lam, 0.0)), _read_only(vecs)

@@ -37,8 +37,6 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.special
 
 from . import core, diskbasis
 from .bessel import RadialFactor, bessel_i, bessel_i_prime
@@ -119,6 +117,8 @@ class DiskQuadrature:
         if not (2 <= n_r <= N_R_MAX and 4 <= n_phi <= N_PHI_MAX):
             bounds = f"[2, {N_R_MAX}] x [4, {N_PHI_MAX}]"
             raise InputError(f"quadrature sizes outside {bounds}: {n_r} x {n_phi}")
+        import scipy.special  # on first use: disk_mixed and ode1d runs never build a quadrature
+
         nodes, weights = scipy.special.roots_legendre(n_r)
         r = 0.5 * (nodes + 1.0)
         wr = 0.5 * weights * r
@@ -752,6 +752,8 @@ def _seed_spectrum(energy_gram: np.ndarray, l2_gram: np.ndarray, drop_tol: float
     scale = np.sqrt(np.real(np.diag(l2_gram)))
     outer = np.outer(scale, scale)
     m_scaled = l2_gram / outer
+    import scipy.linalg  # on first use: only the seed system of disk_cauchy needs it
+
     pstrf = scipy.linalg.get_lapack_funcs("pstrf", (m_scaled,))
     tol = max(drop_tol**2, n * np.finfo(float).eps)
     _, piv, rank, _ = pstrf(m_scaled, tol=tol)

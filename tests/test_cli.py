@@ -285,6 +285,91 @@ class TestImports:
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["False"]
 
+    # scipy.linalg and scipy.special are imported where they are called:
+    # imports, config parsing, disk_mixed and ode1d runs load no scipy module.
+    _LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+    def _fresh(self, code, cwd=None):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        return out.stdout.splitlines()
+
+    def test_import_loads_no_scipy(self):
+        code = (
+            "import sys\n"
+            "import epsreg\n"
+            f"print({self._LOADED_SCIPY})\n"
+            "import epsreg.cli\n"
+            f"print({self._LOADED_SCIPY})\n"
+        )
+        assert self._fresh(code) == ["[]", "[]"]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            ODE_CONFIG.format(out="o.csv"),
+            "[disk_mixed]\ngamma_start = 0.0\ngamma_end = 3.0\nn_modes = 6\n"
+            "schedule = 1 0.5\noutput = o.csv\n",
+        ],
+        ids=["ode1d", "disk_mixed"],
+    )
+    def test_run_loads_no_scipy(self, tmp_path, text):
+        path = write_config(tmp_path, text)
+        code = (
+            "import sys\n"
+            "from epsreg import cli\n"
+            f"print(cli.main(['run', {path!r}]))\n"
+            f"print({self._LOADED_SCIPY})\n"
+        )
+        assert self._fresh(code, cwd=tmp_path)[-2:] == ["0", "[]"]
+        assert (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "module, before, setup, call, check",
+        [
+            (
+                "scipy.linalg",
+                "False",
+                "op = core.DiscreteOperator(np.array([[2.0, 0.0], [1.0, 1.0], [0.0, 3.0]]))",
+                "lam, vecs = op.spectrum",
+                "np.allclose(lam, np.linalg.eigvalsh(op.gram), rtol=0, atol=1e-12)",
+            ),
+            (
+                "scipy.special",
+                "False",
+                "",
+                "quad = variational.DiskQuadrature.build(8, 16)",
+                "abs(quad.w.sum() - math.pi) <= 1e-13",
+            ),
+            # roots_legendre loads scipy.linalg itself, so it is in sys.modules
+            # before the seed system is built; variational still imports it.
+            (
+                "scipy.linalg",
+                "True",
+                "quad = variational.DiskQuadrature.build(16, 64)",
+                "seeds = variational.build_seed_system("
+                "variational.ArcSpec(0.0, math.pi), diskbasis.DiracOperatorKind.GRADIENT, 6, quad)",
+                "np.allclose(seeds.eigvecs.conj().T @ seeds.l2_gram.T @ seeds.eigvecs,"
+                " np.eye(seeds.eigvecs.shape[1]), rtol=0, atol=1e-10)",
+            ),
+        ],
+        ids=["spectrum", "quadrature", "seed_system"],
+    )
+    def test_first_call_loads_its_module(self, module, before, setup, call, check):
+        code = (
+            "import math, sys\n"
+            "import numpy as np\n"
+            "from epsreg import core, diskbasis, variational\n"
+            f"{setup}\n"
+            f"print({module!r} in sys.modules)\n"
+            f"{call}\n"
+            f"print({module!r} in sys.modules, bool({check}))\n"
+        )
+        assert self._fresh(code) == [before, "True True"]
+
 
 class TestUnreadableInputs:
     # Files that cannot be opened or decoded exit 2 with the file named,

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from epsreg import cli
+from epsreg import cli, ode1d
 from epsreg.errors import InputError
 from epsreg.ode1d import (
     Ode1dProblem,
@@ -137,10 +137,15 @@ class TestConvergenceReport:
         rows = convergence_report(p, [1.0, 0.1])
         assert all(row.c0_error <= 1e-13 and row.c1_error <= 1e-13 for row in rows)
 
-    def test_large_epsilon_falls_back_to_pointwise(self):
-        # sqrt(eps)(b - a) > 30 takes the scaled pointwise route.
+    def test_large_epsilon_runs_through_grid_solution(self, monkeypatch):
+        # eps 4e3 gives k(b - a) = sqrt(4e3) ~ 63; the report still takes it
+        # through _grid_solution, and its c0 error stays finite and below 1.
+        seen = []
+        spy = lambda *args: seen.append(args[1]) or _grid_solution(*args)
+        monkeypatch.setattr(ode1d, "_grid_solution", spy)
         p = Ode1dProblem(0.0, 1.0, 0.1, math.cos)
         rows = convergence_report(p, [4.0e3], grid_points=11)
+        assert seen == [4.0e3]
         assert math.isfinite(rows[0].c0_error)
         assert rows[0].c0_error < 1.0
 
