@@ -14,9 +14,7 @@ from .core import (
     PerturbedSolution,
     RegularizationPath,
     Verdict,
-    kernel_orthogonality_check,
     load_matrix,
-    minimal_norm_solution,
     parse_matrix_text,
     run_path,
     solve_perturbed,
@@ -29,7 +27,6 @@ from .diskbasis import (
     enumerate_modes,
     evaluate,
     nonvanishing_check,
-    normal_trace,
     symbol_defect,
 )
 from .errors import EpsregError, InputError, NumericError
@@ -39,11 +36,8 @@ from .variational import (
     CauchyProblemSpec,
     DiskQuadrature,
     Field,
-    boundary_form_h,
     build_seed_system,
     cauchy_pipeline,
-    gram_schmidt,
-    inner_eps,
     lift_cauchy_datum,
     solve_mixed_boundary_series,
     solve_perturbed_galerkin,

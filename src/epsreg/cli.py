@@ -369,9 +369,7 @@ def _run_disk_mixed(cfg: ExperimentConfig) -> RunResult:
         sol = variational.solve_mixed_boundary_series(
             op, arc, u0, u1, eps, n_modes=p["n_modes"], n_phi=p["n_phi"]
         )
-        trace_err = math.sqrt(
-            float(np.sum(g_w * np.abs(sol.trace_on(g_phi) - u0(g_phi)) ** 2))
-        ) if g_phi.size else 0.0
+        trace_err = math.sqrt(float(np.sum(g_w * np.abs(sol.trace_on(g_phi) - u0(g_phi)) ** 2)))
         normal_err = math.sqrt(
             float(np.sum(c_w * np.abs(sol.conormal_on(c_phi) - u1(c_phi)) ** 2))
         ) if c_phi.size else 0.0
@@ -475,6 +473,7 @@ def run(config: ExperimentConfig, output_override=None) -> int:
 def _verify_suite() -> int:
     """Structural checks across all modules; nonzero exit on any violation."""
     failures = 0
+    tols = _VERIFY_TOLS
 
     def check(name, passed, detail=""):
         nonlocal failures
@@ -496,16 +495,20 @@ def _verify_suite() -> int:
     rng = np.random.default_rng(0)
     for op in DiracOperatorKind:
         defect = diskbasis.symbol_defect(op, rng.standard_normal((100, 2)))
-        check(f"symbol identity {op.value}", defect <= 1e-14, f"defect={defect:.2e}")
+        passed = defect <= tols["symbol_defect"]
+        check(f"symbol identity {op.value}", passed, f"defect={defect:.2e}")
 
     points = _ring_points(0.45, 10)
     for op in DiracOperatorKind:
         for eps in (0.25, 1.0, 4.0):
             off_l2, off_en, worst, coupling = _basis_checks(op, 6, eps, quad, points)
+            orthogonal = off_l2 <= tols["max_l2_offdiag"] and off_en <= tols["max_energy_offdiag"]
             off = max(off_l2, off_en)
-            check(f"basis orthogonality {op.value} eps={eps}", off <= 1e-8, f"offdiag={off:.2e}")
-            check(f"helmholtz residual {op.value} eps={eps}", worst <= 1e-5, f"res={worst:.2e}")
-            check(f"normal coupling positive {op.value} eps={eps}", coupling > 0.0)
+            check(f"basis orthogonality {op.value} eps={eps}", orthogonal, f"offdiag={off:.2e}")
+            helmholtz = worst <= tols["max_helmholtz_residual"]
+            check(f"helmholtz residual {op.value} eps={eps}", helmholtz, f"res={worst:.2e}")
+            coupled = coupling > tols["min_normal_coupling"]
+            check(f"normal coupling positive {op.value} eps={eps}", coupled)
 
     phis = np.linspace(0.0, 2.0 * math.pi, 50, endpoint=False)
     for i in range(1, 9):

@@ -37,8 +37,6 @@ __all__ = [
     "Verdict",
     "solve_perturbed",
     "run_path",
-    "minimal_norm_solution",
-    "kernel_orthogonality_check",
     "fit_growth_slope",
     "classify_slope",
     "parse_matrix_text",
@@ -172,14 +170,6 @@ class RegularizationPath:
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise InputError("path entries must be ordered by strictly decreasing epsilon")
 
-    @property
-    def epsilons(self) -> np.ndarray:
-        return np.array([e.epsilon for e in self.entries])
-
-    @property
-    def norms(self) -> np.ndarray:
-        return np.array([e.norm_h for e in self.entries])
-
 
 def _as_vector(v, length: int, name: str) -> np.ndarray:
     arr = np.asarray(v)
@@ -310,48 +300,6 @@ def run_path(T: DiscreteOperator, f, h, schedule) -> RegularizationPath:
     entries = tuple(solve_perturbed(T, f, h, float(eps)) for eps in sched)
     slope = fit_growth_slope(sched, [e.norm_h for e in entries])
     return RegularizationPath(entries=entries, verdict=classify_slope(slope), growth_slope=slope)
-
-
-def minimal_norm_solution(T: DiscreteOperator, f, rank_tol: float = 1e-12, range_tol: float = 1e-9):
-    """Minimal-norm least-squares solution of T u = f via SVD, or None.
-
-    Singular values below ``rank_tol * sigma_max`` are treated as zero.
-    Returns None when the projection of ``f`` outside the numerical range
-    of T is larger than ``range_tol * (1 + ||f||)``, i.e. the equation has
-    no solution.
-    """
-    fv = _as_vector(f, T.cod_dim, "f")
-    u_svd, sigma, vh = np.linalg.svd(T.matrix, full_matrices=False)
-    cutoff = rank_tol * sigma[0]
-    inv = np.zeros_like(sigma)
-    keep = sigma > cutoff
-    inv[keep] = 1.0 / sigma[keep]
-    solution = vh.conj().T @ (inv * (u_svd.conj().T @ fv))
-    defect = float(np.linalg.norm(T.matrix @ solution - fv))
-    if defect > range_tol * (1.0 + float(np.linalg.norm(fv))):
-        return None
-    return solution
-
-
-def kernel_orthogonality_check(
-    T: DiscreteOperator, sol: PerturbedSolution, kernel_basis
-) -> float:
-    """Max |(u_eps, v)| over a kernel basis of T.
-
-    Each candidate kernel vector must satisfy ||T v|| <= 1e-10 ||v||.  The
-    orthogonality statement holds only for solves with h = 0; enforcing
-    that is the caller's convention.
-    """
-    worst = 0.0
-    for k, v in enumerate(kernel_basis):
-        vec = _as_vector(v, T.dom_dim, f"kernel vector {k}")
-        vnorm = float(np.linalg.norm(vec))
-        if vnorm == 0.0:
-            continue
-        if float(np.linalg.norm(T.matrix @ vec)) > 1e-10 * vnorm:
-            raise InputError(f"vector {k} is not in the kernel of T")
-        worst = max(worst, abs(complex(np.vdot(vec, sol.u))))
-    return worst
 
 
 def _parse_entry(token):

@@ -37,7 +37,6 @@ __all__ = [
     "evaluate",
     "apply_operator",
     "centered_gradient",
-    "normal_trace",
     "check_helmholtz",
     "basis_table",
     "boundary_amplitudes",
@@ -81,12 +80,6 @@ class DiracOperatorKind(enum.Enum):
         if self is DiracOperatorKind.GRADIENT:
             return np.stack([ux, uy])
         return ux + 1j * uy
-
-    def pair_outputs(self, g1, g2):
-        """Pointwise fiber inner product (g1, g2)_F, conjugating g2."""
-        if self is DiracOperatorKind.GRADIENT:
-            return np.sum(g1 * np.conj(g2), axis=0)
-        return g1 * np.conj(g2)
 
     def eigenvalue(self, i: int, branch: int) -> float:
         """Eigenvalue lambda_i^(j) of n o A on r^i H_i^(j)."""
@@ -190,10 +183,6 @@ class BasisFunction:
     def epsilon(self) -> float:
         return self.radial.epsilon
 
-    @property
-    def lam(self) -> float:
-        return self.operator.eigenvalue(self.index, self.branch)
-
     def value_polar(self, r, phi):
         return self.radial.value(r) * self.operator.angular(self.index, self.branch, phi)
 
@@ -277,13 +266,6 @@ def apply_operator(op: DiracOperatorKind, u):
         return op.apply_gradient(*grad(x, y))
 
     return field
-
-
-def normal_trace(op: DiracOperatorKind, b: BasisFunction, phi):
-    """n(A b) on the boundary circle via the closed form."""
-    if b.operator is not op:
-        raise InputError("basis function belongs to a different operator kind")
-    return b.normal_trace_values(phi)
 
 
 def basis_table(op: DiracOperatorKind, modes, epsilon: float, x, y):

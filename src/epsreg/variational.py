@@ -26,14 +26,15 @@ Cauchy datum takes its node values on the tensor grid from one inverse FFT
 per radius (``FourierHarmonicField.at_nodes``) and its values at arbitrary
 points from Horner's rule.  A separate series solver
 fits mixed boundary data over the Helmholtz modes by least squares, from one
-SVD of their weighted boundary matrix.
+SVD of their weighted boundary matrix.  The closure forms of the paper's
+definitions (the eps-inner product, the boundary form h, Gram-Schmidt, the
+seeds as closures) are the tests' reference, in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -49,14 +50,7 @@ __all__ = [
     "Field",
     "LinearCombination",
     "FourierHarmonicField",
-    "inner_l2",
-    "inner_energy",
-    "inner_eps",
-    "trace_values",
     "conormal_values",
-    "boundary_form_h",
-    "gram_schmidt",
-    "GramSchmidtResult",
     "basis_grams",
     "max_offdiag_relative",
     "N_R_MAX",
@@ -138,17 +132,14 @@ class ArcSpec:
     """Closed boundary arc Gamma = {e^{i phi} : phi in [start, end]}.
 
     ``gamma_start`` lies in [0, 2 pi) and ``gamma_end`` in
-    (gamma_start, gamma_start + 2 pi]; the full circle and the empty arc
-    are both representable.  The complement arc is derived.
+    (gamma_start, gamma_start + 2 pi]; the full circle is representable.
+    The complement arc is derived.
     """
 
     gamma_start: float
     gamma_end: float
-    empty: bool = False
 
     def __post_init__(self):
-        if self.empty:
-            return
         if not (0.0 <= self.gamma_start < _TWO_PI):
             raise InputError(f"gamma_start must lie in [0, 2 pi), got {self.gamma_start}")
         length = self.gamma_end - self.gamma_start
@@ -159,53 +150,36 @@ class ArcSpec:
             )
 
     @classmethod
-    def empty_arc(cls) -> "ArcSpec":
-        return cls(0.0, 0.0, empty=True)
-
-    @classmethod
     def full_circle(cls) -> "ArcSpec":
         return cls(0.0, _TWO_PI)
 
     @property
     def length(self) -> float:
-        return 0.0 if self.empty else self.gamma_end - self.gamma_start
+        return self.gamma_end - self.gamma_start
 
     @property
     def is_full(self) -> bool:
-        return not self.empty and self.length >= _TWO_PI - 1e-12
+        return self.length >= _TWO_PI - 1e-12
 
     @property
     def complement_length(self) -> float:
         return _TWO_PI - self.length
-
-    def contains(self, phi) -> np.ndarray:
-        """Membership of boundary angles in the closed arc."""
-        if self.empty:
-            return np.zeros(np.shape(phi), dtype=bool)
-        t = np.mod(np.asarray(phi, dtype=float) - self.gamma_start, _TWO_PI)
-        return (t <= self.length + 1e-12) | (t >= _TWO_PI - 1e-12)
 
     def complement_position(self, phi) -> np.ndarray:
         """Arclength position inside the complement, measured from gamma_end.
 
         Values outside (0, complement length) mean the angle lies on Gamma.
         """
-        if self.empty:
-            return np.mod(np.asarray(phi, dtype=float), _TWO_PI)
         return np.mod(np.asarray(phi, dtype=float) - self.gamma_end, _TWO_PI)
 
     def distance_to_arc(self, phi) -> np.ndarray:
         """Angular distance to Gamma (zero on the arc)."""
-        if self.empty:
-            return np.full(np.shape(phi), np.inf)
         t = self.complement_position(phi)
         lc = self.complement_length
         inside = (t > 0.0) & (t < lc)
         return np.where(inside, np.minimum(t, lc - t), 0.0)
 
     def _arc_quadrature(self, start: float, length: float, n_phi: int):
-        if length <= 0.0:
-            return np.empty(0), np.empty(0)
         if length >= _TWO_PI - 1e-12:
             phi = start + _TWO_PI * np.arange(n_phi) / n_phi
             return phi, np.full(n_phi, _TWO_PI / n_phi)
@@ -218,16 +192,12 @@ class ArcSpec:
 
     def quadrature(self, n_phi: int = 256):
         """Trapezoid nodes and weights on Gamma."""
-        if self.empty:
-            return np.empty(0), np.empty(0)
         return self._arc_quadrature(self.gamma_start, self.length, n_phi)
 
     def complement_quadrature(self, n_phi: int = 256):
         """Trapezoid nodes and weights on the complement arc."""
         if self.is_full:
             return np.empty(0), np.empty(0)
-        if self.empty:
-            return self._arc_quadrature(0.0, _TWO_PI, n_phi)
         return self._arc_quadrature(self.gamma_end, self.complement_length, n_phi)
 
 
@@ -252,23 +222,6 @@ class Field:
         grad = self._gradient or diskbasis.centered_gradient(self._value)
         return grad(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
-    # Linear structure; combinations flatten into a single LinearCombination.
-    def _atoms(self):
-        return [(1.0, self)]
-
-    def __add__(self, other):
-        return LinearCombination.from_atoms(self._atoms() + other._atoms())
-
-    def __sub__(self, other):
-        return LinearCombination.from_atoms(
-            self._atoms() + [(-c, a) for c, a in other._atoms()]
-        )
-
-    def __mul__(self, scalar):
-        return LinearCombination.from_atoms([(scalar * c, a) for c, a in self._atoms()])
-
-    __rmul__ = __mul__
-
     @staticmethod
     def wrap(obj) -> "Field":
         """Adapt anything exposing value_xy/gradient_xy (e.g. BasisFunction)."""
@@ -281,30 +234,6 @@ class Field:
             return Field(obj)
         raise InputError(f"cannot interpret {type(obj).__name__} as a field")
 
-    @staticmethod
-    def constant(c) -> "Field":
-        def value(x, y):
-            return np.full(np.broadcast(x, y).shape, c)
-
-        def gradient(x, y):
-            zero = np.zeros(np.broadcast(x, y).shape)
-            return zero, zero
-
-        return Field(value, gradient)
-
-    @staticmethod
-    def monomial(px: int, py: int) -> "Field":
-        def value(x, y):
-            return x**px * y**py
-
-        def gradient(x, y):
-            shape = np.broadcast(x, y).shape
-            ux = px * x ** (px - 1) * y**py if px > 0 else np.zeros(shape)
-            uy = py * x**px * y ** (py - 1) if py > 0 else np.zeros(shape)
-            return ux, uy
-
-        return Field(value, gradient)
-
 
 class LinearCombination(Field):
     """Flattened linear combination of atomic fields."""
@@ -314,13 +243,6 @@ class LinearCombination(Field):
         self.atoms = list(atoms)
         if self.coeffs.shape != (len(self.atoms),):
             raise InputError("one coefficient per atom required")
-
-    @classmethod
-    def from_atoms(cls, pairs):
-        return cls([c for c, _ in pairs], [a for _, a in pairs])
-
-    def _atoms(self):
-        return [(c, a) for c, a in zip(self.coeffs, self.atoms)]
 
     def value_xy(self, x, y):
         total = 0.0
@@ -416,38 +338,8 @@ class FourierHarmonicField(Field):
 
 
 # ---------------------------------------------------------------------------
-# Inner products and boundary forms
+# Conormal trace and basis Grams
 # ---------------------------------------------------------------------------
-
-
-def inner_l2(u, v, quad: DiskQuadrature):
-    """(u, v)_{L^2(D)}, conjugating the second argument."""
-    uu = Field.wrap(u).value_xy(quad.x, quad.y)
-    vv = Field.wrap(v).value_xy(quad.x, quad.y)
-    return quad.integrate(uu * np.conj(vv))
-
-
-def inner_energy(u, v, op: DiracOperatorKind, quad: DiskQuadrature):
-    """(A u, A v)_{L^2(D)}."""
-    au = op.apply_gradient(*Field.wrap(u).gradient_xy(quad.x, quad.y))
-    av = op.apply_gradient(*Field.wrap(v).gradient_xy(quad.x, quad.y))
-    return quad.integrate(op.pair_outputs(au, av))
-
-
-def inner_eps(u, v, op: DiracOperatorKind, epsilon: float, quad: DiskQuadrature):
-    """(u, v)_eps = (A u, A v) + eps (u, v)."""
-    if not epsilon > 0.0:
-        raise InputError(f"epsilon must be positive, got {epsilon}")
-    value = inner_energy(u, v, op, quad) + epsilon * inner_l2(u, v, quad)
-    if not np.isfinite(complex(value)):
-        raise NumericError("non-finite field values in inner product")
-    return value
-
-
-def trace_values(u, phi):
-    """Boundary trace t(u) at angles phi on the unit circle."""
-    phi = np.asarray(phi, dtype=float)
-    return Field.wrap(u).value_xy(np.cos(phi), np.sin(phi))
 
 
 def conormal_values(op: DiracOperatorKind, u, phi):
@@ -463,79 +355,6 @@ def conormal_values(op: DiracOperatorKind, u, phi):
     if op is DiracOperatorKind.GRADIENT:
         return x * ux + y * uy
     return (x - 1j * y) * (ux + 1j * uy)
-
-
-def boundary_form_h(u, v, op: DiracOperatorKind, arc: ArcSpec, n_phi: int = 256):
-    """Boundary Hermitian form h(u, v) in arc-L^2 realization.
-
-    h(u, v) = (t(u), t(v))_{Gamma} + (n(Au), n(Av))_{complement}, both
-    terms plain arc-L^2 products computed by trapezoid quadrature.
-    """
-    if arc.empty and arc.complement_length <= 0.0:
-        raise InputError("Gamma and its complement cannot both be empty")
-    total = 0.0 + 0.0j if op.is_complex else 0.0
-    g_phi, g_w = arc.quadrature(n_phi)
-    if g_phi.size:
-        total = total + np.sum(g_w * trace_values(u, g_phi) * np.conj(trace_values(v, g_phi)))
-    c_phi, c_w = arc.complement_quadrature(n_phi)
-    if c_phi.size:
-        nu = conormal_values(op, u, c_phi)
-        nv = conormal_values(op, v, c_phi)
-        total = total + np.sum(c_w * nu * np.conj(nv))
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Gram-Schmidt
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class GramSchmidtResult:
-    """Orthonormal system plus the triangular expansion of the inputs.
-
-    ``coefficients[j, k]`` is the component of input k on output j, so
-    input_k = sum_j coefficients[j, k] * basis_j up to dropped directions.
-    """
-
-    basis: list
-    coefficients: np.ndarray
-    dropped: list
-
-
-def gram_schmidt(vectors: Sequence, inner: Callable, drop_tol: float = 1e-10) -> GramSchmidtResult:
-    """Modified Gram-Schmidt with one reorthogonalization pass.
-
-    Works on anything with +, - and scalar multiplication (numpy arrays,
-    Field objects).  ``inner(u, v)`` must be a sesquilinear product
-    conjugating its second argument.  Inputs whose norm collapses below
-    ``drop_tol`` times their original norm are dropped and reported.
-    """
-    items = list(vectors)
-    basis: list = []
-    dropped: list = []
-    coeff_cols = []
-    for k, item in enumerate(items):
-        work = item
-        norm0 = math.sqrt(max(float(np.real(inner(work, work))), 0.0))
-        column = np.zeros(len(items), dtype=complex)
-        for _ in range(2):
-            for j, e in enumerate(basis):
-                proj = inner(work, e)
-                work = work - proj * e
-                column[j] += proj
-        norm = math.sqrt(max(float(np.real(inner(work, work))), 0.0))
-        if norm0 == 0.0 or norm <= drop_tol * norm0:
-            dropped.append(k)
-            coeff_cols.append(column)
-            continue
-        basis.append((1.0 / norm) * work)
-        column[len(basis) - 1] = norm
-        coeff_cols.append(column)
-    coefficients = np.array(coeff_cols).T[: len(basis), :] if items else np.zeros((0, 0))
-    if not any(np.iscomplexobj(np.asarray(c)) and np.any(np.abs(np.imag(c)) > 0) for c in coeff_cols):
-        coefficients = coefficients.real
-    return GramSchmidtResult(basis=basis, coefficients=coefficients, dropped=dropped)
 
 
 def _radial_table(i_max: int, epsilon: float, r: np.ndarray):
@@ -629,11 +448,10 @@ def _monomial_exponents(count: int):
 def _sigma(arc: ArcSpec, phi):
     """sigma(phi) and sigma'(phi), with sigma = sin^4 of the scaled position
     along the complement arc: zero on Gamma's closed angular interval,
-    positive elsewhere on the boundary (one on the whole circle if Gamma is
-    empty)."""
+    positive elsewhere on the boundary."""
     lc = arc.complement_length
-    if arc.empty or lc <= 0.0:
-        return np.full(np.shape(phi), float(arc.empty)), np.zeros(np.shape(phi))
+    if lc <= 0.0:
+        return np.zeros(np.shape(phi)), np.zeros(np.shape(phi))
     t = arc.complement_position(phi)
     inside = (t > 0.0) & (t < lc)
     arg = math.pi * t / lc
@@ -642,50 +460,13 @@ def _sigma(arc: ArcSpec, phi):
     return s, ds
 
 
-def _delta_nodes(arc: ArcSpec, x, y):
-    """delta = 1 - r^2 + r^2 sigma(phi) and its Cartesian gradient at (x, y)."""
-    s, ds = _sigma(arc, np.arctan2(y, x))
-    r2 = x * x + y * y
-    value = 1.0 - r2 + r2 * s
-    gx = -2.0 * x + 2.0 * x * s - y * ds
-    gy = -2.0 * y + 2.0 * y * s + x * ds
-    return value, gx, gy
-
-
-def defining_function(arc: ArcSpec) -> Field:
-    """Smooth nonnegative field vanishing exactly on Gamma.
-
-    delta = 1 - r^2 + r^2 sigma(phi) (see ``_delta_nodes``): zero on Gamma,
-    positive elsewhere on the boundary and throughout the open disk.  Only
-    ``SeedSystem.fields``, the tests' closure reference, evaluates it.
-    """
-    return Field(
-        lambda x, y: _delta_nodes(arc, x, y)[0],
-        lambda x, y: _delta_nodes(arc, x, y)[1:],
-    )
-
-
-def _product_field(a: Field, b: Field) -> Field:
-    """a * b with the product-rule gradient, for the closure seeds ``SeedSystem.fields``."""
-    def value(x, y):
-        return a.value_xy(x, y) * b.value_xy(x, y)
-
-    def gradient(x, y):
-        av, bv = a.value_xy(x, y), b.value_xy(x, y)
-        ax, ay = a.gradient_xy(x, y)
-        bx, by = b.gradient_xy(x, y)
-        return ax * bv + av * bx, ay * bv + av * by
-
-    return Field(value, gradient)
-
-
 def _seed_tables(arc: ArcSpec, exponents, r, phi):
     """Radial and angular tables of the seeds delta * x^px y^py on a polar grid.
 
     With d = px + py, Theta = cos^px sin^py, r^(d-1) (mx, my) the gradient
     of the monomial and r (ex, ey) = r (2 cos (sigma - 1) - sin sigma',
     2 sin (sigma - 1) + cos sigma') that of delta = 1 - r^2 + r^2 sigma,
-    ``_product_field`` regrouped by powers of r is a sum of two radial x
+    the product rule regrouped by powers of r gives a sum of two radial x
     angular terms for every seed quantity:
 
         s     = (1 - r^2) r^d Theta  + r^(d+2) sigma Theta
@@ -813,15 +594,6 @@ class SeedSystem:
     @property
     def size(self) -> int:
         return self.norms.size
-
-    @cached_property
-    def fields(self) -> list:
-        """The seeds as Field closures: the tests' reference for ``tables``, built on first use."""
-        delta = defining_function(self.arc)
-        return [
-            (1.0 / norm) * _product_field(delta, Field.monomial(px, py))
-            for norm, (px, py) in zip(self.norms, self.exponents)
-        ]
 
     def _weighted_sum(self, part: int, data) -> np.ndarray:
         """sum_n w_n data_n q_k(x_n) for seed quantity ``part`` (0 value, 1 d/dx, 2 d/dy).
@@ -964,14 +736,12 @@ def build_seed_system(
         k_gram = k_gram + 1j * (cross.T - cross)
     value_radial, slope_radial = value_radial / norms, slope_radial / norms
 
-    trace_max = 0.0
     g_phi, _ = arc.quadrature(quad.n_phi)
-    if g_phi.size:
-        ring, _, (ring_ang, _, _) = _seed_tables(arc, exponents, np.ones(1), g_phi)
-        traces = _tensor_combination(ring / norms, ring_ang, np.eye(size))
-        trace_max = float(np.max(np.abs(traces)))
-        if trace_max > _SEED_TRACE_TOL:
-            raise NumericError(f"seed trace on Gamma {trace_max:.3e} exceeds {_SEED_TRACE_TOL:.1e}")
+    ring, _, (ring_ang, _, _) = _seed_tables(arc, exponents, np.ones(1), g_phi)
+    traces = _tensor_combination(ring / norms, ring_ang, np.eye(size))
+    trace_max = float(np.max(np.abs(traces)))
+    if trace_max > _SEED_TRACE_TOL:
+        raise NumericError(f"seed trace on Gamma {trace_max:.3e} exceeds {_SEED_TRACE_TOL:.1e}")
 
     lam, eigvecs, dropped = _seed_spectrum(k_gram, m_gram, _SEED_DROP_TOL)
     return SeedSystem(
@@ -1093,8 +863,6 @@ def solve_mixed_boundary_series(
     modes = diskbasis.enumerate_modes(n_modes)
     g_phi, g_w = arc.quadrature(n_phi)
     c_phi, c_w = arc.complement_quadrature(n_phi)
-    if g_phi.size == 0 and c_phi.size == 0:
-        raise InputError("Gamma and its complement cannot both be empty")
 
     trace_scale, conormal_scale = diskbasis.boundary_amplitudes(operator, modes, epsilon)
     low = np.flatnonzero(trace_scale < np.finfo(float).tiny)
@@ -1155,9 +923,7 @@ def lift_cauchy_datum(
     """
     phis = _TWO_PI * np.arange(n_phi) / n_phi
     lc = arc.complement_length
-    if arc.empty:
-        window = np.zeros(n_phi)
-    elif lc <= 0.0:
+    if lc <= 0.0:
         window = np.ones(n_phi)
     else:
         window = np.cos(math.pi * arc.distance_to_arc(phis) / lc) ** 2

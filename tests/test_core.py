@@ -14,14 +14,13 @@ from epsreg.core import (
     _parse_entry,
     Verdict,
     fit_growth_slope,
-    kernel_orthogonality_check,
     load_matrix,
-    minimal_norm_solution,
     parse_matrix_text,
     run_path,
     solve_perturbed,
 )
 from epsreg.errors import InputError, NumericError
+from reference import kernel_orthogonality_check, minimal_norm_solution
 
 
 def direct_solve_oracle(matrix, f, h, eps):

@@ -16,7 +16,6 @@ from epsreg.diskbasis import (
     enumerate_modes,
     evaluate,
     nonvanishing_check,
-    normal_trace,
     symbol_defect,
 )
 from epsreg.errors import InputError
@@ -124,11 +123,11 @@ class TestNormalTrace:
             expected = math.sqrt(eps) * bessel_i_prime(i, math.sqrt(eps)) * GRAD.angular(
                 i, branch, phis
             )
-            np.testing.assert_allclose(normal_trace(GRAD, b, phis), expected, rtol=1e-12)
+            np.testing.assert_allclose(b.normal_trace_values(phis), expected, rtol=1e-12)
 
     def test_mode_zero_constant(self):
         b = BasisFunction(RadialFactor(0, 1.0), 1, GRAD)
-        vals = normal_trace(GRAD, b, np.linspace(0, 6, 9))
+        vals = b.normal_trace_values(np.linspace(0, 6, 9))
         expected = bessel_i(1, 1.0) / SQRT_2PI
         np.testing.assert_allclose(vals, expected, rtol=1e-12)
 
@@ -142,7 +141,7 @@ class TestNormalTrace:
             * np.exp(-1j * phis)
             / SQRT_PI
         )
-        np.testing.assert_allclose(normal_trace(CR, b, phis), expected, rtol=1e-12)
+        np.testing.assert_allclose(b.normal_trace_values(phis), expected, rtol=1e-12)
 
     def test_cr_against_finite_difference_oracle(self):
         # n o A = r d/dr + i d/dphi, realized by centered differences of the
@@ -154,12 +153,7 @@ class TestNormalTrace:
         dr = (b.value_polar(1.0 + h, phis) - b.value_polar(1.0 - h, phis)) / (2 * h)
         dphi = (b.value_polar(1.0, phis + h) - b.value_polar(1.0, phis - h)) / (2 * h)
         oracle = 1.0 * dr + 1j * dphi
-        np.testing.assert_allclose(normal_trace(CR, b, phis), oracle, rtol=1e-7)
-
-    def test_kind_mismatch(self):
-        b = BasisFunction(RadialFactor(1, 1.0), 1, GRAD)
-        with pytest.raises(InputError):
-            normal_trace(CR, b, 0.0)
+        np.testing.assert_allclose(b.normal_trace_values(phis), oracle, rtol=1e-7)
 
 
 class TestHelmholtz:
