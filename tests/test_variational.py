@@ -213,6 +213,21 @@ class TestBoundaryForm:
         value = boundary_form_h(b1, b2, GRAD, ArcSpec.full_circle())
         assert abs(complex(value)) <= 1e-14
 
+    def test_complementary_arcs_split_the_full_circle(self):
+        # h over Gamma plus h over its complement arc is the trace product
+        # plus the conormal product over the whole circle: for the
+        # orthonormal angular modes cos(phi) and sin(2 phi) that is
+        # I_1(1)^2 + I_2(1)^2 + I_1'(1)^2 + I_2'(1)^2.
+        u = wrap(BasisFunction(RadialFactor(1, 1.0), 1, GRAD)) + wrap(
+            BasisFunction(RadialFactor(2, 1.0), 2, GRAD)
+        )
+        gamma = ArcSpec(0.3, 2.0)
+        complement = ArcSpec(2.0, 0.3 + 2.0 * math.pi)
+        h_gamma = complex(boundary_form_h(u, u, GRAD, gamma, n_phi=1024))
+        h_complement = complex(boundary_form_h(u, u, GRAD, complement, n_phi=1024))
+        expected = sum(bessel_i(i, 1.0) ** 2 + bessel_i_prime(i, 1.0) ** 2 for i in (1, 2))
+        assert h_gamma + h_complement == pytest.approx(expected, rel=1e-8)
+
 
 class TestGramSchmidt:
     def test_orthonormal_input_fixed(self):
