@@ -16,7 +16,8 @@ of the schedule, which is all the slope proxy below reads.
 The boundedness criterion is asymptotic; as a finite-sample proxy this
 module fits the slope of ``log ||u_eps||`` against ``log(1/eps)`` over the
 final decade of the sweep and classifies the path by two configurable
-thresholds.
+thresholds.  A path of fewer than two eps is Inconclusive: one eps is no
+evidence of boundedness.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "run_path",
     "fit_growth_slope",
     "classify_slope",
+    "path_verdict",
     "parse_matrix_text",
     "load_matrix",
     "read_text",
@@ -183,12 +185,15 @@ def _as_vector(v, length: int, name: str) -> np.ndarray:
 def solve_perturbed(T: DiscreteOperator, f, h, epsilon: float) -> PerturbedSolution:
     """Solve (T*T + eps I) u = T* f + eps h in the eigenbasis of T*T.
 
-    ``T.spectrum`` is computed once per operator, so each eps costs two
-    products with the eigenvectors and the filter 1 / (lam + eps), which
-    is finite for every eps > 0.  A single iterative refinement step keeps
-    the recorded residual ||T*T u + eps u - rhs|| within
-    1e-10 * (1 + ||rhs||) even for badly scaled operators; a solve that
-    misses that contract or overflows raises NumericError.
+    ``T.spectrum`` is computed once per operator, and the data's
+    eigen-coordinates V* T* f and V* h once per (operator, data): the last
+    ones solved are kept, so every eps of a path after the first reuses
+    them.  Each eps then costs the filter 1 / (lam + eps), which is finite
+    for every eps > 0, and one iterative refinement step: six matrix
+    passes in all.  The refinement keeps the recorded residual
+    ||T*T u + eps u - rhs|| within 1e-10 * (1 + ||rhs||) even for badly
+    scaled operators; a solve that misses that contract or overflows
+    raises NumericError.
 
     Parameters
     ----------
@@ -207,17 +212,16 @@ def solve_perturbed(T: DiscreteOperator, f, h, epsilon: float) -> PerturbedSolut
 
     gram = T.gram
     lam, vecs = T.spectrum
-    rhs = T.adjoint() @ fv + epsilon * hv
-
-    def apply_inverse(v):
-        return vecs @ ((vecs.conj().T @ v) / (lam + epsilon))
+    adj_f, coords_f, coords_h = _data_products(T, fv, hv)
+    rhs = adj_f + epsilon * hv
 
     # Tiny eps can push near-null components past the float range; that
     # shows up as a missed contract or an infinite norm, reported below.
     with np.errstate(over="ignore", invalid="ignore"):
-        u = apply_inverse(rhs)
+        u = vecs @ ((coords_f + epsilon * coords_h) / (lam + epsilon))
         # One refinement step; cheap and tightens the residual contract.
-        u = u + apply_inverse(rhs - (gram @ u + epsilon * u))
+        defect = rhs - (gram @ u + epsilon * u)
+        u = u + vecs @ ((vecs.conj().T @ defect) / (lam + epsilon))
         residual = float(np.linalg.norm(gram @ u + epsilon * u - rhs))
         norm_h = float(np.linalg.norm(u))
         norm_eps = math.hypot(float(np.linalg.norm(T.matrix @ u)), math.sqrt(epsilon) * norm_h)
@@ -259,12 +263,10 @@ def fit_growth_slope(epsilons, norms) -> float:
 
     Entries with numerically zero norm are treated as flat (they cannot
     witness growth).  If the final decade holds a single point the last two
-    schedule entries are used instead.
+    schedule entries are used instead; a one-entry schedule fits as flat (0.0).
     """
     eps = np.asarray(epsilons, dtype=float)
     nrm = np.asarray(norms, dtype=float)
-    if eps.size == 1:
-        return 0.0
     tail = eps <= 10.0 * eps[-1] * (1.0 + 1e-12)
     if np.count_nonzero(tail) < 2:
         tail = np.zeros_like(tail)
@@ -289,17 +291,30 @@ def classify_slope(slope: float) -> Verdict:
     return Verdict.INCONCLUSIVE
 
 
+def path_verdict(epsilons, norms) -> tuple[float, Verdict]:
+    """(growth slope, verdict) of a path's norms along its eps schedule.
+
+    One eps is no evidence of boundedness, so a path of fewer than two
+    entries is Inconclusive whatever its slope; otherwise the slope is
+    classified by ``classify_slope``.
+    """
+    slope = fit_growth_slope(epsilons, norms)
+    if len(epsilons) < 2:
+        return slope, Verdict.INCONCLUSIVE
+    return slope, classify_slope(slope)
+
+
 def run_path(T: DiscreteOperator, f, h, schedule) -> RegularizationPath:
     """Solve the perturbed problem along a decreasing eps schedule.
 
     The verdict is a finite-sample proxy for the boundedness criterion:
     the growth slope of the norms over the final decade of the schedule is
-    compared against BOUNDED_SLOPE and UNBOUNDED_SLOPE.
+    compared against BOUNDED_SLOPE and UNBOUNDED_SLOPE (``path_verdict``).
     """
     sched = validate_schedule(schedule)
     entries = tuple(solve_perturbed(T, f, h, float(eps)) for eps in sched)
-    slope = fit_growth_slope(sched, [e.norm_h for e in entries])
-    return RegularizationPath(entries=entries, verdict=classify_slope(slope), growth_slope=slope)
+    slope, verdict = path_verdict(sched, [e.norm_h for e in entries])
+    return RegularizationPath(entries=entries, verdict=verdict, growth_slope=slope)
 
 
 def _parse_entry(token):
@@ -422,3 +437,25 @@ def load_matrix(path) -> DiscreteOperator:
         raise InputError(f"cannot read matrix file {path}: {exc}") from exc
     _last_matrix = (data, operator)
     return operator
+
+
+# (operator, key, products) of the last data solved: key = (f dtype, f bytes,
+# h dtype, h bytes), products = (T* f, V* T* f, V* h).  One tuple, read and
+# replaced whole, like ``_last_matrix``.  The key's bytes are the memo's own
+# copies, so an in-place change to the caller's f or h is a new key; the
+# operator is held by identity, so an equal matrix in a new operator is too.
+_last_data = (None, None, None)
+
+
+def _data_products(T: DiscreteOperator, fv: np.ndarray, hv: np.ndarray):
+    """(T* f, V* T* f, V* h), formed once per (operator, data) and reused by every eps."""
+    global _last_data
+    kept, kept_key, products = _last_data
+    key = (fv.dtype, fv.tobytes(), hv.dtype, hv.tobytes())
+    if kept is T and kept_key == key:
+        return products
+    vecs_adj = T.spectrum[1].conj().T
+    adj_f = T.adjoint() @ fv
+    products = (adj_f, vecs_adj @ adj_f, vecs_adj @ hv)
+    _last_data = (T, key, products)
+    return products

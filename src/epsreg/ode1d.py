@@ -77,7 +77,7 @@ class Ode1dProblem:
         if not (self.b - self.a > 0.0):
             raise InputError(f"interval requires a < b, got ({self.a}, {self.b})")
         samples = np.linspace(self.a, self.b, 7)
-        vals = np.array([self.f(float(x)) for x in samples], dtype=float)
+        vals = np.fromiter(map(self.f, samples.tolist()), float, count=samples.size)
         if not np.all(np.isfinite(vals)):
             raise InputError("right-hand side f is not finite on the interval")
         if self.epsilon is not None and not self.epsilon > 0.0:
@@ -185,7 +185,7 @@ def _pair_weights(z):
 def _fine_samples(p: Ode1dProblem, x: np.ndarray) -> np.ndarray:
     """f on the uniform grid _OVERSAMPLE times finer than ``x``."""
     fine = np.linspace(p.a, p.b, _OVERSAMPLE * (x.size - 1) + 1)
-    return np.array([p.f(float(t)) for t in fine], dtype=float)
+    return np.fromiter(map(p.f, fine.tolist()), float, count=fine.size)
 
 
 def _decaying_sums(terms: np.ndarray, rate: float) -> np.ndarray:

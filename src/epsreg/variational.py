@@ -1070,8 +1070,7 @@ def cauchy_pipeline(spec: CauchyProblemSpec) -> PipelineResult:
         for e, n, r, q in zip(epsilons, norms, residuals, rel)
     ]
 
-    slope = core.fit_growth_slope(epsilons, norms)
-    verdict = core.classify_slope(slope)
+    slope, verdict = core.path_verdict(epsilons, norms)
 
     best = l_curve_corner(norms, residuals)
     return PipelineResult(

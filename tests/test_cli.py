@@ -155,6 +155,29 @@ class TestRunDiskCauchy:
             assert all(np.isfinite(v) for v in values)
 
 
+class TestOneEpsilonPath:
+    @pytest.mark.parametrize(
+        "section",
+        [
+            "[matrix_path]\nmatrix = {matrix}\nf = 1 1\nschedule = 1e-300\n",
+            "[disk_cauchy]\ngamma_start = 0.0\ngamma_end = 3.14\ntrial_size = 8\n"
+            "n_r = 32\nn_phi = 128\nschedule = 1e-2\n",
+        ],
+        ids=["matrix_path", "disk_cauchy"],
+    )
+    def test_one_epsilon_is_inconclusive(self, tmp_path, capsys, section):
+        # One eps is no evidence of boundedness, whatever its fitted slope.
+        matrix = tmp_path / "m.txt"
+        matrix.write_text("2 2\n1 0\n0 1\n")
+        out = tmp_path / "one.csv"
+        cfg = write_config(tmp_path, section.format(matrix=matrix) + f"output = {out}\n")
+        assert cli.main(["run", cfg]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1 + 1 + 1
+        assert lines[-1] == "verdict=Inconclusive"
+        assert "verdict=Inconclusive" in capsys.readouterr().out
+
+
 class TestRunDiskMixed:
     def test_row_per_epsilon(self, tmp_path):
         out = tmp_path / "dm.csv"

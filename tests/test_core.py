@@ -16,6 +16,7 @@ from epsreg.core import (
     fit_growth_slope,
     load_matrix,
     parse_matrix_text,
+    path_verdict,
     run_path,
     solve_perturbed,
 )
@@ -282,6 +283,75 @@ class TestRunPath:
         eps = np.array([1.0, 0.1, 0.01, 0.001])
         norms = (1.0 / eps) ** 0.25
         assert fit_growth_slope(eps, norms) == pytest.approx(0.25, rel=1e-10)
+
+    def test_one_eps_is_inconclusive(self):
+        # fit_growth_slope reads a single eps as flat; that is no evidence.
+        T = DiscreteOperator(np.eye(2))
+        path = run_path(T, [1.0, 1.0], np.zeros(2), [1e-300])
+        assert path.verdict is Verdict.INCONCLUSIVE and path.growth_slope == 0.0
+        assert run_path(T, [1.0, 1.0], np.zeros(2), [1.0, 1e-300]).verdict is Verdict.BOUNDED
+        assert path_verdict([0.1], [5.0]) == (0.0, Verdict.INCONCLUSIVE)
+        assert path_verdict([0.1, 0.01], [5.0, 5.0]) == (0.0, Verdict.BOUNDED)
+
+
+class TestDataMemo:
+    """The last (operator, f, h) keeps T* f, V* T* f and V* h for every eps."""
+
+    @pytest.mark.parametrize("complex_op", [False, True])
+    def test_memo_hit_equals_cold_solve_bitwise(self, complex_op):
+        rng = np.random.default_rng(8)
+        matrix = rng.standard_normal((9, 6))
+        if complex_op:
+            matrix = matrix + 1j * rng.standard_normal((9, 6))
+        T = DiscreteOperator(matrix)
+        f, h = rng.standard_normal(9), rng.standard_normal(6)
+        other_f, other_h = rng.standard_normal(9), rng.standard_normal(6)
+        for eps in (1.0, 1e-3, 1e-7):
+            solve_perturbed(T, f, h, 10.0 * eps)
+            products = core._last_data[-1]
+            hit = solve_perturbed(T, f, h, eps)
+            assert core._last_data[-1] is products
+            solve_perturbed(T, other_f, other_h, eps)
+            cold = solve_perturbed(T, f, h, eps)
+            assert core._last_data[-1] is not products
+            assert np.array_equal(hit.u, cold.u)
+            assert (hit.norm_h, hit.norm_eps, hit.residual) == (
+                cold.norm_h, cold.norm_eps, cold.residual
+            )
+
+    def test_in_place_change_to_the_data_is_seen(self):
+        rng = np.random.default_rng(9)
+        T = DiscreteOperator(rng.standard_normal((5, 4)))
+        f, h = rng.standard_normal(5), rng.standard_normal(4)
+        solve_perturbed(T, f, h, 0.1)
+        for data in (f, h):
+            data[0] += 1.0
+            changed = solve_perturbed(T, f, h, 0.1)
+            np.testing.assert_allclose(
+                changed.u, direct_solve_oracle(T.matrix, f, h, 0.1), rtol=1e-10, atol=1e-12
+            )
+
+    def test_equal_matrix_or_other_dtype_recomputes(self):
+        matrix = np.array([[2.0, 1.0], [0.0, 1.0], [1.0, 0.5]])
+        first, second = DiscreteOperator(matrix), DiscreteOperator(matrix)
+        f, h = np.array([1.0, 0.5, -2.0]), np.array([0.25, 1.0])
+        solve_perturbed(first, f, h, 0.1)
+        products = core._last_data[-1]
+        solve_perturbed(second, f, h, 0.1)
+        assert core._last_data[0] is second and core._last_data[-1] is not products
+        products = core._last_data[-1]
+        solve_perturbed(second, f.astype(np.float32), h, 0.1)
+        assert core._last_data[1][0] == np.float32 and core._last_data[-1] is not products
+
+    def test_tiny_eps_raises_on_memo_hit(self):
+        rng = np.random.default_rng(21)
+        T = DiscreteOperator(rng.standard_normal((12, 3)) @ rng.standard_normal((3, 8)))
+        f, h = rng.standard_normal(12), rng.standard_normal(8)
+        solve_perturbed(T, f, h, 0.1)
+        products = core._last_data[-1]
+        with pytest.raises(NumericError):
+            solve_perturbed(T, f, h, 1e-100)
+        assert core._last_data[-1] is products
 
 
 class TestMinimalNorm:

@@ -179,6 +179,16 @@ class TestConvergenceReport:
         # The report's exact derivatives are samples at the grid abscissae.
         assert np.array_equal(fvals[::8], np.array([f(x) for x in grid]))
 
+    @pytest.mark.parametrize("name", sorted(cli._FUNCTIONS))
+    def test_fine_samples_are_scalar_calls(self, name):
+        # One scalar call per fine point, bitwise as a loop of float(t) calls.
+        f = cli._FUNCTIONS[name]
+        p = Ode1dProblem(-0.3, 1.4, 0.7, f)
+        fine = np.linspace(p.a, p.b, 8001)
+        samples = _fine_samples(p, np.linspace(p.a, p.b, 1001))
+        assert samples.dtype == float
+        assert np.array_equal(samples, np.array([f(float(t)) for t in fine], dtype=float))
+
     def test_errors_match_closed_form_for_cosine(self):
         # f = cos: u_eps = sin x / (1 + eps) + al cosh(k(b-x))/cosh(s)
         # + be sinh(k(x-a))/cosh(s), with al = u0 - sin a / (1 + eps) from
