@@ -33,6 +33,7 @@ seeds as closures) are the tests' reference, in ``tests/reference.py``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -79,10 +80,10 @@ _TWO_PI = 2.0 * math.pi
 # ---------------------------------------------------------------------------
 
 
-# Largest quadrature sizes.  scipy.special.roots_legendre builds the
-# Gauss-Legendre rule of n_r = 1024 in 0.03-0.04 s on one 2-core Xeon
-# thread (numpy's leggauss, which solves an n x n eigenproblem, takes
-# 0.14-0.19 s); far larger sizes would stall the build.
+# Largest quadrature sizes.  numpy's leggauss, which solves an n x n
+# eigenproblem, builds the Gauss-Legendre rule of n_r = 1024 in 0.14-0.15 s
+# on one 2-core Xeon thread, paid once per process and size (the memo of
+# ``DiskQuadrature.build``); far larger sizes would stall the build.
 N_R_MAX = 1024
 N_PHI_MAX = 4096
 
@@ -93,7 +94,8 @@ class DiskQuadrature:
 
     Radial nodes are Gauss-Legendre on [0, 1] with the polar Jacobian r
     folded into the weights; angular nodes are the uniform periodic
-    trapezoid rule on [0, 2 pi).
+    trapezoid rule on [0, 2 pi).  ``build`` returns one shared instance per
+    size whose arrays are read-only.
     """
 
     n_r: int
@@ -111,20 +113,28 @@ class DiskQuadrature:
         if not (2 <= n_r <= N_R_MAX and 4 <= n_phi <= N_PHI_MAX):
             bounds = f"[2, {N_R_MAX}] x [4, {N_PHI_MAX}]"
             raise InputError(f"quadrature sizes outside {bounds}: {n_r} x {n_phi}")
-        import scipy.special  # on first use: disk_mixed and ode1d runs never build a quadrature
-
-        nodes, weights = scipy.special.roots_legendre(n_r)
-        r = 0.5 * (nodes + 1.0)
-        wr = 0.5 * weights * r
-        phi = _TWO_PI * np.arange(n_phi) / n_phi
-        wphi = _TWO_PI / n_phi
-        x = np.outer(r, np.cos(phi)).ravel()
-        y = np.outer(r, np.sin(phi)).ravel()
-        w = (np.repeat(wr, n_phi) * wphi).ravel()
-        return cls(n_r=n_r, n_phi=n_phi, r=r, wr=wr, phi=phi, wphi=wphi, x=x, y=y, w=w)
+        return _disk_quadrature(n_r, n_phi)
 
     def integrate(self, values) -> complex:
         return np.sum(self.w * np.asarray(values))
+
+
+# leggauss(64) costs about 1 ms, so each size is built once per process.
+# Four entries, because the verify_basis runs of one process alternate
+# sizes, for example (64, 256) and (16, 64).
+@functools.lru_cache(maxsize=4)
+def _disk_quadrature(n_r: int, n_phi: int) -> DiskQuadrature:
+    nodes, weights = np.polynomial.legendre.leggauss(n_r)
+    r = 0.5 * (nodes + 1.0)
+    wr = 0.5 * weights * r
+    phi = _TWO_PI * np.arange(n_phi) / n_phi
+    wphi = _TWO_PI / n_phi
+    x = np.outer(r, np.cos(phi)).ravel()
+    y = np.outer(r, np.sin(phi)).ravel()
+    w = (np.repeat(wr, n_phi) * wphi).ravel()
+    for a in (r, wr, phi, x, y, w):
+        a.flags.writeable = False
+    return DiskQuadrature(n_r=n_r, n_phi=n_phi, r=r, wr=wr, phi=phi, wphi=wphi, x=x, y=y, w=w)
 
 
 @dataclass(frozen=True)

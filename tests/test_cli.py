@@ -308,8 +308,8 @@ class TestImports:
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["False"]
 
-    # scipy.linalg and scipy.special are imported where they are called:
-    # imports, config parsing, disk_mixed and ode1d runs load no scipy module.
+    # scipy.linalg is imported where it is called: imports, config parsing,
+    # disk_mixed, verify_basis and ode1d runs load no scipy module.
     _LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
     def _fresh(self, code, cwd=None):
@@ -336,8 +336,9 @@ class TestImports:
             ODE_CONFIG.format(out="o.csv"),
             "[disk_mixed]\ngamma_start = 0.0\ngamma_end = 3.0\nn_modes = 6\n"
             "schedule = 1 0.5\noutput = o.csv\n",
+            "[verify_basis]\ni_max = 4\nn_r = 16\nn_phi = 64\nschedule = 1 0.25\noutput = o.csv\n",
         ],
-        ids=["ode1d", "disk_mixed"],
+        ids=["ode1d", "disk_mixed", "verify_basis"],
     )
     def test_run_loads_no_scipy(self, tmp_path, text):
         path = write_config(tmp_path, text)
@@ -350,27 +351,30 @@ class TestImports:
         assert self._fresh(code, cwd=tmp_path)[-2:] == ["0", "[]"]
         assert (tmp_path / "o.csv").exists()
 
+    # module is in sys.modules (before, after) the call; the quadrature's
+    # Gauss-Legendre rule comes from numpy, so building it loads no scipy.
     @pytest.mark.parametrize(
-        "module, before, setup, call, check",
+        "module, before, after, setup, call, check",
         [
             (
                 "scipy.linalg",
                 "False",
+                "True",
                 "op = core.DiscreteOperator(np.array([[2.0, 0.0], [1.0, 1.0], [0.0, 3.0]]))",
                 "lam, vecs = op.spectrum",
                 "np.allclose(lam, np.linalg.eigvalsh(op.gram), rtol=0, atol=1e-12)",
             ),
             (
-                "scipy.special",
+                "scipy",
+                "False",
                 "False",
                 "",
                 "quad = variational.DiskQuadrature.build(8, 16)",
                 "abs(quad.w.sum() - math.pi) <= 1e-13",
             ),
-            # roots_legendre loads scipy.linalg itself, so it is in sys.modules
-            # before the seed system is built; variational still imports it.
             (
                 "scipy.linalg",
+                "False",
                 "True",
                 "quad = variational.DiskQuadrature.build(16, 64)",
                 "seeds = variational.build_seed_system("
@@ -381,7 +385,7 @@ class TestImports:
         ],
         ids=["spectrum", "quadrature", "seed_system"],
     )
-    def test_first_call_loads_its_module(self, module, before, setup, call, check):
+    def test_first_call_loads_its_module(self, module, before, after, setup, call, check):
         code = (
             "import math, sys\n"
             "import numpy as np\n"
@@ -391,7 +395,7 @@ class TestImports:
             f"{call}\n"
             f"print({module!r} in sys.modules, bool({check}))\n"
         )
-        assert self._fresh(code) == [before, "True True"]
+        assert self._fresh(code) == [before, f"{after} True"]
 
 
 class TestUnreadableInputs:

@@ -92,12 +92,42 @@ class TestDiskQuadrature:
         assert moment == pytest.approx(math.pi / 4.0, rel=1e-10)
 
     def test_size_validation(self):
+        before = variational._disk_quadrature.cache_info()
         with pytest.raises(InputError):
             DiskQuadrature.build(1, 256)
-        # Above the bounds the build refuses before any Gauss-Legendre solve.
-        for n_r, n_phi in ((variational.N_R_MAX + 1, 8), (8, variational.N_PHI_MAX + 1)):
+        # Above the bounds the build refuses before any Gauss-Legendre solve,
+        # and a refused size never enters the memo.
+        for n_r, n_phi in ((variational.N_R_MAX + 1, 8), (8, 3), (8, variational.N_PHI_MAX + 1)):
             with pytest.raises(InputError, match="outside"):
                 DiskQuadrature.build(n_r, n_phi)
+        after = variational._disk_quadrature.cache_info()
+        assert (after.misses, after.currsize) == (before.misses, before.currsize)
+
+    def test_equal_sizes_share_one_read_only_instance(self):
+        quad = DiskQuadrature.build(16, 64)
+        assert DiskQuadrature.build(16, 64) is quad
+        assert DiskQuadrature.build(n_phi=64, n_r=16) is quad
+        for name in ("r", "wr", "phi", "x", "y", "w"):
+            arr = getattr(quad, name)
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_alternating_sizes_stay_cached(self):
+        fine, coarse = DiskQuadrature.build(64, 256), DiskQuadrature.build(16, 64)
+        misses = variational._disk_quadrature.cache_info().misses
+        for _ in range(3):
+            assert DiskQuadrature.build(64, 256) is fine
+            assert DiskQuadrature.build(16, 64) is coarse
+        assert variational._disk_quadrature.cache_info().misses == misses
+
+    def test_memo_is_bounded(self):
+        first = DiskQuadrature.build(5, 8)
+        for n_r in range(6, 12):
+            DiskQuadrature.build(n_r, 8)
+        assert variational._disk_quadrature.cache_info().currsize <= 4
+        rebuilt = DiskQuadrature.build(5, 8)
+        assert rebuilt is not first and np.array_equal(rebuilt.w, first.w)
 
     @pytest.mark.parametrize("n_r, n_phi", [(64, 256), (16, 64), (7, 12)])
     def test_nodes_equal_meshgrid_form(self, n_r, n_phi):
@@ -106,8 +136,8 @@ class TestDiskQuadrature:
         assert np.array_equal(quad.x, (rr * np.cos(pp)).ravel())
         assert np.array_equal(quad.y, (rr * np.sin(pp)).ravel())
 
-    # Worst relative errors measured for this rule (scipy roots_legendre):
-    # 1.4e-13, 5.1e-12 and 3.2e-11 (numpy leggauss: 5.0e-14, 4.3e-13, 5.7e-12).
+    # Worst relative errors measured for this rule (numpy leggauss): 5.0e-14,
+    # 4.3e-13 and 5.7e-12 (scipy roots_legendre: 1.4e-13, 5.1e-12, 3.2e-11).
     @pytest.mark.parametrize("n_r, bound", [(64, 5e-13), (256, 2e-11), (1024, 1e-10)])
     def test_radial_rule_is_exact_to_degree_2n_minus_1(self, n_r, bound):
         # wr carries the Jacobian r, so sum wr r^k integrates r^(k+1) = 1 / (k + 2).
