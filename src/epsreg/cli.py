@@ -50,7 +50,6 @@ class ExperimentConfig:
     experiment: str
     params: dict
     output_path: str
-    seed: int = 0
     lines: dict = dc_field(default_factory=dict)
     source: str = ""
 
@@ -141,7 +140,6 @@ _SCHEMAS = {
         "schedule": ("floats", True, None),
         "noise_amplitude": ("float", False, 0.0),
         "noise_frequency": ("int", False, 20),
-        "seed": ("int", False, 0),
         "output": ("str", True, None),
     },
     "disk_mixed": {
@@ -168,13 +166,13 @@ _SCHEMAS = {
 
 
 # Inclusive ranges: Bessel orders stop at NU_MAX; quadratures need 2 radii,
-# 4 angles and stop at N_R_MAX, N_PHI_MAX.
+# 4 angles and stop at N_R_MAX, N_PHI_MAX.  ArcSpec and CauchyProblemSpec
+# own the arc, trial_size and seed-quadrature rules (``_keyed_check``).
 _INT_RANGES = dict(
     n_modes=(0, NU_MAX),
     i_max=(0, NU_MAX),
     n_r=(2, variational.N_R_MAX),
     n_phi=(4, variational.N_PHI_MAX),
-    trial_size=(1, variational.TRIAL_MAX),
 )
 
 
@@ -183,6 +181,14 @@ def _validate_schedule_param(schedule, source, lineno):
         core.validate_schedule(schedule)
     except InputError as exc:
         raise InputError(f"{source}:{lineno}: bad 'schedule': {exc}") from exc
+
+
+def _keyed_check(source, lines, build, *args):
+    """Apply the rules of the library object ``build(*args)``; a refusal cites its key's line."""
+    try:
+        build(*args)
+    except InputError as exc:
+        raise InputError(f"{source}:{lines.get(exc.key, 0)}: {exc}", key=exc.key) from exc
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -212,16 +218,7 @@ def parse_config(path: str) -> ExperimentConfig:
     if "schedule" in params:
         _validate_schedule_param(params["schedule"], path, lines.get("schedule", 0))
     if "gamma_start" in params:
-        gs, ge = params["gamma_start"], params["gamma_end"]
-        if not (0.0 <= gs < 2.0 * math.pi):
-            raise InputError(f"{path}:{lines['gamma_start']}: 'gamma_start' must lie in [0, 2 pi)")
-        if not ge > gs:
-            raise InputError(
-                f"{path}:{lines['gamma_end']}: 'gamma_end' must exceed 'gamma_start' "
-                "(equal endpoints do not define a nonempty arc)"
-            )
-        if ge - gs > 2.0 * math.pi + 1e-12:
-            raise InputError(f"{path}:{lines['gamma_end']}: arc length exceeds 2 pi")
+        _keyed_check(path, lines, variational.ArcSpec, params["gamma_start"], params["gamma_end"])
     for key, value in params.items():
         if schema[key][0] in ("float", "floats") and not np.all(np.isfinite(value)):
             raise InputError(f"{path}:{lines[key]}: bad {key!r}: values must be finite")
@@ -229,19 +226,13 @@ def parse_config(path: str) -> ExperimentConfig:
         if key in params and not lo <= params[key] <= hi:
             raise InputError(f"{path}:{lines[key]}: {key!r} must lie in [{lo}, {hi}]")
     if name == "disk_cauchy":
-        for key, need in variational.seed_quadrature_needs(params["trial_size"]).items():
-            if params[key] < need:
-                raise InputError(
-                    f"{path}:{lines.get(key, 0)}: {key!r} must be >= {need} to integrate the "
-                    f"Grams of trial_size {params['trial_size']} exactly"
-                )
+        _keyed_check(path, lines, _cauchy_spec, params)
     if name in ("disk_mixed", "verify_basis") and max(params["schedule"]) > X_MAX**2:
         bound = f"{X_MAX**2:g}, where sqrt(eps) leaves the Bessel range [0, {X_MAX:g}]"
         raise InputError(f"{path}:{lines['schedule']}: bad 'schedule': eps above {bound}")
     output = params.pop("output")
-    seed = int(params.get("seed", 0))
     return ExperimentConfig(
-        experiment=name, params=params, output_path=output, seed=seed, lines=lines, source=path
+        experiment=name, params=params, output_path=output, lines=lines, source=path
     )
 
 
@@ -312,12 +303,19 @@ def _manufactured_cubic():
     return variational.Field(value, gradient)
 
 
+def _cauchy_spec(p, f=None, u0=None, reference=None) -> variational.CauchyProblemSpec:
+    """The disk_cauchy problem of parsed params; parse_config builds it with no data."""
+    arc = variational.ArcSpec(p["gamma_start"], p["gamma_end"])
+    sizes = {key: p[key] for key in ("trial_size", "n_r", "n_phi")}
+    return variational.CauchyProblemSpec(
+        p["operator"], arc, f, u0, p["schedule"], **sizes, reference=reference
+    )
+
+
 def _run_disk_cauchy(cfg: ExperimentConfig) -> RunResult:
     p = cfg.params
-    op = p["operator"]
-    arc = variational.ArcSpec(p["gamma_start"], p["gamma_end"])
     u_star = _manufactured_cubic()
-    f_closure = diskbasis.apply_operator(op, u_star)
+    f_closure = diskbasis.apply_operator(p["operator"], u_star)
     amp, freq = p["noise_amplitude"], p["noise_frequency"]
 
     def u0(phi):
@@ -326,18 +324,7 @@ def _run_disk_cauchy(cfg: ExperimentConfig) -> RunResult:
             base = base + amp * np.cos(freq * np.asarray(phi))
         return base
 
-    spec = variational.CauchyProblemSpec(
-        operator=op,
-        arc=arc,
-        f=f_closure,
-        u0=u0,
-        schedule=p["schedule"],
-        trial_size=p["trial_size"],
-        n_r=p["n_r"],
-        n_phi=p["n_phi"],
-        reference=u_star,
-    )
-    result = variational.cauchy_pipeline(spec)
+    result = variational.cauchy_pipeline(_cauchy_spec(p, f_closure, u0, u_star))
     rows = [(r.epsilon, r.l2_norm, r.residual, r.rel_error) for r in result.records]
     trailer = f"verdict={result.verdict.value}"
     summary = (
@@ -378,6 +365,8 @@ def _run_disk_mixed(cfg: ExperimentConfig) -> RunResult:
     return RunResult(rows, None, f"experiment=disk_mixed rows={len(rows)}")
 
 
+# Bounds of the verify_basis columns, shared with --verify: a ``min_``
+# column must lie above its bound, every other one at or below it.
 _VERIFY_TOLS = {
     "max_l2_offdiag": 1e-8,
     "max_energy_offdiag": 1e-8,
@@ -385,6 +374,11 @@ _VERIFY_TOLS = {
     "min_normal_coupling": 0.0,
     "symbol_defect": 1e-14,
 }
+
+
+def _passes(value, bound, above=False) -> bool:
+    """value > bound when ``above``, else value <= bound; NaN never passes."""
+    return value > bound if above else value <= bound
 
 
 def _basis_checks(op, i_max, eps, quad, points):
@@ -415,22 +409,19 @@ def _run_verify_basis(cfg: ExperimentConfig) -> RunResult:
     p = cfg.params
     op = p["operator"]
     quad = variational.DiskQuadrature.build(p["n_r"], p["n_phi"])
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(p["seed"])
     xis = rng.standard_normal((100, 2))
     defect = diskbasis.symbol_defect(op, xis)
     points = _ring_points(0.5, 12)
+    columns = _HEADERS["verify_basis"].split(",")[1:]
 
     rows = []
     ok = True
     for eps in p["schedule"]:
-        off_l2, off_en, helm, coupling = _basis_checks(op, p["i_max"], eps, quad, points)
-        rows.append((eps, off_l2, off_en, helm, coupling, defect))
-        ok = ok and (
-            off_l2 <= _VERIFY_TOLS["max_l2_offdiag"]
-            and off_en <= _VERIFY_TOLS["max_energy_offdiag"]
-            and helm <= _VERIFY_TOLS["max_helmholtz_residual"]
-            and coupling > _VERIFY_TOLS["min_normal_coupling"]
-            and defect <= _VERIFY_TOLS["symbol_defect"]
+        values = (*_basis_checks(op, p["i_max"], eps, quad, points), defect)
+        rows.append((eps, *values))
+        ok = ok and all(
+            _passes(v, _VERIFY_TOLS[c], c.startswith("min_")) for c, v in zip(columns, values)
         )
     status = "pass" if ok else "FAIL"
     summary = f"experiment=verify_basis rows={len(rows)} status={status}"
@@ -470,45 +461,40 @@ def run(config: ExperimentConfig, output_override=None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _verify_suite() -> int:
-    """Structural checks across all modules; nonzero exit on any violation."""
-    failures = 0
+def verify_checks():
+    """The built-in property checks, one at a time: (name, value, bound, above).
+
+    A check passes when ``_passes(value, bound, above)``.  The disk-basis
+    checks read their bounds from ``_VERIFY_TOLS`` as ``verify_basis`` does.
+    Nothing is computed before the first item is asked for.
+    """
     tols = _VERIFY_TOLS
-
-    def check(name, passed, detail=""):
-        nonlocal failures
-        print(f"{'PASS' if passed else 'FAIL'} {name}" + (f" ({detail})" if detail else ""))
-        failures += 0 if passed else 1
-
     quad = variational.DiskQuadrature.build(48, 192)
     area = float(np.real(quad.integrate(np.ones_like(quad.x))))
-    check("quadrature disk area", abs(area - math.pi) <= 1e-12 * math.pi, f"area={area!r}")
+    yield "quadrature disk area", abs(area - math.pi), 1e-12 * math.pi, False
     moment = float(np.real(quad.integrate(quad.x**2)))
-    check("quadrature r^2 cos^2 moment", abs(moment - math.pi / 4) <= 1e-10, f"val={moment!r}")
+    yield "quadrature r^2 cos^2 moment", abs(moment - math.pi / 4), 1e-10, False
 
     x = 2.0
     for nu in (1, 3, 7):
         lhs = bessel_i(nu - 1, x) - bessel_i(nu + 1, x)
         rhs = (2.0 * nu / x) * bessel_i(nu, x)
-        check(f"bessel recurrence nu={nu}", abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs)))
+        yield f"bessel recurrence nu={nu}", abs(lhs - rhs), 1e-10 * max(1.0, abs(rhs)), False
 
     rng = np.random.default_rng(0)
     for op in DiracOperatorKind:
         defect = diskbasis.symbol_defect(op, rng.standard_normal((100, 2)))
-        passed = defect <= tols["symbol_defect"]
-        check(f"symbol identity {op.value}", passed, f"defect={defect:.2e}")
+        yield f"symbol identity {op.value}", defect, tols["symbol_defect"], False
 
     points = _ring_points(0.45, 10)
+    off_bound = min(tols["max_l2_offdiag"], tols["max_energy_offdiag"])
     for op in DiracOperatorKind:
         for eps in (0.25, 1.0, 4.0):
             off_l2, off_en, worst, coupling = _basis_checks(op, 6, eps, quad, points)
-            orthogonal = off_l2 <= tols["max_l2_offdiag"] and off_en <= tols["max_energy_offdiag"]
-            off = max(off_l2, off_en)
-            check(f"basis orthogonality {op.value} eps={eps}", orthogonal, f"offdiag={off:.2e}")
-            helmholtz = worst <= tols["max_helmholtz_residual"]
-            check(f"helmholtz residual {op.value} eps={eps}", helmholtz, f"res={worst:.2e}")
-            coupled = coupling > tols["min_normal_coupling"]
-            check(f"normal coupling positive {op.value} eps={eps}", coupled)
+            at = f"{op.value} eps={eps}"
+            yield f"basis orthogonality {at}", max(off_l2, off_en), off_bound, False
+            yield f"helmholtz residual {at}", worst, tols["max_helmholtz_residual"], False
+            yield f"normal coupling positive {at}", coupling, tols["min_normal_coupling"], True
 
     phis = np.linspace(0.0, 2.0 * math.pi, 50, endpoint=False)
     for i in range(1, 9):
@@ -521,13 +507,13 @@ def _verify_suite() -> int:
         )
         n_vals = variational.conormal_values(DiracOperatorKind.GRADIENT, mono, phis)
         expect = i * np.cos(i * phis)
-        check(f"eigenvalue identity i={i}", float(np.max(np.abs(n_vals - expect))) <= 1e-9)
+        yield f"eigenvalue identity i={i}", float(np.max(np.abs(n_vals - expect))), 1e-9, False
 
     problem = ode1d.Ode1dProblem(0.0, 1.0, 0.3, np.cos, 0.5)
     val_a, _ = ode1d.perturbed_solution(problem, 0.0)
     _, der_b = ode1d.perturbed_solution(problem, 1.0)
-    check("ode1d left datum", abs(val_a - 0.3) <= 1e-12, f"u(a)={val_a!r}")
-    check("ode1d right flux", abs(der_b - math.cos(1.0)) <= 1e-8, f"u'(b)-f(b)={der_b - math.cos(1.0):.2e}")
+    yield "ode1d left datum", abs(val_a - 0.3), 1e-12, False
+    yield "ode1d right flux", abs(der_b - math.cos(1.0)), 1e-8, False
 
     arc = variational.ArcSpec(0.0, math.pi)
     seeds = variational.build_seed_system(arc, DiracOperatorKind.GRADIENT, 8, quad)
@@ -542,9 +528,7 @@ def _verify_suite() -> int:
         gram = seeds.energy_gram + eps * seeds.l2_gram
         diff = d - d_star
         gal_err = math.sqrt(max(float(np.real(np.conj(diff) @ (gram.T @ diff))), 0.0))
-        check(
-            f"galerkin reproduces span member eps={eps:g}", gal_err <= 1e-9, f"err={gal_err:.2e}"
-        )
+        yield f"galerkin reproduces span member eps={eps:g}", gal_err, 1e-9, False
 
     src = BasisFunction(RadialFactor(2, 1.0), 1, DiracOperatorKind.GRADIENT)
     series = variational.solve_mixed_boundary_series(
@@ -557,9 +541,16 @@ def _verify_suite() -> int:
     )
     raw = np.array(series.raw_coeffs, dtype=float, copy=True)
     raw[series.modes.index((2, 1))] -= 1.0
-    series_err = float(np.max(np.abs(raw)))
-    check("series round trip", series_err <= 1e-8, f"err={series_err:.2e}")
+    yield "series round trip", float(np.max(np.abs(raw))), 1e-8, False
 
+
+def _verify_suite() -> int:
+    """Print PASS|FAIL name (value) per check of ``verify_checks``; nonzero exit on any FAIL."""
+    failures = 0
+    for name, value, bound, above in verify_checks():
+        passed = _passes(value, bound, above)
+        failures += not passed
+        print(f"{'PASS' if passed else 'FAIL'} {name} ({value:.2e})")
     print(f"verify: {failures} failure(s)")
     return 0 if failures == 0 else 1
 

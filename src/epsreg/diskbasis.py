@@ -35,8 +35,8 @@ __all__ = [
     "BasisFunction",
     "enumerate_modes",
     "evaluate",
+    "Field",
     "apply_operator",
-    "centered_gradient",
     "check_helmholtz",
     "basis_table",
     "boundary_amplitudes",
@@ -218,6 +218,42 @@ class BasisFunction:
         return conormal[0] * self.operator.angular(self.index, self.branch, phi)
 
 
+class Field:
+    """Scalar field on the disk: a vectorized value closure and, when
+    available, an exact Cartesian gradient closure (else centered
+    differences with step 1e-5).  ``wrap`` adapts any field argument."""
+
+    def __init__(self, value, gradient=None):
+        self._value = value
+        self._gradient = gradient
+
+    def value_xy(self, x, y):
+        return self._value(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+
+    def gradient_xy(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if self._gradient is not None:
+            return self._gradient(x, y)
+        h, value = _FD_STEP, self._value
+        ux = (value(x + h, y) - value(x - h, y)) / (2.0 * h)
+        uy = (value(x, y + h) - value(x, y - h)) / (2.0 * h)
+        return ux, uy
+
+    @staticmethod
+    def wrap(obj) -> "Field":
+        """The one field adapter: a Field as is, an object exposing value_xy
+        (and optionally gradient_xy, e.g. a BasisFunction) or a plain
+        vectorized callable of (x, y) as a Field."""
+        if isinstance(obj, Field):
+            return obj
+        if hasattr(obj, "value_xy"):
+            return Field(obj.value_xy, getattr(obj, "gradient_xy", None))
+        if callable(obj):
+            return Field(obj)
+        raise InputError(f"cannot interpret {type(obj).__name__} as a field")
+
+
 def evaluate(b: BasisFunction, r, phi):
     """Value of a basis function at polar points with 0 <= r <= 1."""
     r = np.asarray(r, dtype=float)
@@ -226,37 +262,15 @@ def evaluate(b: BasisFunction, r, phi):
     return b.value_polar(np.minimum(r, 1.0), phi)
 
 
-def centered_gradient(value):
-    """Cartesian gradient closure of ``value`` by centered differences, step 1e-5."""
-
-    def fd_grad(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        h = _FD_STEP
-        ux = (value(x + h, y) - value(x - h, y)) / (2.0 * h)
-        uy = (value(x, y + h) - value(x, y - h)) / (2.0 * h)
-        return ux, uy
-
-    return fd_grad
-
-
-def _gradient_of(u):
-    """Cartesian gradient closure: exact when available, else centered FD."""
-    grad = getattr(u, "gradient_xy", None)
-    if grad is not None:
-        return grad
-    return centered_gradient(getattr(u, "value_xy", u))
-
-
 def apply_operator(op: DiracOperatorKind, u):
     """A u as an evaluable field of Cartesian coordinates.
 
     ``u`` may be a BasisFunction, any object exposing ``value_xy`` (and
     optionally ``gradient_xy``), or a plain vectorized callable of (x, y);
     closures without an exact gradient are differentiated by centered
-    differences with step 1e-5.
+    differences with step 1e-5 (see ``Field``).
     """
-    grad = _gradient_of(u)
+    grad = Field.wrap(u).gradient_xy
 
     def field(x, y):
         x = np.asarray(x, dtype=float)
@@ -309,9 +323,10 @@ def check_helmholtz(u, epsilon: float, sample_points) -> float | np.ndarray:
     The Laplacian is ``(4 L_{5e-4} - L_{1e-3}) / 3`` with ``L_h`` the
     5-point stencil of step h, which cancels the ``h^2 eps^2 / 12``
     truncation term of one stencil.  Points must lie in the annulus
-    1e-3 <= r < 1.  ``u`` is a BasisFunction or a vectorized callable of
-    Cartesian coordinates, called once on all stencil points; its analytic
-    formula is evaluated directly, so stencil arms may cross r = 1.  The
+    1e-3 <= r < 1.  ``u`` is anything ``Field.wrap`` adapts (a
+    BasisFunction, a vectorized callable of Cartesian coordinates), called
+    once on all stencil points; anything else raises InputError.  Its
+    analytic formula is evaluated directly, so stencil arms may cross r = 1.  The
     result is one max per field: a numpy scalar for a single field, an
     array when the callable returns a trailing axis of several fields
     (``basis_table`` gives one column per mode).
@@ -325,7 +340,7 @@ def check_helmholtz(u, epsilon: float, sample_points) -> float | np.ndarray:
     r = np.hypot(x, y)
     if np.any(r < 1e-3) or np.any(r >= 1.0):
         raise InputError("sample points must satisfy 1e-3 <= r < 1")
-    value = getattr(u, "value_xy", u)
+    value = Field.wrap(u).value_xy
     # Offsets dx + i dy: the center, then the four arms of each step.
     arms = np.array([0.0] + [h * d for h in _LAPLACE_STEPS for d in (1, -1, 1j, -1j)])
     vals = value(np.add.outer(arms.real, x).ravel(), np.add.outer(arms.imag, y).ravel())

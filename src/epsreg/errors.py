@@ -7,7 +7,15 @@ class EpsregError(Exception):
 
 class InputError(EpsregError, ValueError):
     """Invalid argument: bad dimensions, out-of-domain points, malformed
-    configuration, or values outside a supported range."""
+    configuration, or values outside a supported range.
+
+    ``key`` names the parameter at fault when one does (``'gamma_end'``,
+    ``'n_r'``, ...), so a config parser can cite that parameter's line.
+    """
+
+    def __init__(self, message: str = "", key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class NumericError(EpsregError, RuntimeError):

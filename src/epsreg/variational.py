@@ -42,7 +42,7 @@ import numpy as np
 
 from . import core, diskbasis
 from .bessel import RadialFactor, bessel_i, bessel_i_prime
-from .diskbasis import BasisFunction, DiracOperatorKind
+from .diskbasis import BasisFunction, DiracOperatorKind, Field
 from .errors import InputError, NumericError
 
 __all__ = [
@@ -143,7 +143,8 @@ class ArcSpec:
 
     ``gamma_start`` lies in [0, 2 pi) and ``gamma_end`` in
     (gamma_start, gamma_start + 2 pi]; the full circle is representable.
-    The complement arc is derived.
+    The complement arc is derived.  A refusal's ``InputError.key`` names
+    the endpoint at fault; a NaN ``gamma_end`` fails "must exceed".
     """
 
     gamma_start: float
@@ -151,13 +152,15 @@ class ArcSpec:
 
     def __post_init__(self):
         if not (0.0 <= self.gamma_start < _TWO_PI):
-            raise InputError(f"gamma_start must lie in [0, 2 pi), got {self.gamma_start}")
-        length = self.gamma_end - self.gamma_start
-        if not (0.0 < length <= _TWO_PI + 1e-12):
+            raise InputError("'gamma_start' must lie in [0, 2 pi)", key="gamma_start")
+        if not self.gamma_end > self.gamma_start:
             raise InputError(
-                "gamma_end must exceed gamma_start by at most 2 pi, "
-                f"got arc length {length}"
+                "'gamma_end' must exceed 'gamma_start' "
+                "(equal endpoints do not define a nonempty arc)",
+                key="gamma_end",
             )
+        if self.gamma_end - self.gamma_start > _TWO_PI + 1e-12:
+            raise InputError("arc length exceeds 2 pi", key="gamma_end")
 
     @classmethod
     def full_circle(cls) -> "ArcSpec":
@@ -212,37 +215,8 @@ class ArcSpec:
 
 
 # ---------------------------------------------------------------------------
-# Fields
+# Fields (``Field`` and its adapter ``Field.wrap`` live in ``diskbasis``)
 # ---------------------------------------------------------------------------
-
-
-class Field:
-    """Scalar field on the disk: a vectorized value closure and, when
-    available, an exact Cartesian gradient closure (else centered
-    differences with step 1e-5)."""
-
-    def __init__(self, value: Callable, gradient: Optional[Callable] = None):
-        self._value = value
-        self._gradient = gradient
-
-    def value_xy(self, x, y):
-        return self._value(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-
-    def gradient_xy(self, x, y):
-        grad = self._gradient or diskbasis.centered_gradient(self._value)
-        return grad(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-
-    @staticmethod
-    def wrap(obj) -> "Field":
-        """Adapt anything exposing value_xy/gradient_xy (e.g. BasisFunction)."""
-        if isinstance(obj, Field):
-            return obj
-        if hasattr(obj, "value_xy"):
-            grad = getattr(obj, "gradient_xy", None)
-            return Field(obj.value_xy, grad)
-        if callable(obj):
-            return Field(obj)
-        raise InputError(f"cannot interpret {type(obj).__name__} as a field")
 
 
 class LinearCombination(Field):
@@ -819,9 +793,9 @@ class SeriesSolution:
 
     @property
     def field(self) -> LinearCombination:
-        """u as a combination of the mode closures g_i H_i^(j), built per access."""
+        """u as a combination of the modes g_i H_i^(j), built per access."""
         eps, op = self.epsilon, self.operator
-        basis = [Field.wrap(BasisFunction(RadialFactor(i, eps), j, op)) for i, j in self.modes]
+        basis = [BasisFunction(RadialFactor(i, eps), j, op) for i, j in self.modes]
         return LinearCombination(self.raw_coeffs, basis)
 
     def trace_on(self, phi) -> np.ndarray:
@@ -983,7 +957,11 @@ def l_curve_corner(norms, residuals) -> int:
 
 @dataclass
 class CauchyProblemSpec:
-    """Cauchy problem: operator kind, arc, rhs f, datum u0, discretization."""
+    """Cauchy problem: operator kind, arc, rhs f, datum u0, discretization.
+
+    Owns the rules trial_size in [1, TRIAL_MAX] and ``seed_quadrature_needs``;
+    a refusal's ``InputError.key`` names the parameter at fault.
+    """
 
     operator: DiracOperatorKind
     arc: ArcSpec
@@ -998,13 +976,11 @@ class CauchyProblemSpec:
     def __post_init__(self):
         core.validate_schedule(self.schedule)
         if not 1 <= self.trial_size <= TRIAL_MAX:
-            raise InputError(f"trial_size must lie in [1, {TRIAL_MAX}], got {self.trial_size}")
-        needs = seed_quadrature_needs(self.trial_size)
-        if self.n_r < needs["n_r"] or self.n_phi < needs["n_phi"]:
-            raise InputError(
-                f"n_r >= {needs['n_r']} and n_phi >= {needs['n_phi']} are needed to integrate "
-                f"the Grams of trial_size {self.trial_size} exactly, got {self.n_r} x {self.n_phi}"
-            )
+            raise InputError(f"'trial_size' must lie in [1, {TRIAL_MAX}]", key="trial_size")
+        for key, need in seed_quadrature_needs(self.trial_size).items():
+            if getattr(self, key) < need:
+                exactly = f"to integrate the Grams of trial_size {self.trial_size} exactly"
+                raise InputError(f"{key!r} must be >= {need} {exactly}", key=key)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -69,6 +70,16 @@ class TestParseConfig:
         path = write_config(tmp_path, text)
         with pytest.raises(InputError, match=r":3: 'gamma_end' must exceed"):
             cli.parse_config(path)
+
+    def test_cauchy_seed_key_rejected(self, tmp_path, capsys):
+        # disk_cauchy draws no random numbers, so it has no seed key.
+        path = write_config(
+            tmp_path,
+            "[disk_cauchy]\ngamma_start = 0\ngamma_end = 3\nseed = 1\n"
+            "schedule = 1 0.1\noutput = o.csv\n",
+        )
+        assert cli.main(["run", path]) == 2
+        assert f"{path}:4: unknown key 'seed'" in capsys.readouterr().err
 
     def test_unknown_experiment(self, tmp_path):
         path = write_config(tmp_path, "[quantum]\noutput = o.csv\n")
@@ -330,6 +341,17 @@ class TestImports:
         )
         assert self._fresh(code) == ["[]", "[]"]
 
+    def test_import_builds_no_quadrature(self):
+        # --verify's checks run only when asked for, never at import.
+        code = (
+            "import sys\n"
+            "import epsreg.cli\n"
+            "from epsreg import variational\n"
+            "print(variational._disk_quadrature.cache_info().currsize)\n"
+            f"print({self._LOADED_SCIPY})\n"
+        )
+        assert self._fresh(code) == ["0", "[]"]
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -452,6 +474,30 @@ class TestVerifySuite:
         assert not [line for line in lines if line.startswith("FAIL")]
         assert sum("galerkin reproduces span member" in line for line in lines) == 2
 
+    def test_no_check_fails(self):
+        # A failure names its check and value.
+        failed = [
+            (name, value)
+            for name, value, bound, above in cli.verify_checks()
+            if not cli._passes(value, bound, above)
+        ]
+        assert failed == []
+
+    def test_lowered_helmholtz_bound_fails_its_checks_only(self, tmp_path, capsys, monkeypatch):
+        # --verify and verify_basis read the one table of bounds.
+        monkeypatch.setitem(cli._VERIFY_TOLS, "max_helmholtz_residual", 1e-12)
+        assert cli.main(["--verify"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 39 and lines[-1] == "verify: 6 failure(s)"
+        assert all(re.fullmatch(r"(PASS|FAIL) .+ \(\S+\)", line) for line in lines[:-1])
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert len(failed) == 6
+        assert all(line.startswith("FAIL helmholtz residual ") for line in failed)
+        text = "[verify_basis]\ni_max = 4\nn_r = 16\nn_phi = 64\nschedule = 1\noutput = o.csv\n"
+        path = write_config(tmp_path, text)
+        assert cli.main(["run", path, "--output", str(tmp_path / "o.csv")]) == 1
+        assert "status=FAIL" in capsys.readouterr().out
+
 
 class TestScheduleValues:
     # NaN, inf and subnormal eps fail at parse time with the config line.
@@ -524,11 +570,17 @@ class TestRanges:
             ("disk_cauchy", f"{ARC}\ntrial_size = 232", 4, "'trial_size' must lie in [1, 231]"),
             ("disk_cauchy", f"{ARC}\ntrial_size = 66\nn_r = 12", 5, "'n_r' must be >= 13"),
             ("disk_cauchy", f"{ARC}\ntrial_size = 66\nn_phi = 20", 5, "'n_phi' must be >= 21"),
+            (
+                "disk_cauchy", "gamma_start = 7\ngamma_end = 8", 2,
+                "'gamma_start' must lie in [0, 2 pi)",
+            ),
+            ("disk_mixed", "gamma_start = 0\ngamma_end = 7", 3, "arc length exceeds 2 pi"),
         ],
         ids=[
             "n_modes", "i_max", "mixed-schedule", "verify-schedule", "n_r", "n_phi",
             "n_r-high", "mixed-n_phi-high", "cauchy-n_r-high", "cauchy-n_phi-high",
             "trial_size-low", "trial_size-high", "seed-n_r", "seed-n_phi",
+            "gamma_start", "arc-length",
         ],
     )
     def test_rejected_with_line_number(self, tmp_path, capsys, section, body, lineno, message):

@@ -9,6 +9,7 @@ from epsreg.bessel import NU_MAX, RadialFactor, bessel_i, bessel_i_prime
 from epsreg.diskbasis import (
     BasisFunction,
     DiracOperatorKind,
+    Field,
     apply_operator,
     basis_table,
     boundary_amplitudes,
@@ -107,6 +108,23 @@ class TestApplyOperator:
         np.testing.assert_allclose(out[0], fd_x, rtol=1e-8)
         np.testing.assert_allclose(out[1], fd_y, rtol=1e-8)
 
+    def test_one_difference_rule_for_every_field_without_gradient(self):
+        # A bare callable, an object with value_xy only and a Field without
+        # a gradient all take Field.gradient_xy's centered difference.
+        class ValueOnly:
+            def value_xy(self, x, y):
+                return np.sin(3.0 * x) * np.exp(y)
+
+        value = ValueOnly().value_xy
+        x, y = np.array([0.2, -0.5, 0.1]), np.array([0.3, 0.1, -0.7])
+        outs = [apply_operator(op, u)(x, y) for op in (GRAD, CR)
+                for u in (value, ValueOnly(), Field(value))]
+        for out in outs[1:3]:
+            np.testing.assert_array_equal(out, outs[0])
+        for out in outs[4:]:
+            np.testing.assert_array_equal(out, outs[3])
+        np.testing.assert_allclose(outs[0][0], 3.0 * np.cos(3.0 * x) * np.exp(y), rtol=1e-9)
+
     def test_outside_disk_rejected(self):
         field = apply_operator(GRAD, lambda x, y: x)
         with pytest.raises(InputError):
@@ -181,6 +199,11 @@ class TestHelmholtz:
             check_helmholtz(b, 1.0, np.array([[0.0, 0.0]]))
         with pytest.raises(InputError):
             check_helmholtz(b, 1.0, np.array([[1.0, 0.0]]))
+
+    def test_non_field_rejected(self):
+        # Field.wrap is the adapter: a value that is no field is an input error.
+        with pytest.raises(InputError, match="cannot interpret float as a field"):
+            check_helmholtz(0.5, 1.0, ring(0.5, 4))
 
 
 class TestModeTables:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -911,6 +912,40 @@ class TestPipeline:
                 CauchyProblemSpec(**{**good, **needs, key: needs[key] - 1})
         result = cauchy_pipeline(CauchyProblemSpec(**{**good, **needs}))
         assert result.rel_error_at_best <= 1e-8
+
+    def test_refusals_name_their_key(self):
+        # ArcSpec owns the arc rule and CauchyProblemSpec the trial-space and
+        # seed-quadrature rules; InputError.key is the parameter whose config
+        # line cli.parse_config cites.
+        nan = float("nan")
+        arcs = [
+            ((7.0, 8.0), "gamma_start", "'gamma_start' must lie in [0, 2 pi)"),
+            ((-1e-300, 1.0), "gamma_start", "'gamma_start' must lie in [0, 2 pi)"),
+            ((nan, 1.0), "gamma_start", "'gamma_start' must lie in [0, 2 pi)"),
+            ((1.0, 1.0), "gamma_end", "'gamma_end' must exceed 'gamma_start'"),
+            ((1.0, nan), "gamma_end", "'gamma_end' must exceed 'gamma_start'"),
+            ((0.0, 7.0), "gamma_end", "arc length exceeds 2 pi"),
+            ((1.0, float("inf")), "gamma_end", "arc length exceeds 2 pi"),
+        ]
+        for (start, end), key, message in arcs:
+            with pytest.raises(InputError, match=re.escape(message)) as info:
+                ArcSpec(start, end)
+            assert info.value.key == key
+        good = dict(operator=GRAD, arc=UPPER, f=None, u0=None, schedule=[1.0, 0.1])
+        needs = variational.seed_quadrature_needs(66)
+        specs = [
+            ({"trial_size": 0}, "trial_size", "'trial_size' must lie in [1, 231]"),
+            ({"trial_size": 232}, "trial_size", "'trial_size' must lie in [1, 231]"),
+            ({"trial_size": 66, "n_r": 12}, "n_r", "'n_r' must be >= 13 to integrate"),
+            ({"trial_size": 66, "n_phi": 20}, "n_phi", "'n_phi' must be >= 21 to integrate"),
+            # Both short: n_r is reported, as parse_config reports it.
+            ({"trial_size": 66, "n_r": 2, "n_phi": 4}, "n_r", "'n_r' must be >= 13"),
+        ]
+        assert needs == {"n_r": 13, "n_phi": 21}
+        for change, key, message in specs:
+            with pytest.raises(InputError, match=re.escape(message)) as info:
+                CauchyProblemSpec(**{**good, **change})
+            assert info.value.key == key
 
 
 def _reconstruction_at_nodes(spec, result):
