@@ -8,7 +8,7 @@ Cauchy-Riemann operators), together with the closed-form 1D example used
 as analytic ground truth.
 """
 
-from .bessel import RadialFactor, bessel_i, bessel_i_prime, radial_factor_eval
+from .bessel import RadialFactor, bessel_i, bessel_i_prime
 from .core import (
     DiscreteOperator,
     PerturbedSolution,
@@ -25,7 +25,6 @@ from .diskbasis import (
     apply_operator,
     check_helmholtz,
     enumerate_modes,
-    evaluate,
     nonvanishing_check,
     symbol_defect,
 )

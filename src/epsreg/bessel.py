@@ -39,7 +39,6 @@ __all__ = [
     "bessel_i",
     "bessel_i_prime",
     "RadialFactor",
-    "radial_factor_eval",
 ]
 
 NU_MAX = 60
@@ -207,16 +206,3 @@ class RadialFactor:
             self.order, self.scale * np.asarray(r, dtype=float)
         )
 
-
-def radial_factor_eval(g: RadialFactor, r):
-    """Evaluate a radial factor and its r-derivative at radii in [0, 1].
-
-    Returns
-    -------
-    (value, derivative) : tuple
-        ``I_i(sqrt(eps) r)`` and ``sqrt(eps) I_i'(sqrt(eps) r)``.
-    """
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise InputError("radius outside [0, 1]")
-    return g.value(r), g.derivative(r)

@@ -1,7 +1,8 @@
 """Experiment runner: eps sweeps, disk reconstructions, 1D tables, checks.
 
 Configs are single-section key = value files; the section name selects the
-experiment.  Output is CSV with 17-significant-digit values, one row per
+experiment, one record of ``EXPERIMENTS`` (CSV header, key schema, runner,
+parse-time check).  Output is CSV with 17-significant-digit values, one row per
 schedule entry, plus a trailing ``verdict=...`` line for experiments that
 classify a regularization path.  Exit codes: 0 success, 2 validation or
 I/O error, 3 numeric failure (for verify-style runs also: nonzero when a
@@ -14,7 +15,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, field as dc_field
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -23,25 +24,12 @@ from .bessel import NU_MAX, X_MAX, RadialFactor, bessel_i
 from .diskbasis import BasisFunction, DiracOperatorKind
 from .errors import InputError, NumericError
 
-EXPERIMENTS = ("ode1d", "matrix_path", "disk_cauchy", "disk_mixed", "verify_basis")
-
 _FUNCTIONS = {
     "cos": np.cos,
     "sin": np.sin,
     "exp": np.exp,
     "one": lambda x: np.ones_like(np.asarray(x, dtype=float)),
     "zero": lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-}
-
-_HEADERS = {
-    "ode1d": "epsilon,c0_error,c1_error",
-    "matrix_path": "epsilon,norm_h,norm_eps,residual",
-    "disk_cauchy": "epsilon,l2_norm,residual,rel_error",
-    "disk_mixed": "epsilon,trace_error_gamma,normal_error_complement,helmholtz_residual",
-    "verify_basis": (
-        "epsilon,max_l2_offdiag,max_energy_offdiag,max_helmholtz_residual,"
-        "min_normal_coupling,symbol_defect"
-    ),
 }
 
 
@@ -84,103 +72,49 @@ def _parse_sections(text: str, source: str):
     return sections
 
 
-def _coerce(kind, value, source, lineno, key):
-    try:
-        if kind == "float":
-            return float(value)
-        if kind == "int":
-            return int(value)
-        if kind == "floats":
-            items = [float(tok) for tok in value.split()]
-            if not items:
-                raise ValueError("empty list")
-            return items
-        if kind == "str":
-            return value
-        if kind == "operator":
-            mapping = {
-                "gradient": DiracOperatorKind.GRADIENT,
-                "cauchy_riemann": DiracOperatorKind.CAUCHY_RIEMANN,
-            }
-            if value not in mapping:
-                raise ValueError(f"expected one of {sorted(mapping)}")
-            return mapping[value]
-        if kind == "function":
-            if value not in _FUNCTIONS:
-                raise ValueError(f"expected one of {sorted(_FUNCTIONS)}")
-            return value
-    except ValueError as exc:
-        raise InputError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
-    raise InputError(f"unknown schema kind {kind}")  # pragma: no cover
+def _floats(value: str) -> list:
+    items = [float(tok) for tok in value.split()]
+    if not items:
+        raise ValueError("empty list")
+    return items
 
 
-_SCHEMAS = {
-    "ode1d": {
-        "a": ("float", True, None),
-        "b": ("float", True, None),
-        "u0": ("float", False, 0.0),
-        "f": ("function", True, None),
-        "schedule": ("floats", True, None),
-        "output": ("str", True, None),
-    },
-    "matrix_path": {
-        "matrix": ("str", True, None),
-        "f": ("floats", True, None),
-        "h": ("floats", False, None),
-        "schedule": ("floats", True, None),
-        "output": ("str", True, None),
-    },
-    "disk_cauchy": {
-        "operator": ("operator", False, DiracOperatorKind.GRADIENT),
-        "gamma_start": ("float", True, None),
-        "gamma_end": ("float", True, None),
-        "trial_size": ("int", False, 24),
-        "n_r": ("int", False, 64),
-        "n_phi": ("int", False, 256),
-        "schedule": ("floats", True, None),
-        "noise_amplitude": ("float", False, 0.0),
-        "noise_frequency": ("int", False, 20),
-        "output": ("str", True, None),
-    },
-    "disk_mixed": {
-        "operator": ("operator", False, DiracOperatorKind.GRADIENT),
-        "gamma_start": ("float", True, None),
-        "gamma_end": ("float", True, None),
-        "n_modes": ("int", False, 16),
-        "n_phi": ("int", False, 256),
-        "source_index": ("int", False, 2),
-        "source_branch": ("int", False, 1),
-        "schedule": ("floats", True, None),
-        "output": ("str", True, None),
-    },
-    "verify_basis": {
-        "operator": ("operator", False, DiracOperatorKind.GRADIENT),
-        "i_max": ("int", False, 8),
-        "n_r": ("int", False, 64),
-        "n_phi": ("int", False, 256),
-        "schedule": ("floats", True, None),
-        "seed": ("int", False, 0),
-        "output": ("str", True, None),
-    },
-}
+def _choice(mapping: dict):
+    """Parser of a word among ``mapping``'s keys, giving that key's value."""
+
+    def parse(value: str):
+        if value not in mapping:
+            raise ValueError(f"expected one of {sorted(mapping)}")
+        return mapping[value]
+
+    return parse
 
 
-# Inclusive ranges: Bessel orders stop at NU_MAX; quadratures need 2 radii,
-# 4 angles and stop at N_R_MAX, N_PHI_MAX.  ArcSpec and CauchyProblemSpec
-# own the arc, trial_size and seed-quadrature rules (``_keyed_check``).
-_INT_RANGES = dict(
-    n_modes=(0, NU_MAX),
-    i_max=(0, NU_MAX),
-    n_r=(2, variational.N_R_MAX),
-    n_phi=(4, variational.N_PHI_MAX),
+class Key(NamedTuple):
+    """A config key: parser of its text (ValueError on bad text), whether it is
+    required, its default (None: absent) and an inclusive integer range."""
+
+    parse: Callable
+    required: bool = False
+    default: object = None
+    bounds: Optional[tuple] = None
+
+
+_REQUIRED_FLOAT = Key(float, True)
+_OPERATOR = Key(
+    _choice({op.value: op for op in DiracOperatorKind}), False, DiracOperatorKind.GRADIENT
 )
+_ARC = dict(operator=_OPERATOR, gamma_start=_REQUIRED_FLOAT, gamma_end=_REQUIRED_FLOAT)
+# Bessel orders stop at NU_MAX; quadratures need 2 radii, 4 angles and stop
+# at N_R_MAX, N_PHI_MAX.  ArcSpec and CauchyProblemSpec own the arc,
+# trial_size and seed-quadrature rules (``_keyed_check``).
+_N_R = Key(int, False, 64, (2, variational.N_R_MAX))
+_N_PHI = Key(int, False, 256, (4, variational.N_PHI_MAX))
 
 
-def _validate_schedule_param(schedule, source, lineno):
-    try:
-        core.validate_schedule(schedule)
-    except InputError as exc:
-        raise InputError(f"{source}:{lineno}: bad 'schedule': {exc}") from exc
+def _schema(**keys) -> dict:
+    """An experiment's keys, then the ``schedule`` and ``output`` that every one takes."""
+    return {**keys, "schedule": Key(_floats, True), "output": Key(str, True)}
 
 
 def _keyed_check(source, lines, build, *args):
@@ -192,7 +126,11 @@ def _keyed_check(source, lines, build, *args):
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    """Strict parse of an experiment config; unknown keys are rejected."""
+    """Strict parse of an experiment config; unknown keys are rejected.
+
+    The first failure is reported, in this order: parsers, required keys,
+    schedule, arc, finiteness, integer ranges, the experiment's check.
+    """
     sections = _parse_sections(core.read_text(path, "config file"), path)
     if len(sections) != 1:
         raise InputError(
@@ -200,36 +138,40 @@ def parse_config(path: str) -> ExperimentConfig:
         )
     (name, raw), = sections.items()
     if name not in EXPERIMENTS:
-        raise InputError(f"{path}: unknown experiment [{name}]; expected one of {EXPERIMENTS}")
-    schema = _SCHEMAS[name]
+        raise InputError(
+            f"{path}: unknown experiment [{name}]; expected one of {tuple(EXPERIMENTS)}"
+        )
+    experiment = EXPERIMENTS[name]
+    schema = experiment.schema
     params, lines = {}, {}
     for key, (value, lineno) in raw.items():
         if key not in schema:
             raise InputError(f"{path}:{lineno}: unknown key {key!r} for experiment '{name}'")
-        kind, _, _ = schema[key]
-        params[key] = _coerce(kind, value, path, lineno, key)
+        try:
+            params[key] = schema[key].parse(value)
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
         lines[key] = lineno
-    for key, (kind, required, default) in schema.items():
+    for key, spec in schema.items():
         if key not in params:
-            if required:
+            if spec.required:
                 raise InputError(f"{path}: missing required key {key!r} for '{name}'")
-            if default is not None:
-                params[key] = default
-    if "schedule" in params:
-        _validate_schedule_param(params["schedule"], path, lines.get("schedule", 0))
+            if spec.default is not None:
+                params[key] = spec.default
+    try:
+        core.validate_schedule(params["schedule"])
+    except InputError as exc:
+        raise InputError(f"{path}:{lines['schedule']}: bad 'schedule': {exc}") from exc
     if "gamma_start" in params:
         _keyed_check(path, lines, variational.ArcSpec, params["gamma_start"], params["gamma_end"])
     for key, value in params.items():
-        if schema[key][0] in ("float", "floats") and not np.all(np.isfinite(value)):
+        if schema[key].parse in (float, _floats) and not np.all(np.isfinite(value)):
             raise InputError(f"{path}:{lines[key]}: bad {key!r}: values must be finite")
-    for key, (lo, hi) in _INT_RANGES.items():
-        if key in params and not lo <= params[key] <= hi:
-            raise InputError(f"{path}:{lines[key]}: {key!r} must lie in [{lo}, {hi}]")
-    if name == "disk_cauchy":
-        _keyed_check(path, lines, _cauchy_spec, params)
-    if name in ("disk_mixed", "verify_basis") and max(params["schedule"]) > X_MAX**2:
-        bound = f"{X_MAX**2:g}, where sqrt(eps) leaves the Bessel range [0, {X_MAX:g}]"
-        raise InputError(f"{path}:{lines['schedule']}: bad 'schedule': eps above {bound}")
+    for key, spec in schema.items():
+        if spec.bounds and not spec.bounds[0] <= params[key] <= spec.bounds[1]:
+            raise InputError(f"{path}:{lines[key]}: {key!r} must lie in {list(spec.bounds)}")
+    if experiment.check:
+        _keyed_check(path, lines, experiment.check, params)
     output = params.pop("output")
     return ExperimentConfig(
         experiment=name, params=params, output_path=output, lines=lines, source=path
@@ -277,14 +219,11 @@ def _run_matrix_path(cfg: ExperimentConfig) -> RunResult:
         operator = core.load_matrix(p["matrix"])
     except InputError as exc:
         raise InputError(f"{cfg.source}:{cfg.lines['matrix']}: bad 'matrix': {exc}") from exc
-    for key, length in (("f", operator.cod_dim), ("h", operator.dom_dim)):
-        if key in p and len(p[key]) != length:
-            raise InputError(
-                f"{cfg.source}:{cfg.lines[key]}: bad {key!r}: {key} must be a vector of length "
-                f"{length}, got shape ({len(p[key])},)"
-            )
     h = p.get("h", np.zeros(operator.dom_dim))
-    path = core.run_path(operator, p["f"], h, p["schedule"])
+    try:
+        path = core.run_path(operator, p["f"], h, p["schedule"])
+    except InputError as exc:  # parse_config left only the lengths of f and h unchecked
+        raise InputError(f"{cfg.source}:{cfg.lines[exc.key]}: bad {exc.key!r}: {exc}") from exc
     rows = [(e.epsilon, e.norm_h, e.norm_eps, e.residual) for e in path.entries]
     verdict = path.verdict.value
     return RunResult(
@@ -365,8 +304,9 @@ def _run_disk_mixed(cfg: ExperimentConfig) -> RunResult:
     return RunResult(rows, None, f"experiment=disk_mixed rows={len(rows)}")
 
 
-# Bounds of the verify_basis columns, shared with --verify: a ``min_``
-# column must lie above its bound, every other one at or below it.
+# The verify_basis columns after epsilon, in CSV order, with their bounds,
+# shared with --verify: a ``min_`` column must lie above its bound, every
+# other one at or below it.
 _VERIFY_TOLS = {
     "max_l2_offdiag": 1e-8,
     "max_energy_offdiag": 1e-8,
@@ -413,7 +353,6 @@ def _run_verify_basis(cfg: ExperimentConfig) -> RunResult:
     xis = rng.standard_normal((100, 2))
     defect = diskbasis.symbol_defect(op, xis)
     points = _ring_points(0.5, 12)
-    columns = _HEADERS["verify_basis"].split(",")[1:]
 
     rows = []
     ok = True
@@ -421,31 +360,77 @@ def _run_verify_basis(cfg: ExperimentConfig) -> RunResult:
         values = (*_basis_checks(op, p["i_max"], eps, quad, points), defect)
         rows.append((eps, *values))
         ok = ok and all(
-            _passes(v, _VERIFY_TOLS[c], c.startswith("min_")) for c, v in zip(columns, values)
+            _passes(v, bound, c.startswith("min_"))
+            for (c, bound), v in zip(_VERIFY_TOLS.items(), values)
         )
     status = "pass" if ok else "FAIL"
     summary = f"experiment=verify_basis rows={len(rows)} status={status}"
     return RunResult(rows, None, summary, ok)
 
 
-_RUNNERS = {
-    "ode1d": _run_ode1d,
-    "matrix_path": _run_matrix_path,
-    "disk_cauchy": _run_disk_cauchy,
-    "disk_mixed": _run_disk_mixed,
-    "verify_basis": _run_verify_basis,
+def _bessel_range_check(params):
+    """disk_mixed and verify_basis evaluate I_i(sqrt(eps) r), r <= 1."""
+    if max(params["schedule"]) > X_MAX**2:
+        bound = f"{X_MAX**2:g}, where sqrt(eps) leaves the Bessel range [0, {X_MAX:g}]"
+        raise InputError(f"bad 'schedule': eps above {bound}", key="schedule")
+
+
+class Experiment(NamedTuple):
+    """CSV header, config schema (key -> ``Key``), runner and an optional
+    parse-time ``check(params)`` whose InputError names its key."""
+
+    header: str
+    schema: dict
+    runner: Callable
+    check: Optional[Callable] = None
+
+
+EXPERIMENTS = {
+    "ode1d": Experiment(
+        "epsilon,c0_error,c1_error",
+        _schema(a=_REQUIRED_FLOAT, b=_REQUIRED_FLOAT, u0=Key(float, False, 0.0),
+                f=Key(_choice(dict(zip(_FUNCTIONS, _FUNCTIONS))), True)),
+        _run_ode1d,
+    ),
+    "matrix_path": Experiment(
+        "epsilon,norm_h,norm_eps,residual",
+        _schema(matrix=Key(str, True), f=Key(_floats, True), h=Key(_floats)),
+        _run_matrix_path,
+    ),
+    "disk_cauchy": Experiment(
+        "epsilon,l2_norm,residual,rel_error",
+        _schema(**_ARC, trial_size=Key(int, False, 24), n_r=_N_R, n_phi=_N_PHI,
+                noise_amplitude=Key(float, False, 0.0), noise_frequency=Key(int, False, 20)),
+        _run_disk_cauchy,
+        _cauchy_spec,
+    ),
+    "disk_mixed": Experiment(
+        "epsilon,trace_error_gamma,normal_error_complement,helmholtz_residual",
+        _schema(**_ARC, n_modes=Key(int, False, 16, (0, NU_MAX)), n_phi=_N_PHI,
+                source_index=Key(int, False, 2), source_branch=Key(int, False, 1)),
+        _run_disk_mixed,
+        _bessel_range_check,
+    ),
+    "verify_basis": Experiment(
+        ",".join(["epsilon", *_VERIFY_TOLS]),
+        _schema(operator=_OPERATOR, i_max=Key(int, False, 8, (0, NU_MAX)), n_r=_N_R,
+                n_phi=_N_PHI, seed=Key(int, False, 0)),
+        _run_verify_basis,
+        _bessel_range_check,
+    ),
 }
 
 
 def run(config: ExperimentConfig, output_override=None) -> int:
     """Execute one experiment: write its CSV and print a summary; non-finite output writes none."""
-    result = _RUNNERS[config.experiment](config)
+    experiment = EXPERIMENTS[config.experiment]
+    result = experiment.runner(config)
     if not np.all(np.isfinite(np.asarray(result.rows, dtype=float))):
         raise NumericError(f"{config.experiment} produced a non-finite value; no CSV written")
     path = output_override or config.output_path
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(_HEADERS[config.experiment] + "\n")
+            handle.write(experiment.header + "\n")
             for row in result.rows:
                 handle.write(_fmt(row) + "\n")
             if result.trailer:

@@ -34,7 +34,6 @@ __all__ = [
     "DiracOperatorKind",
     "BasisFunction",
     "enumerate_modes",
-    "evaluate",
     "Field",
     "apply_operator",
     "check_helmholtz",
@@ -252,14 +251,6 @@ class Field:
         if callable(obj):
             return Field(obj)
         raise InputError(f"cannot interpret {type(obj).__name__} as a field")
-
-
-def evaluate(b: BasisFunction, r, phi):
-    """Value of a basis function at polar points with 0 <= r <= 1."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0) or np.any(r > 1.0 + 1e-12):
-        raise InputError("radius outside [0, 1]")
-    return b.value_polar(np.minimum(r, 1.0), phi)
 
 
 def apply_operator(op: DiracOperatorKind, u):

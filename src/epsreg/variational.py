@@ -570,7 +570,6 @@ class SeedSystem:
     tables: tuple
     l2_gram: np.ndarray
     energy_gram: np.ndarray
-    trace_max: float
     lam: np.ndarray
     eigvecs: np.ndarray
     dropped: list
@@ -731,7 +730,7 @@ def build_seed_system(
     return SeedSystem(
         operator=operator, arc=arc, quad=quad, exponents=exponents, norms=norms,
         tables=((value_radial, value_ang), (slope_radial, gx_ang), (slope_radial, gy_ang)),
-        l2_gram=m_gram, energy_gram=k_gram, trace_max=trace_max,
+        l2_gram=m_gram, energy_gram=k_gram,
         lam=lam, eigvecs=eigvecs, dropped=dropped,
     )
 

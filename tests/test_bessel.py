@@ -15,7 +15,6 @@ from epsreg.bessel import (
     _series,
     bessel_i,
     bessel_i_prime,
-    radial_factor_eval,
 )
 from epsreg.errors import InputError
 
@@ -264,17 +263,13 @@ class TestRadialFactor:
         assert np.all(g.value(radii) > 0.0)
 
     def test_example_values(self):
-        value, _ = radial_factor_eval(RadialFactor(2, 4.0), 0.5)
+        value = RadialFactor(2, 4.0).value(0.5)
         assert value == pytest.approx(series_oracle(2, 1.0), rel=1e-12)
         assert value == pytest.approx(0.1357476697670383, rel=1e-12)
-        _, deriv = radial_factor_eval(RadialFactor(0, 1.0), 1.0)
+        deriv = RadialFactor(0, 1.0).derivative(1.0)
         assert deriv == pytest.approx(series_oracle(1, 1.0), rel=1e-12)
 
     def test_domain_validation(self):
-        with pytest.raises(InputError):
-            radial_factor_eval(RadialFactor(0, 1.0), 1.5)
-        with pytest.raises(InputError):
-            radial_factor_eval(RadialFactor(0, 1.0), -0.1)
         with pytest.raises(InputError):
             RadialFactor(0, 0.0)
         with pytest.raises(InputError):

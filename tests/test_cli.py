@@ -286,7 +286,8 @@ class TestNonFiniteOutput:
         out = tmp_path / "o.csv"
         cfg = write_config(tmp_path, ODE_CONFIG.format(out=out))
         stub = cli.RunResult([(1.0, 0.5, 0.25), (1e-2, float("nan"), 0.0)], None, "stub")
-        monkeypatch.setitem(cli._RUNNERS, "ode1d", lambda config: stub)
+        stubbed = cli.EXPERIMENTS["ode1d"]._replace(runner=lambda config: stub)
+        monkeypatch.setitem(cli.EXPERIMENTS, "ode1d", stubbed)
         assert cli.main(["run", cfg]) == 3
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
@@ -721,7 +722,7 @@ _FUZZ_BASES = {
     "disk_mixed": ["gamma_start = 1", "gamma_end = 4", "schedule = 1 0.5", "output = o.csv"],
     "verify_basis": ["operator = gradient", "schedule = 1 0.25", "output = o.csv"],
 }
-_FUZZ_KEYS = sorted({key for schema in cli._SCHEMAS.values() for key in schema}) + [
+_FUZZ_KEYS = sorted({key for exp in cli.EXPERIMENTS.values() for key in exp.schema}) + [
     "", "wavelength", "a b", "[ode1d]", "#",
 ]
 _FUZZ_VALUES = [

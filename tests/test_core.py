@@ -112,10 +112,13 @@ class TestSolvePerturbed:
 
     def test_input_errors(self):
         T = DiscreteOperator(np.eye(2))
-        with pytest.raises(InputError):
+        with pytest.raises(InputError) as bad_f:
             solve_perturbed(T, [1.0], [0.0, 0.0], 1.0)
-        with pytest.raises(InputError):
+        assert bad_f.value.key == "f"
+        assert str(bad_f.value) == "f must be a vector of length 2, got shape (1,)"
+        with pytest.raises(InputError) as bad_h:
             solve_perturbed(T, [1.0, 1.0], [0.0], 1.0)
+        assert bad_h.value.key == "h"
         with pytest.raises(InputError):
             solve_perturbed(T, [1.0, 1.0], [0.0, 0.0], 0.0)
         with pytest.raises(InputError):
@@ -134,8 +137,9 @@ class TestSolvePerturbed:
         data = {"operator": np.eye(2, dtype=dtype), "f": np.ones(2, dtype), "h": np.zeros(2, dtype)}
         data[where][(0, 1) if where == "operator" else 1] = bad
         name = "operator matrix" if where == "operator" else where
-        with pytest.raises(InputError, match=f"^{name} contains non-finite entries$"):
+        with pytest.raises(InputError, match=f"^{name} contains non-finite entries$") as err:
             solve_perturbed(DiscreteOperator(data["operator"]), data["f"], data["h"], 1.0)
+        assert err.value.key == (None if where == "operator" else where)
 
 
 class TestTikhonovIdentity:
@@ -294,11 +298,53 @@ class TestRunPath:
         assert path_verdict([0.1, 0.01], [5.0, 5.0]) == (0.0, Verdict.BOUNDED)
 
 
-class TestDataMemo:
-    """The last (operator, f, h) keeps T* f, V* T* f and V* h for every eps."""
+def plain_eigenbasis_solve(T, f, h, eps):
+    """u = V ((V* rhs) / (lam + eps)) and its residual contract, with no refinement."""
+    lam, vecs = T.spectrum
+    rhs = T.adjoint() @ f + eps * h
+    u = vecs @ ((vecs.conj().T @ rhs) / (lam + eps))
+    residual = np.linalg.norm(T.gram @ u + eps * u - rhs)
+    return u, residual <= 1e-10 * (1.0 + np.linalg.norm(rhs))
+
+
+def graded_operator(rng, rows, cols, decades):
+    """Q1[:, :k] diag(logspace(0, -decades, k)) Q2[:, :k]^T with random orthogonal Q1, Q2."""
+    k = min(rows, cols)
+    q1, _ = np.linalg.qr(rng.standard_normal((rows, rows)))
+    q2, _ = np.linalg.qr(rng.standard_normal((cols, cols)))
+    return q1[:, :k] @ np.diag(np.logspace(0, -decades, k)) @ q2[:, :k].T
+
+
+class TestRefinement:
+    """One refinement step runs only when the first solve misses the residual contract."""
+
+    def test_contract_met_without_refinement(self):
+        rng = np.random.default_rng(3)
+        T = DiscreteOperator(rng.standard_normal((7, 5)))
+        f, h = rng.standard_normal(7), rng.standard_normal(5)
+        for eps in (1.0, 1e-4, 1e-8):
+            plain, met = plain_eigenbasis_solve(T, f, h, eps)
+            assert met
+            assert np.array_equal(solve_perturbed(T, f, h, eps).u, plain)
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-13])
+    def test_graded_operator_refined_into_contract(self, eps):
+        rng = np.random.default_rng(8)
+        T = DiscreteOperator(graded_operator(rng, 15, 17, 8))
+        f, h = rng.standard_normal(15), rng.standard_normal(17)
+        plain, met = plain_eigenbasis_solve(T, f, h, eps)
+        assert not met
+        sol = solve_perturbed(T, f, h, eps)
+        rhs = T.adjoint() @ f + eps * h
+        assert sol.residual <= 1e-10 * (1.0 + np.linalg.norm(rhs))
+        assert not np.array_equal(sol.u, plain)
+
+
+class TestNoHeldData:
+    """solve_perturbed keeps nothing of f or h between calls."""
 
     @pytest.mark.parametrize("complex_op", [False, True])
-    def test_memo_hit_equals_cold_solve_bitwise(self, complex_op):
+    def test_repeated_solve_equals_cold_solve_bitwise(self, complex_op):
         rng = np.random.default_rng(8)
         matrix = rng.standard_normal((9, 6))
         if complex_op:
@@ -308,16 +354,21 @@ class TestDataMemo:
         other_f, other_h = rng.standard_normal(9), rng.standard_normal(6)
         for eps in (1.0, 1e-3, 1e-7):
             solve_perturbed(T, f, h, 10.0 * eps)
-            products = core._last_data[-1]
-            hit = solve_perturbed(T, f, h, eps)
-            assert core._last_data[-1] is products
+            repeat = solve_perturbed(T, f, h, eps)
             solve_perturbed(T, other_f, other_h, eps)
             cold = solve_perturbed(T, f, h, eps)
-            assert core._last_data[-1] is not products
-            assert np.array_equal(hit.u, cold.u)
-            assert (hit.norm_h, hit.norm_eps, hit.residual) == (
+            assert np.array_equal(repeat.u, cold.u)
+            assert (repeat.norm_h, repeat.norm_eps, repeat.residual) == (
                 cold.norm_h, cold.norm_eps, cold.residual
             )
+
+    def test_tiny_eps_raises_after_a_solve_of_the_same_data(self):
+        rng = np.random.default_rng(21)
+        T = DiscreteOperator(rng.standard_normal((12, 3)) @ rng.standard_normal((3, 8)))
+        f, h = rng.standard_normal(12), rng.standard_normal(8)
+        solve_perturbed(T, f, h, 0.1)
+        with pytest.raises(NumericError):
+            solve_perturbed(T, f, h, 1e-100)
 
     def test_in_place_change_to_the_data_is_seen(self):
         rng = np.random.default_rng(9)
@@ -330,28 +381,6 @@ class TestDataMemo:
             np.testing.assert_allclose(
                 changed.u, direct_solve_oracle(T.matrix, f, h, 0.1), rtol=1e-10, atol=1e-12
             )
-
-    def test_equal_matrix_or_other_dtype_recomputes(self):
-        matrix = np.array([[2.0, 1.0], [0.0, 1.0], [1.0, 0.5]])
-        first, second = DiscreteOperator(matrix), DiscreteOperator(matrix)
-        f, h = np.array([1.0, 0.5, -2.0]), np.array([0.25, 1.0])
-        solve_perturbed(first, f, h, 0.1)
-        products = core._last_data[-1]
-        solve_perturbed(second, f, h, 0.1)
-        assert core._last_data[0] is second and core._last_data[-1] is not products
-        products = core._last_data[-1]
-        solve_perturbed(second, f.astype(np.float32), h, 0.1)
-        assert core._last_data[1][0] == np.float32 and core._last_data[-1] is not products
-
-    def test_tiny_eps_raises_on_memo_hit(self):
-        rng = np.random.default_rng(21)
-        T = DiscreteOperator(rng.standard_normal((12, 3)) @ rng.standard_normal((3, 8)))
-        f, h = rng.standard_normal(12), rng.standard_normal(8)
-        solve_perturbed(T, f, h, 0.1)
-        products = core._last_data[-1]
-        with pytest.raises(NumericError):
-            solve_perturbed(T, f, h, 1e-100)
-        assert core._last_data[-1] is products
 
 
 class TestMinimalNorm:

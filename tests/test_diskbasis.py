@@ -15,7 +15,6 @@ from epsreg.diskbasis import (
     boundary_amplitudes,
     check_helmholtz,
     enumerate_modes,
-    evaluate,
     nonvanishing_check,
     symbol_defect,
 )
@@ -47,21 +46,16 @@ class TestSymbol:
 class TestEvaluate:
     def test_mode_zero_center(self):
         b = BasisFunction(RadialFactor(0, 2.5), 1, GRAD)
-        assert evaluate(b, 0.0, 1.234) == pytest.approx(1.0 / SQRT_2PI, rel=1e-14)
+        assert b.value_polar(0.0, 1.234) == pytest.approx(1.0 / SQRT_2PI, rel=1e-14)
 
     def test_gradient_cos_mode(self):
         b = BasisFunction(RadialFactor(1, 1.0), 1, GRAD)
-        assert evaluate(b, 1.0, 0.0) == pytest.approx(bessel_i(1, 1.0) / SQRT_PI, rel=1e-13)
+        assert b.value_polar(1.0, 0.0) == pytest.approx(bessel_i(1, 1.0) / SQRT_PI, rel=1e-13)
 
     def test_cauchy_riemann_phase(self):
         b = BasisFunction(RadialFactor(1, 4.0), 1, CR)
-        value = evaluate(b, 0.5, math.pi / 2.0)
+        value = b.value_polar(0.5, math.pi / 2.0)
         assert value == pytest.approx(1j * bessel_i(1, 1.0) / SQRT_PI, rel=1e-13)
-
-    def test_domain_error(self):
-        b = BasisFunction(RadialFactor(0, 1.0), 1, GRAD)
-        with pytest.raises(InputError):
-            evaluate(b, 1.5, 0.0)
 
     def test_mode_validation(self):
         with pytest.raises(InputError):

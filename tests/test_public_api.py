@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import epsreg
+from epsreg import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = sorted(info.name for info in pkgutil.iter_modules(epsreg.__path__))
@@ -56,3 +57,8 @@ def test_readme_disk_example():
     assert verdict == "Bounded"
     assert float(best_epsilon) > 0.0
     assert float(rel_error) < 0.05
+
+
+def test_readme_csv_schemas_match_the_cli():
+    rows = re.findall(r"^\| `(\w+)` +\| `([\w,]+)` +\|", README.read_text(encoding="utf-8"), re.M)
+    assert rows == [(name, exp.header) for name, exp in cli.EXPERIMENTS.items()]
