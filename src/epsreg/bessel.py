@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_epsilon
 from .errors import InputError
 
 __all__ = [
@@ -122,10 +123,9 @@ def _bessel_i(nu, x) -> np.ndarray:
 
 def _validate_argument(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
-        raise InputError("bessel_i argument must be nonnegative")
-    if np.any(arr > X_MAX):
-        raise InputError(f"bessel_i argument above supported range [0, {X_MAX}]")
+    # min and max propagate NaN, which fails both comparisons.
+    if arr.size and not (0.0 <= arr.min() and arr.max() <= X_MAX):
+        raise InputError(f"bessel_i argument outside supported range [0, {X_MAX}]")
     return arr
 
 
@@ -147,9 +147,9 @@ def bessel_i(nu, x):
     Raises
     ------
     InputError
-        For negative arguments, arguments above ``X_MAX`` (where the result
-        would leave the supported overflow-safe range) or orders outside
-        ``[0, NU_MAX]``.
+        For arguments that are NaN, negative or above ``X_MAX`` (where the
+        result would leave the supported overflow-safe range) or orders
+        outside ``[0, NU_MAX]``.
     """
     nu = _validate_order(nu)
     arr = _validate_argument(x)
@@ -189,8 +189,7 @@ class RadialFactor:
 
     def __post_init__(self):
         _validate_order(self.order)
-        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
-            raise InputError(f"epsilon must be positive, got {self.epsilon}")
+        check_epsilon(self.epsilon)
 
     @property
     def scale(self) -> float:

@@ -494,9 +494,9 @@ def verify_checks():
         expect = i * np.cos(i * phis)
         yield f"eigenvalue identity i={i}", float(np.max(np.abs(n_vals - expect))), 1e-9, False
 
-    problem = ode1d.Ode1dProblem(0.0, 1.0, 0.3, np.cos, 0.5)
-    val_a, _ = ode1d.perturbed_solution(problem, 0.0)
-    _, der_b = ode1d.perturbed_solution(problem, 1.0)
+    problem = ode1d.Ode1dProblem(0.0, 1.0, 0.3, np.cos)
+    val_a, _ = ode1d.perturbed_solution(problem, 0.0, 0.5)
+    _, der_b = ode1d.perturbed_solution(problem, 1.0, 0.5)
     yield "ode1d left datum", abs(val_a - 0.3), 1e-12, False
     yield "ode1d right flux", abs(der_b - math.cos(1.0)), 1e-8, False
 

@@ -37,6 +37,7 @@ __all__ = [
     "RegularizationPath",
     "Verdict",
     "solve_perturbed",
+    "check_epsilon",
     "run_path",
     "fit_growth_slope",
     "classify_slope",
@@ -57,6 +58,7 @@ BOUNDED_SLOPE = 0.1
 UNBOUNDED_SLOPE = 0.2
 
 _TINY_NORM = 1e-300
+_EPS_MIN = float(np.finfo(float).tiny)
 
 
 class Verdict(enum.Enum):
@@ -211,10 +213,9 @@ def solve_perturbed(T: DiscreteOperator, f, h, epsilon: float) -> PerturbedSolut
     h : array_like
         Shift datum in the domain (length ``dom_dim``).
     epsilon : float
-        Positive perturbation parameter.
+        Perturbation parameter, held to ``check_epsilon``.
     """
-    if not (epsilon > 0.0 and math.isfinite(epsilon)):
-        raise InputError(f"epsilon must be positive and finite, got {epsilon}")
+    epsilon = check_epsilon(epsilon)
     fv = _as_vector(f, T.cod_dim, "f")
     hv = _as_vector(h, T.dom_dim, "h")
 
@@ -241,26 +242,34 @@ def solve_perturbed(T: DiscreteOperator, f, h, epsilon: float) -> PerturbedSolut
     if not math.isfinite(norm_eps):
         raise NumericError(f"solution norm overflows at eps={epsilon:g}")
     return PerturbedSolution(
-        epsilon=float(epsilon), u=u, norm_h=norm_h, norm_eps=norm_eps, residual=residual
+        epsilon=epsilon, u=u, norm_h=norm_h, norm_eps=norm_eps, residual=residual
     )
+
+
+def check_epsilon(epsilon) -> float:
+    """eps as a float, or InputError: the one rule for every eps of the package.
+
+    eps must be finite and at least the smallest normal double, so NaN, inf,
+    zero, negative and subnormal values fail here rather than as NaN or
+    all-zero output later.  ``diskbasis.check_helmholtz`` also takes eps = 0.
+    """
+    eps = float(epsilon)
+    if not _EPS_MIN <= eps < math.inf:
+        raise InputError(f"epsilon must be finite and at least {_EPS_MIN:.3e}, got {eps}")
+    return eps
 
 
 def validate_schedule(schedule) -> np.ndarray:
     """The eps schedule as a float array, or InputError.
 
-    A schedule is a nonempty 1-d sequence of finite, normal (at least the
-    smallest normal double), strictly decreasing values.  NaN, inf and
-    subnormal entries are rejected here rather than failing later.
+    A schedule is a nonempty 1-d sequence of strictly decreasing values,
+    each passing ``check_epsilon``.
     """
     sched = np.asarray(schedule, dtype=float)
     if sched.ndim != 1 or sched.size == 0:
         raise InputError("schedule must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(sched)):
-        raise InputError("schedule entries must be finite")
-    if np.any(sched < np.finfo(float).tiny):
-        raise InputError(
-            f"schedule entries must be positive and at least {np.finfo(float).tiny:.3e}"
-        )
+    for eps in sched.tolist():
+        check_epsilon(eps)
     if np.any(np.diff(sched) >= 0.0):
         raise InputError("schedule must be strictly decreasing")
     return sched

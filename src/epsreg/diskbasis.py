@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import RadialFactor, bessel_i, bessel_i_prime
+from .core import check_epsilon
 from .errors import InputError
 
 __all__ = [
@@ -279,8 +280,7 @@ def basis_table(op: DiracOperatorKind, modes, epsilon: float, x, y):
     One Bessel table of the distinct orders on the radii times one angular
     table; column k holds the bits of the mode's ``BasisFunction.value_xy``.
     """
-    if not epsilon > 0.0:
-        raise InputError(f"epsilon must be positive, got {epsilon}")
+    check_epsilon(epsilon)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     orders, inverse = np.unique(np.array([i for i, _ in modes], dtype=int), return_inverse=True)
@@ -293,8 +293,7 @@ def boundary_amplitudes(op: DiracOperatorKind, modes, epsilon: float):
 
     Arrays ``I_i(sqrt(eps))`` and ``sqrt(eps) I_i'(sqrt(eps)) + (lambda - i) I_i(sqrt(eps))``.
     """
-    if not epsilon > 0.0:
-        raise InputError(f"epsilon must be positive, got {epsilon}")
+    check_epsilon(epsilon)
     orders = np.array([i for i, _ in modes], dtype=int)
     lam = np.array([op.eigenvalue(i, j) for i, j in modes])
     root = math.sqrt(epsilon)
@@ -313,7 +312,8 @@ def check_helmholtz(u, epsilon: float, sample_points) -> float | np.ndarray:
 
     The Laplacian is ``(4 L_{5e-4} - L_{1e-3}) / 3`` with ``L_h`` the
     5-point stencil of step h, which cancels the ``h^2 eps^2 / 12``
-    truncation term of one stencil.  Points must lie in the annulus
+    truncation term of one stencil.  ``epsilon`` is 0 (the Laplacian
+    alone) or passes ``core.check_epsilon``.  Points must lie in the annulus
     1e-3 <= r < 1.  ``u`` is anything ``Field.wrap`` adapts (a
     BasisFunction, a vectorized callable of Cartesian coordinates), called
     once on all stencil points; anything else raises InputError.  Its
@@ -322,8 +322,8 @@ def check_helmholtz(u, epsilon: float, sample_points) -> float | np.ndarray:
     array when the callable returns a trailing axis of several fields
     (``basis_table`` gives one column per mode).
     """
-    if epsilon < 0.0:
-        raise InputError(f"epsilon must be nonnegative, got {epsilon}")
+    if epsilon != 0.0:
+        check_epsilon(epsilon)
     pts = np.asarray(sample_points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise InputError("sample_points must have shape (n, 2)")

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .core import validate_schedule
+from .core import check_epsilon, validate_schedule
 from .errors import InputError
 
 __all__ = [
@@ -62,16 +62,12 @@ def _sdc(t, s):
 
 @dataclass(frozen=True)
 class Ode1dProblem:
-    """Interval (a, b), Cauchy datum u0 at a, right-hand side f.
-
-    ``epsilon`` may be left None for operations that sweep a schedule.
-    """
+    """Interval (a, b), Cauchy datum u0 at a, right-hand side f; eps is an argument."""
 
     a: float
     b: float
     u0: float
     f: Callable[[float], float]
-    epsilon: Optional[float] = None
 
     def __post_init__(self):
         if not (self.b - self.a > 0.0):
@@ -80,8 +76,6 @@ class Ode1dProblem:
         vals = np.fromiter(map(self.f, samples.tolist()), float, count=samples.size)
         if not np.all(np.isfinite(vals)):
             raise InputError("right-hand side f is not finite on the interval")
-        if self.epsilon is not None and not self.epsilon > 0.0:
-            raise InputError(f"epsilon must be positive, got {self.epsilon}")
 
     def _require_inside(self, x: float) -> float:
         if not (self.a - 1e-12 <= x <= self.b + 1e-12):
@@ -98,8 +92,8 @@ def exact_solution(p: Ode1dProblem, x: float) -> float:
     return p.u0 + integral
 
 
-def perturbed_solution(p: Ode1dProblem, x: float):
-    """Value and derivative of the perturbed mixed-problem solution.
+def perturbed_solution(p: Ode1dProblem, x: float, epsilon: float):
+    """Value and derivative of the perturbed mixed-problem solution at eps.
 
     Returns
     -------
@@ -113,10 +107,8 @@ def perturbed_solution(p: Ode1dProblem, x: float):
     """
     from scipy.integrate import quad
 
-    if p.epsilon is None or not p.epsilon > 0.0:
-        raise InputError("perturbed_solution requires a positive epsilon on the problem")
+    k = math.sqrt(check_epsilon(epsilon))
     x = p._require_inside(x)
-    k = math.sqrt(p.epsilon)
     s = k * (p.b - p.a)
     fx = p.f(x)
 

@@ -162,10 +162,6 @@ class ArcSpec:
         if self.gamma_end - self.gamma_start > _TWO_PI + 1e-12:
             raise InputError("arc length exceeds 2 pi", key="gamma_end")
 
-    @classmethod
-    def full_circle(cls) -> "ArcSpec":
-        return cls(0.0, _TWO_PI)
-
     @property
     def length(self) -> float:
         return self.gamma_end - self.gamma_start
@@ -357,6 +353,7 @@ def basis_grams(operator: DiracOperatorKind, i_max: int, epsilon: float, quad: D
     angular Gram on ``quad.phi``.  Returns (modes, l2_gram, energy_gram);
     both Grams are Hermitian and diagonal up to quadrature error.
     """
+    core.check_epsilon(epsilon)
     modes = diskbasis.enumerate_modes(i_max)
     orders = [i for i, _ in modes]
     values, slopes = _radial_table(i_max, epsilon, quad.r)
@@ -737,9 +734,7 @@ def build_seed_system(
 
 def trial_space_for_epsilon(seeds: SeedSystem, epsilon: float) -> np.ndarray:
     """The eps-orthonormal basis w_i / sqrt(lam_i + eps) as seed-coefficient columns."""
-    if not epsilon > 0.0:
-        raise InputError(f"epsilon must be positive, got {epsilon}")
-    return seeds.eigvecs / np.sqrt(seeds.lam + epsilon)
+    return seeds.eigvecs / np.sqrt(seeds.lam + core.check_epsilon(epsilon))
 
 
 def solve_perturbed_galerkin(seeds: SeedSystem, epsilons, f=None, h=None) -> np.ndarray:
@@ -751,8 +746,8 @@ def solve_perturbed_galerkin(seeds: SeedSystem, epsilons, f=None, h=None) -> np.
     filter factors of the whole schedule from one factorization.
     """
     eps = np.asarray(epsilons, dtype=float)
-    if not np.all(eps > 0.0):
-        raise InputError(f"epsilon must be positive, got {epsilons}")
+    for e in eps.ravel().tolist():
+        core.check_epsilon(e)
     proj = seeds.project(f) if f is not None else np.zeros(seeds.lam.size)
     proj = proj[:, None]
     if h is not None:
@@ -839,8 +834,7 @@ def solve_mixed_boundary_series(
     amplitude below the smallest normal float (deep modes at small eps),
     or a coefficient beyond the largest, raises NumericError.
     """
-    if not epsilon > 0.0:
-        raise InputError(f"epsilon must be positive, got {epsilon}")
+    core.check_epsilon(epsilon)
     if n_modes < 0:
         raise InputError("n_modes must be nonnegative")
     modes = diskbasis.enumerate_modes(n_modes)

@@ -217,10 +217,9 @@ def test_criterion_07_one_dimensional_ground_truth():
     """Closed-form 1D case: exact datum, flux match, strict C^1 convergence."""
     problem = Ode1dProblem(0.0, 1.0, 0.0, math.cos)
     for eps in (1.0, 1e-2, 1e-4, 1e-6):
-        p = Ode1dProblem(0.0, 1.0, 0.0, math.cos, eps)
-        value_a, _ = perturbed_solution(p, 0.0)
+        value_a, _ = perturbed_solution(problem, 0.0, eps)
         assert value_a == 0.0
-        _, deriv_b = perturbed_solution(p, 1.0)
+        _, deriv_b = perturbed_solution(problem, 1.0, eps)
         assert abs(deriv_b - math.cos(1.0)) <= 1e-8
     rows = convergence_report(problem, [1.0, 1e-2, 1e-4, 1e-6])
     c0 = [r.c0_error for r in rows]

@@ -132,6 +132,15 @@ class TestBesselI:
         with pytest.raises(InputError):
             bessel_i(1.5, 1.0)
 
+    @pytest.mark.parametrize(
+        "x", [math.nan, [1.0, math.nan], [20.0, math.nan]], ids=["scalar", "series", "miller"]
+    )
+    def test_nan_argument_refused(self, x):
+        # Series and Miller branches alike: NaN fails 0 <= x <= X_MAX.
+        for fn in (bessel_i, bessel_i_prime):
+            with pytest.raises(InputError, match="outside supported range"):
+                fn(0, np.asarray(x))
+
 
 class TestVectorizedMiller:
     def test_bitwise_equal_to_scalar_recurrence(self):

@@ -1,5 +1,7 @@
 """Tests for the dense (T*T + eps I) engine and path diagnostics."""
 
+import functools
+import math
 import os
 import warnings
 
@@ -8,7 +10,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from epsreg import core
+from epsreg import bessel, core, diskbasis, ode1d, variational
 from epsreg.core import (
     DiscreteOperator,
     _parse_entry,
@@ -732,3 +734,84 @@ class TestMatrixText:
         for text in ("", "2", "2 2 1 2 3", "a b 1 2", "1 1 zz", "0 2 "):
             with pytest.raises(InputError):
                 parse_matrix_text(text)
+
+
+GRAD = diskbasis.DiracOperatorKind.GRADIENT
+BAD_EPSILONS = [math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324]
+
+
+@functools.cache
+def _quad():
+    return variational.DiskQuadrature.build(8, 16)
+
+
+@functools.cache
+def _seeds():
+    return variational.build_seed_system(variational.ArcSpec(0.0, math.pi), GRAD, 3, _quad())
+
+
+# Every entry point that takes an eps, as a call of that eps on valid data.
+EPS_ENTRY_POINTS = {
+    "core.solve_perturbed": lambda eps: solve_perturbed(
+        DiscreteOperator(np.eye(2)), [1.0, 1.0], [0.0, 0.0], eps
+    ),
+    "core.validate_schedule": lambda eps: core.validate_schedule([eps]),
+    "bessel.RadialFactor": lambda eps: bessel.RadialFactor(1, eps),
+    "diskbasis.basis_table": lambda eps: diskbasis.basis_table(
+        GRAD, diskbasis.enumerate_modes(2), eps, [0.5], [0.1]
+    ),
+    "diskbasis.boundary_amplitudes": lambda eps: diskbasis.boundary_amplitudes(
+        GRAD, diskbasis.enumerate_modes(2), eps
+    ),
+    "diskbasis.check_helmholtz": lambda eps: diskbasis.check_helmholtz(
+        lambda x, y: x * y, eps, [[0.5, 0.1]]
+    ),
+    "variational.trial_space_for_epsilon": lambda eps: variational.trial_space_for_epsilon(
+        _seeds(), eps
+    ),
+    "variational.solve_perturbed_galerkin": lambda eps: variational.solve_perturbed_galerkin(
+        _seeds(), [1.0, eps], f=(np.ones(_quad().w.size), np.zeros(_quad().w.size))
+    ),
+    "variational.solve_mixed_boundary_series": lambda eps: (
+        variational.solve_mixed_boundary_series(
+            GRAD, variational.ArcSpec(0.0, math.pi), None, None, eps, n_modes=2, n_phi=16
+        )
+    ),
+    "variational.basis_grams": lambda eps: variational.basis_grams(GRAD, 2, eps, _quad()),
+    "ode1d.perturbed_solution": lambda eps: ode1d.perturbed_solution(
+        ode1d.Ode1dProblem(0.0, 1.0, 0.3, math.cos), 0.5, eps
+    ),
+}
+
+
+class TestCheckEpsilon:
+    """core.check_epsilon is the one eps rule, and every entry point applies it."""
+
+    def test_the_rule(self):
+        tiny = np.finfo(float).tiny
+        for good in (tiny, 1e-300, 0.5, np.float64(3.0), 1, 1e308):
+            assert core.check_epsilon(good) == float(good)
+            assert type(core.check_epsilon(good)) is float
+        message = r"^epsilon must be finite and at least 2\.225e-308, got nan$"
+        with pytest.raises(InputError, match=message):
+            core.check_epsilon(math.nan)
+        with pytest.raises(InputError, match=r"got 5e-324$"):
+            core.check_epsilon(5e-324)
+
+    @pytest.mark.parametrize(
+        "entry, eps",
+        [
+            (entry, eps)
+            for entry in EPS_ENTRY_POINTS
+            for eps in BAD_EPSILONS
+            # eps 0 is the Laplacian alone there, which test_diskbasis.py's
+            # TestHelmholtz::test_harmonic_polynomial_limit runs.
+            if (entry, eps) != ("diskbasis.check_helmholtz", 0.0)
+        ],
+    )
+    def test_every_entry_point_refuses_with_the_rule_message(self, entry, eps):
+        with pytest.raises(InputError) as rule:
+            core.check_epsilon(eps)
+        with pytest.raises(InputError) as refused:
+            EPS_ENTRY_POINTS[entry](eps)
+        assert str(refused.value) == str(rule.value)

@@ -46,14 +46,14 @@ class TestExactSolution:
 class TestPerturbedSolution:
     def test_left_datum_exact(self):
         for eps in (1.0, 0.01, 37.0):
-            p = Ode1dProblem(0.0, 1.0, 0.8, math.cos, eps)
-            value, _ = perturbed_solution(p, 0.0)
+            p = Ode1dProblem(0.0, 1.0, 0.8, math.cos)
+            value, _ = perturbed_solution(p, 0.0, eps)
             assert value == pytest.approx(0.8, abs=1e-13)
 
     @pytest.mark.parametrize("eps", [1.0, 0.01])
     def test_right_flux_matches_f(self, eps):
-        p = Ode1dProblem(0.0, 1.0, 0.0, math.cos, eps)
-        _, deriv = perturbed_solution(p, 1.0)
+        p = Ode1dProblem(0.0, 1.0, 0.0, math.cos)
+        _, deriv = perturbed_solution(p, 1.0, eps)
         assert abs(deriv - math.cos(1.0)) <= 1e-8
 
     def test_zero_rhs_profile(self):
@@ -61,47 +61,42 @@ class TestPerturbedSolution:
         # u'(b) = 0 is u0 cosh(k(b - x)) / cosh(k(b - a)).
         eps, u0 = 4.0, 1.3
         k = math.sqrt(eps)
-        p = Ode1dProblem(0.0, 1.0, u0, lambda x: 0.0, eps)
+        p = Ode1dProblem(0.0, 1.0, u0, lambda x: 0.0)
         for x in (0.0, 0.4, 1.0):
-            value, deriv = perturbed_solution(p, x)
+            value, deriv = perturbed_solution(p, x, eps)
             assert value == pytest.approx(u0 * math.cosh(k * (1 - x)) / math.cosh(k), rel=1e-12)
             assert deriv == pytest.approx(
                 -u0 * k * math.sinh(k * (1 - x)) / math.cosh(k), rel=1e-11, abs=1e-12
             )
 
     def test_derivative_against_centered_difference(self):
-        p = Ode1dProblem(0.0, 1.0, 0.4, math.cos, 1.0)
+        p = Ode1dProblem(0.0, 1.0, 0.4, math.cos)
         h = 1e-6
         for x in (0.25, 0.5, 0.9):
-            vm, _ = perturbed_solution(p, x - h)
-            vp, _ = perturbed_solution(p, x + h)
-            _, deriv = perturbed_solution(p, x)
+            vm, _ = perturbed_solution(p, x - h, 1.0)
+            vp, _ = perturbed_solution(p, x + h, 1.0)
+            _, deriv = perturbed_solution(p, x, 1.0)
             assert deriv == pytest.approx((vp - vm) / (2.0 * h), rel=1e-7, abs=1e-9)
 
     def test_ode_residual(self):
         # u'' - eps u = f' with f = cos, f' = -sin, via finite differences.
         eps = 1.0
-        p = Ode1dProblem(0.0, 1.0, 0.2, math.cos, eps)
+        p = Ode1dProblem(0.0, 1.0, 0.2, math.cos)
         h = 1e-4
         for x in np.linspace(0.05, 0.95, 101):
-            vm, _ = perturbed_solution(p, x - h)
-            v0, _ = perturbed_solution(p, x)
-            vp, _ = perturbed_solution(p, x + h)
+            vm, _ = perturbed_solution(p, x - h, eps)
+            v0, _ = perturbed_solution(p, x, eps)
+            vp, _ = perturbed_solution(p, x + h, eps)
             upp = (vp - 2.0 * v0 + vm) / (h * h)
             assert abs(upp - eps * v0 - (-math.sin(x))) <= 1e-6
 
     def test_large_epsilon_stable(self):
         # sqrt(eps) (b - a) = 63 exercises the exponentially scaled kernels.
-        p = Ode1dProblem(0.0, 1.0, 0.5, math.cos, 4.0e3)
-        value, deriv = perturbed_solution(p, 0.5)
+        p = Ode1dProblem(0.0, 1.0, 0.5, math.cos)
+        value, deriv = perturbed_solution(p, 0.5, 4.0e3)
         assert math.isfinite(value) and math.isfinite(deriv)
-        _, deriv_b = perturbed_solution(p, 1.0)
+        _, deriv_b = perturbed_solution(p, 1.0, 4.0e3)
         assert abs(deriv_b - math.cos(1.0)) <= 1e-8
-
-    def test_requires_epsilon(self):
-        p = Ode1dProblem(0.0, 1.0, 0.0, math.cos)
-        with pytest.raises(InputError):
-            perturbed_solution(p, 0.5)
 
     def test_interval_validation(self):
         with pytest.raises(InputError):
@@ -124,11 +119,10 @@ class TestConvergenceReport:
         # The vectorized cumulative path must agree with adaptive quadrature.
         p = Ode1dProblem(0.0, 1.0, 0.3, math.cos)
         rows = convergence_report(p, [0.5], grid_points=11)
-        pe = Ode1dProblem(0.0, 1.0, 0.3, math.cos, 0.5)
         grid = np.linspace(0.0, 1.0, 11)
         exact = [exact_solution(p, x) for x in grid]
         worst = max(
-            abs(perturbed_solution(pe, float(x))[0] - e) for x, e in zip(grid, exact)
+            abs(perturbed_solution(p, float(x), 0.5)[0] - e) for x, e in zip(grid, exact)
         )
         assert rows[0].c0_error == pytest.approx(worst, rel=1e-6, abs=1e-10)
 
@@ -305,9 +299,8 @@ class TestGridSolution:
         grid = np.linspace(a, b, 1001)
         p = Ode1dProblem(a, b, u0, f)
         values, derivs = _grid_solution(p, eps, grid, _fine_samples(p, grid))
-        pe = Ode1dProblem(a, b, u0, f, eps)
         for i in range(0, grid.size, 50):
-            value, deriv = perturbed_solution(pe, float(grid[i]))
+            value, deriv = perturbed_solution(p, float(grid[i]), eps)
             assert abs(values[i] - value) <= 1e-12
             assert abs(derivs[i] - deriv) <= 1e-12 * max(1.0, abs(deriv))
 
@@ -321,10 +314,9 @@ class TestGridSolution:
         grid = np.linspace(a, b, 1001)
         p = Ode1dProblem(a, b, 0.0, math.cos)
         values, derivs = _grid_solution(p, eps, grid, _fine_samples(p, grid))
-        pe = Ode1dProblem(a, b, 0.0, math.cos, eps)
         for i in (100, 500, 900):
             x = float(grid[i])
-            value, deriv = perturbed_solution(pe, x)
+            value, deriv = perturbed_solution(p, x, eps)
             assert value == pytest.approx(math.sin(x) / eps, rel=1e-3, abs=0.0)
             assert deriv == pytest.approx(math.cos(x) / eps, rel=1e-3, abs=0.0)
             assert abs(values[i] - value) <= 1e-12 and abs(derivs[i] - deriv) <= 1e-12
@@ -341,9 +333,8 @@ class TestGridSolution:
         grid = np.linspace(a, b, 1001)
         p = Ode1dProblem(a, b, 0.0, f)
         values, _ = _grid_solution(p, eps, grid, _fine_samples(p, grid))
-        pe = Ode1dProblem(a, b, 0.0, f, eps)
         for i in (100, 500, 900):
-            value, _ = perturbed_solution(pe, float(grid[i]))
+            value, _ = perturbed_solution(p, float(grid[i]), eps)
             assert value == pytest.approx(values[i], rel=1e-7, abs=0.0)
 
     def test_cli_huge_epsilon(self, tmp_path):

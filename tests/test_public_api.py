@@ -62,3 +62,27 @@ def test_readme_disk_example():
 def test_readme_csv_schemas_match_the_cli():
     rows = re.findall(r"^\| `(\w+)` +\| `([\w,]+)` +\|", README.read_text(encoding="utf-8"), re.M)
     assert rows == [(name, exp.header) for name, exp in cli.EXPERIMENTS.items()]
+
+
+# An InputError message that states a rule on eps: its sign, finiteness or size.
+_RULE_WORDS = "(positive|finite|negative|normal|at least)"
+_EPS_RULE = re.compile(rf"\beps(ilon)?\b.*{_RULE_WORDS}|{_RULE_WORDS}.*\beps(ilon)?\b", re.I)
+
+
+def test_only_check_epsilon_states_the_eps_rule():
+    """Every eps is checked by core.check_epsilon; no module keeps a copy of the rule."""
+    owners = set()
+    for path in sorted(Path(epsreg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if (
+                    isinstance(node, ast.Raise)
+                    and isinstance(node.exc, ast.Call)
+                    and getattr(node.exc.func, "id", None) == "InputError"
+                    and any(_EPS_RULE.search(ast.unparse(arg)) for arg in node.exc.args)
+                ):
+                    owners.add(f"{path.stem}.{func.name}")
+    assert owners == {"core.check_epsilon"}

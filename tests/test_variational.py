@@ -161,7 +161,7 @@ class TestArcSpec:
         assert np.all(cphi >= math.pi - 1e-12)
 
     def test_full_circle(self):
-        full = ArcSpec.full_circle()
+        full = ArcSpec(0.0, 2 * math.pi)
         assert full.is_full
         phi, w = full.quadrature(128)
         assert phi.size == 128 and np.sum(w) == pytest.approx(2 * math.pi)
@@ -241,7 +241,7 @@ class TestBoundaryForm:
     def test_distinct_frequencies_full_circle(self):
         b1 = BasisFunction(RadialFactor(1, 1.0), 1, GRAD)
         b2 = BasisFunction(RadialFactor(2, 1.0), 1, GRAD)
-        value = boundary_form_h(b1, b2, GRAD, ArcSpec.full_circle())
+        value = boundary_form_h(b1, b2, GRAD, ArcSpec(0.0, 2 * math.pi))
         assert abs(complex(value)) <= 1e-14
 
     def test_complementary_arcs_split_the_full_circle(self):
@@ -303,7 +303,7 @@ class TestGramSchmidt:
 
 class TestTrialSpace:
     def test_full_circle_defining_function(self, quad_small):
-        seeds = build_seed_system(ArcSpec.full_circle(), GRAD, 1, quad_small)
+        seeds = build_seed_system(ArcSpec(0.0, 2 * math.pi), GRAD, 1, quad_small)
         ratio = seeds.at_nodes([1.0])[0] / (1.0 - quad_small.x**2 - quad_small.y**2)
         np.testing.assert_allclose(ratio, ratio[0], rtol=1e-12)
 
@@ -450,7 +450,7 @@ class TestGalerkin:
         # obtained by matching polynomial coefficients and the boundary
         # condition.  The Galerkin solution must follow it down to the
         # span's polynomial-approximation floor.
-        arc = ArcSpec.full_circle()
+        arc = ArcSpec(0.0, 2 * math.pi)
         seeds = build_seed_system(arc, GRAD, 24, quad64)
         f_vals = (1 - 3 * quad64.x**2 - quad64.y**2, -2 * quad64.x * quad64.y)
 
@@ -804,7 +804,7 @@ class TestPipeline:
         u_star = cubic_field()
         spec = CauchyProblemSpec(
             operator=GRAD,
-            arc=ArcSpec.full_circle(),
+            arc=ArcSpec(0.0, 2 * math.pi),
             f=apply_operator(GRAD, u_star),
             u0=lambda phi: u_star.value_xy(np.cos(phi), np.sin(phi)),
             schedule=[1e-1, 1e-2, 1e-3],
@@ -891,7 +891,7 @@ class TestPipeline:
         u_star = cubic_field()
         good = dict(
             operator=GRAD,
-            arc=ArcSpec.full_circle(),
+            arc=ArcSpec(0.0, 2 * math.pi),
             f=apply_operator(GRAD, u_star),
             u0=lambda phi: u_star.value_xy(np.cos(phi), np.sin(phi)),
             schedule=[1e-1, 1e-2],
@@ -1172,7 +1172,7 @@ class TestSeparableSeedGrams:
     # against Grams of node matrices of the seed Field closures.
     @pytest.mark.parametrize("op", [GRAD, CR])
     @pytest.mark.parametrize(
-        "arc", [UPPER, ArcSpec(0.3, 0.8), ArcSpec.full_circle()], ids=["upper", "short", "full"]
+        "arc", [UPPER, ArcSpec(0.3, 0.8), ArcSpec(0.0, 2 * math.pi)], ids=["upper", "short", "full"]
     )
     @pytest.mark.parametrize("size", [1, 15, 66])
     def test_matches_node_quadrature(self, op, arc, size, quad_small):
@@ -1225,7 +1225,7 @@ class TestSeedQuadratureRule:
     # finer rule, and one node fewer in either direction moves them.
     @pytest.mark.parametrize("size", [10, 24, 66])
     def test_bound_is_exact_and_sharp(self, size):
-        arc, op = ArcSpec.full_circle(), CR
+        arc, op = ArcSpec(0.0, 2 * math.pi), CR
         need = variational.seed_quadrature_needs(size)
         fine = DiskQuadrature.build(64, 256)
         ref = build_seed_system(arc, op, size, fine)
