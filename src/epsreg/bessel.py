@@ -37,6 +37,7 @@ from .errors import InputError
 __all__ = [
     "NU_MAX",
     "X_MAX",
+    "check_disk_epsilon",
     "bessel_i",
     "bessel_i_prime",
     "RadialFactor",
@@ -44,6 +45,16 @@ __all__ = [
 
 NU_MAX = 60
 X_MAX = 60.0
+
+
+def check_disk_epsilon(epsilon) -> float:
+    """``core.check_epsilon``, then eps <= X_MAX**2: I_i(sqrt(eps) r), r <= 1, stays in range."""
+    eps = check_epsilon(epsilon)
+    if eps > X_MAX**2:
+        bound = f"{X_MAX**2:g}, where sqrt(eps) leaves the Bessel range [0, {X_MAX:g}]"
+        raise InputError(f"eps above {bound}, got {eps:g}")
+    return eps
+
 
 _SERIES_SWITCH = 15.0
 _SERIES_STRIDE = 4
@@ -189,7 +200,7 @@ class RadialFactor:
 
     def __post_init__(self):
         _validate_order(self.order)
-        check_epsilon(self.epsilon)
+        check_disk_epsilon(self.epsilon)
 
     @property
     def scale(self) -> float:

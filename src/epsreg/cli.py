@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import core, diskbasis, ode1d, variational
-from .bessel import NU_MAX, X_MAX, RadialFactor, bessel_i
+from .bessel import NU_MAX, RadialFactor, bessel_i, check_disk_epsilon
 from .diskbasis import BasisFunction, DiracOperatorKind
 from .errors import InputError, NumericError
 
@@ -370,9 +370,10 @@ def _run_verify_basis(cfg: ExperimentConfig) -> RunResult:
 
 def _bessel_range_check(params):
     """disk_mixed and verify_basis evaluate I_i(sqrt(eps) r), r <= 1."""
-    if max(params["schedule"]) > X_MAX**2:
-        bound = f"{X_MAX**2:g}, where sqrt(eps) leaves the Bessel range [0, {X_MAX:g}]"
-        raise InputError(f"bad 'schedule': eps above {bound}", key="schedule")
+    try:
+        check_disk_epsilon(max(params["schedule"]))
+    except InputError as exc:
+        raise InputError(f"bad 'schedule': {exc}", key="schedule") from exc
 
 
 class Experiment(NamedTuple):

@@ -13,6 +13,10 @@ up as a positive limit residual ``||T u_eps - f||``.  A matrix has a closed
 range too, but its bound ``||f|| / sigma_min`` can lie far beyond the end
 of the schedule, which is all the slope proxy below reads.
 
+Each eps is solved in the thin SVD ``T = U diag(s) V*`` of the operator,
+formed once at its first solve, where the perturbed normal equation is
+diagonal; ``solve_perturbed`` gives the cost and the accuracy.
+
 The boundedness criterion is asymptotic; as a finite-sample proxy this
 module fits the slope of ``log ||u_eps||`` against ``log(1/eps)`` over the
 final decade of the sweep and classifies the path by two configurable
@@ -82,7 +86,7 @@ class DiscreteOperator:
     def __post_init__(self):
         mat = _checked_matrix(self.matrix)
         # An own read-only copy: neither the caller's array nor a later load
-        # that shares this operator can change it under its cached spectrum.
+        # that shares this operator can change it under its cached SVD.
         object.__setattr__(self, "matrix", _read_only(mat.astype(np.result_type(mat, float))))
 
     @classmethod
@@ -103,22 +107,13 @@ class DiscreteOperator:
     def cod_dim(self) -> int:
         return self.matrix.shape[0]
 
-    def adjoint(self) -> np.ndarray:
-        return self.matrix.conj().T
-
     @cached_property
-    def gram(self) -> np.ndarray:
-        """T*T, formed once per operator and shared by every eps of a sweep."""
-        return _read_only(self.adjoint() @ self.matrix)
-
-    @cached_property
-    def spectrum(self):
-        """(lam, V) with T*T = V diag(lam) V*, lam clipped at 0; one per operator."""
+    def svd(self):
+        """(U, s, Vh), the thin SVD T = U diag(s) Vh; one per operator, at its first solve."""
         import scipy.linalg  # on first use: of the runs, only matrix_path needs it
 
-        lam, vecs = scipy.linalg.eigh(self.gram)
-        # T*T is positive semidefinite: negative eigenvalues are rounding.
-        return _read_only(np.maximum(lam, 0.0)), _read_only(vecs)
+        factors = scipy.linalg.svd(self.matrix, full_matrices=False, check_finite=False)
+        return tuple(_read_only(factor) for factor in factors)
 
 
 def _checked_matrix(matrix) -> np.ndarray:
@@ -141,7 +136,7 @@ class PerturbedSolution:
 
     ``norm_h`` is the Euclidean norm of u, ``norm_eps`` the perturbed norm
     sqrt(||Tu||^2 + eps ||u||^2) and ``residual`` the Euclidean norm of the
-    normal-equation defect.
+    normal-equation defect in the singular basis of T (``solve_perturbed``).
     """
 
     epsilon: float
@@ -188,22 +183,17 @@ def _adjoint_times(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def solve_perturbed(T: DiscreteOperator, f, h, epsilon: float) -> PerturbedSolution:
-    """Solve (T*T + eps I) u = T* f + eps h in the eigenbasis of T*T.
+    """Solve (T*T + eps I) u = T* f + eps h in the singular basis of T.
 
-    ``T.spectrum`` is computed once per operator; nothing else is kept
-    between calls.  Each eps forms ``rhs = T* f + eps h`` and solves
-    ``u = V ((V* rhs) / (lam + eps))``, whose filter 1 / (lam + eps) is
-    finite for every eps > 0: five matrix passes with the residual and the
-    norms.  The recorded residual ||T*T u + eps u - rhs|| must lie within
-    1e-10 * (1 + ||rhs||); when the first solve misses that contract (badly
-    scaled or graded operators), one iterative refinement step follows.  A
-    solve that still misses it or overflows raises NumericError.
-
-    The contract bounds the residual, not the forward error.  A refinement
-    step in working precision cannot take ``u`` past the conditioning of
-    the normal equations: for h != 0 and a rank-deficient ``T``, ``u`` errs
-    by about ``eps_mach ||T*T|| / eps`` (median 4.8e-7 relative over random
-    rank-3 12x8 operators at eps 1e-8) while its residual meets the contract.
+    ``T.svd`` = (U, s, V*) is formed once per operator; nothing else is kept
+    between calls.  In that basis the equation is diagonal:
+    ``c = (s U* f + eps V* h) / (s^2 + eps)`` and ``u = h + V (c - V* h)``,
+    three matrix passes per eps and two when h = 0.  No product with T*T is
+    formed, so the forward error does not grow like ``eps_mach ||T*T|| / eps``
+    (Hansen, Rank-Deficient and Discrete Ill-Posed Problems, 1998, ch. 4-5).
+    The norms take no pass, as ``||T u|| = ||s c||``, and ``residual`` is
+    the defect ``||(s^2 + eps) c - (s U* f + eps V* h)||`` in that basis.  A
+    non-finite ``u`` or an overflowing norm raises NumericError.
 
     Parameters
     ----------
@@ -219,28 +209,21 @@ def solve_perturbed(T: DiscreteOperator, f, h, epsilon: float) -> PerturbedSolut
     fv = _as_vector(f, T.cod_dim, "f")
     hv = _as_vector(h, T.dom_dim, "h")
 
-    gram = T.gram
-    lam, vecs = T.spectrum
-    rhs = _adjoint_times(T.matrix, fv) + epsilon * hv
-
-    # Tiny eps can push near-null components past the float range; that
-    # shows up as a missed contract or an infinite norm, reported below.
+    left, s, right = T.svd
+    # Data or singular values near the float range can overflow; that shows
+    # up as an infinite norm, reported below.
     with np.errstate(over="ignore", invalid="ignore"):
-        u = vecs @ (_adjoint_times(vecs, rhs) / (lam + epsilon))
-        defect = rhs - (gram @ u + epsilon * u)
-        residual = float(np.linalg.norm(defect))
-        bound = 1e-10 * (1.0 + float(np.linalg.norm(rhs)))
-        if not residual <= bound:
-            u = u + vecs @ (_adjoint_times(vecs, defect) / (lam + epsilon))
-            residual = float(np.linalg.norm(gram @ u + epsilon * u - rhs))
+        denom = s * s + epsilon
+        hv_right = right @ hv if hv.any() else 0.0  # V* h; h = 0 skips its pass
+        rhs = s * _adjoint_times(left, fv) + epsilon * hv_right
+        c = rhs / denom
+        u = hv + _adjoint_times(right, c - hv_right)
+        residual = float(np.linalg.norm(denom * c - rhs))
         norm_h = float(np.linalg.norm(u))
-        norm_eps = math.hypot(float(np.linalg.norm(T.matrix @ u)), math.sqrt(epsilon) * norm_h)
-    if not np.all(np.isfinite(u)) or not residual <= bound:
-        raise NumericError(
-            f"normal-equation residual {residual:.3e} exceeds 1e-10 * (1 + ||rhs||)"
-        )
+        norm_eps = math.hypot(float(np.linalg.norm(s * c)), math.sqrt(epsilon) * norm_h)
+    # A non-finite entry of u makes norm_h, and so norm_eps, non-finite too.
     if not math.isfinite(norm_eps):
-        raise NumericError(f"solution norm overflows at eps={epsilon:g}")
+        raise NumericError(f"solution or its norm overflows at eps={epsilon:g}")
     return PerturbedSolution(
         epsilon=epsilon, u=u, norm_h=norm_h, norm_eps=norm_eps, residual=residual
     )
@@ -434,14 +417,15 @@ def load_matrix(path) -> DiscreteOperator:
     The operator is keyed on the file's bytes themselves, never on its
     path or mtime.  When the bytes equal those of the last file loaded
     (one read and one compare), that operator is returned again with the
-    read-only ``gram`` and ``spectrum`` it has formed, so a process parses
-    and factors one operator content once however many data it sweeps.
-    Only the last operator is kept; other bytes are parsed and validated
-    as a first load, and a file that fails to load leaves the kept one
-    alone.  The price is that the process holds the last file's bytes
-    between loads, not a digest: 10.4 MB for an 800 x 600 matrix of
-    ``repr`` floats, whose operator is 3.84 MB.  A first load parses those
-    bytes without a decoded copy, so the peak memory of a load still falls.
+    read-only ``svd`` it has formed, so a process parses and factors one
+    operator content once however many data it sweeps.  A load never
+    factors: the SVD runs at the operator's first solve.  Only the last
+    operator is kept; other bytes are parsed and validated as a first
+    load, and a file that fails to load leaves the kept one alone.  The
+    price is that the process holds the last file's bytes between loads,
+    not a digest: 10.4 MB for an 800 x 600 matrix of ``repr`` floats,
+    whose operator is 3.84 MB.  A first load parses those bytes without a
+    decoded copy, so the peak memory of a load still falls.
     """
     global _last_matrix
     data = _read_bytes(path, "matrix file")

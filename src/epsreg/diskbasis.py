@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import RadialFactor, bessel_i, bessel_i_prime
+from .bessel import RadialFactor, bessel_i, bessel_i_prime, check_disk_epsilon
 from .core import check_epsilon
 from .errors import InputError
 
@@ -293,7 +293,7 @@ def boundary_amplitudes(op: DiracOperatorKind, modes, epsilon: float):
 
     Arrays ``I_i(sqrt(eps))`` and ``sqrt(eps) I_i'(sqrt(eps)) + (lambda - i) I_i(sqrt(eps))``.
     """
-    check_epsilon(epsilon)
+    check_disk_epsilon(epsilon)
     orders = np.array([i for i, _ in modes], dtype=int)
     lam = np.array([op.eigenvalue(i, j) for i, j in modes])
     root = math.sqrt(epsilon)

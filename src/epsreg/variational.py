@@ -41,7 +41,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import core, diskbasis
-from .bessel import RadialFactor, bessel_i, bessel_i_prime
+from .bessel import RadialFactor, bessel_i, bessel_i_prime, check_disk_epsilon
 from .diskbasis import BasisFunction, DiracOperatorKind, Field
 from .errors import InputError, NumericError
 
@@ -353,7 +353,7 @@ def basis_grams(operator: DiracOperatorKind, i_max: int, epsilon: float, quad: D
     angular Gram on ``quad.phi``.  Returns (modes, l2_gram, energy_gram);
     both Grams are Hermitian and diagonal up to quadrature error.
     """
-    core.check_epsilon(epsilon)
+    check_disk_epsilon(epsilon)
     modes = diskbasis.enumerate_modes(i_max)
     orders = [i for i, _ in modes]
     values, slopes = _radial_table(i_max, epsilon, quad.r)
@@ -834,7 +834,7 @@ def solve_mixed_boundary_series(
     amplitude below the smallest normal float (deep modes at small eps),
     or a coefficient beyond the largest, raises NumericError.
     """
-    core.check_epsilon(epsilon)
+    check_disk_epsilon(epsilon)
     if n_modes < 0:
         raise InputError("n_modes must be nonnegative")
     modes = diskbasis.enumerate_modes(n_modes)

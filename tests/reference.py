@@ -6,8 +6,9 @@ This module keeps the definitions those tables are checked against, in the
 form the paper states them: fields as closures with a linear structure,
 the eps-inner product (A u, A v) + eps (u, v), the boundary form h,
 Gram-Schmidt, the defining function delta of the data arc and the seeds
-delta * P, and, for the abstract engine, the minimal-norm solution and the
-kernel orthogonality of u_eps.  Only the tests import it.
+delta * P, and, for the abstract engine, the minimal-norm solution, the
+kernel orthogonality of u_eps and a 50-digit solve of the normal equations.
+Only the tests import it.
 """
 
 from __future__ import annotations
@@ -287,6 +288,34 @@ def minimal_norm_solution(T: DiscreteOperator, f, rank_tol: float = 1e-12, range
     if defect > range_tol * (1.0 + float(np.linalg.norm(fv))):
         return None
     return solution
+
+
+def graded_operator(rng, rows: int, cols: int, decades: float) -> np.ndarray:
+    """Q1[:, :k] diag(logspace(0, -decades, k)) Q2[:, :k]^T with random orthogonal Q1, Q2."""
+    k = min(rows, cols)
+    q1, _ = np.linalg.qr(rng.standard_normal((rows, rows)))
+    q2, _ = np.linalg.qr(rng.standard_normal((cols, cols)))
+    return q1[:, :k] @ np.diag(np.logspace(0, -decades, k)) @ q2[:, :k].T
+
+
+def perturbed_solution_mp(matrix, f, h, epsilon: float, dps: int = 50) -> np.ndarray:
+    """u of (T*T + eps I) u = T* f + eps h by an LU solve in ``dps``-digit arithmetic.
+
+    The double entries convert exactly, so the reference errs by about
+    10**-dps ||T||^2 / eps relative: 50 digits serve every eps down to 1e-30
+    for ||T|| near 1, and a smaller eps needs more digits.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        T = mpmath.matrix(np.asarray(matrix).tolist())
+        eps = mpmath.mpf(float(epsilon))
+        system = T.H * T + eps * mpmath.eye(T.cols)
+        rhs = T.H * mpmath.matrix(np.asarray(f).tolist()) + eps * mpmath.matrix(
+            np.asarray(h).tolist()
+        )
+        u = mpmath.lu_solve(system, rhs)
+        return np.array([complex(x) for x in u])
 
 
 def kernel_orthogonality_check(

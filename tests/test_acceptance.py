@@ -76,7 +76,7 @@ def test_criterion_01_tikhonov_identity():
         u = rng.standard_normal(cols)
         eps = 10.0 ** rng.uniform(-3, 1)
         sol = solve_perturbed(T, T.matrix @ u, np.zeros(cols), eps)
-        system = T.adjoint() @ T.matrix + eps * np.eye(cols)
+        system = T.matrix.conj().T @ T.matrix + eps * np.eye(cols)
         expected = u - eps * np.linalg.solve(system, u)
         rel = np.linalg.norm(sol.u - expected) / max(np.linalg.norm(expected), 1e-300)
         worst = max(worst, rel)

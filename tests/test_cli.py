@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from epsreg import cli, diskbasis, variational
 from epsreg.diskbasis import DiracOperatorKind
 from epsreg.errors import InputError
+from reference import graded_operator, perturbed_solution_mp
 
 ODE_CONFIG = """\
 # one-dimensional convergence sweep
@@ -138,6 +139,27 @@ class TestRunMatrixPath:
         assert lines[0] == "epsilon,norm_h,norm_eps,residual"
         assert len(lines) == 1 + 3 + 1
         assert lines[-1].startswith("verdict=")
+
+    def test_graded_operator_down_to_eps_1e_16(self, tmp_path):
+        # Singular values over 13 decades, h = 0: solved through the normal
+        # equations this run exited 3 ("normal-equation residual 4.092e-10
+        # exceeds 1e-10 * (1 + ||rhs||)").
+        rng = np.random.default_rng(8)
+        matrix = graded_operator(rng, 15, 17, 12)
+        f = rng.standard_normal(15)
+        schedule = np.logspace(-6.0, -16.0, 11).tolist()
+        path, out = tmp_path / "m.txt", tmp_path / "mp.csv"
+        path.write_text("15 17\n" + "\n".join(" ".join(map(repr, row)) for row in matrix.tolist()))
+        cfg = write_config(
+            tmp_path,
+            f"[matrix_path]\nmatrix = {path}\nf = {' '.join(map(repr, f.tolist()))}\n"
+            f"schedule = {' '.join(map(repr, schedule))}\noutput = {out}\n",
+        )
+        assert cli.main(["run", cfg]) == 0
+        rows = [[float(x) for x in line.split(",")] for line in out.read_text().splitlines()[1:-1]]
+        assert [row[0] for row in rows] == schedule
+        exact = [np.linalg.norm(perturbed_solution_mp(matrix, f, np.zeros(17), e)) for e in schedule]
+        np.testing.assert_allclose([row[1] for row in rows], exact, rtol=1e-8)
 
 
 class TestRunDiskCauchy:
@@ -384,8 +406,8 @@ class TestImports:
                 "False",
                 "True",
                 "op = core.DiscreteOperator(np.array([[2.0, 0.0], [1.0, 1.0], [0.0, 3.0]]))",
-                "lam, vecs = op.spectrum",
-                "np.allclose(lam, np.linalg.eigvalsh(op.gram), rtol=0, atol=1e-12)",
+                "left, s, right = op.svd",
+                "np.allclose((left * s) @ right, op.matrix, rtol=0, atol=1e-12)",
             ),
             (
                 "scipy",
@@ -406,7 +428,7 @@ class TestImports:
                 " np.eye(seeds.eigvecs.shape[1]), rtol=0, atol=1e-10)",
             ),
         ],
-        ids=["spectrum", "quadrature", "seed_system"],
+        ids=["svd", "quadrature", "seed_system"],
     )
     def test_first_call_loads_its_module(self, module, before, after, setup, call, check):
         code = (
@@ -419,6 +441,20 @@ class TestImports:
             f"print({module!r} in sys.modules, bool({check}))\n"
         )
         assert self._fresh(code) == [before, f"{after} True"]
+
+
+    def test_load_matrix_leaves_the_svd_to_the_first_solve(self, tmp_path):
+        # A load never factors, so the bench's setup_s never holds the SVD.
+        (tmp_path / "m.txt").write_text("3 2\n2 0\n1 1\n0 3\n")
+        code = (
+            "import sys\n"
+            "from epsreg import core\n"
+            "op = core.load_matrix('m.txt')\n"
+            "print('svd' in vars(op), 'scipy.linalg' in sys.modules)\n"
+            "core.run_path(op, [1.0, 2.0, 3.0], [0.0, 0.0], [1.0, 0.1])\n"
+            "print('svd' in vars(op), 'scipy.linalg' in sys.modules)\n"
+        )
+        assert self._fresh(code, cwd=tmp_path) == ["False False", "True True"]
 
 
 class TestUnreadableInputs:

@@ -65,12 +65,13 @@ def test_readme_csv_schemas_match_the_cli():
 
 
 # An InputError message that states a rule on eps: its sign, finiteness or size.
-_RULE_WORDS = "(positive|finite|negative|normal|at least)"
+_RULE_WORDS = "(positive|finite|negative|normal|at least|above)"
 _EPS_RULE = re.compile(rf"\beps(ilon)?\b.*{_RULE_WORDS}|{_RULE_WORDS}.*\beps(ilon)?\b", re.I)
 
 
 def test_only_check_epsilon_states_the_eps_rule():
-    """Every eps is checked by core.check_epsilon; no module keeps a copy of the rule."""
+    """Every eps is checked by core.check_epsilon, and a disk eps by
+    bessel.check_disk_epsilon as well; no module keeps a copy of either rule."""
     owners = set()
     for path in sorted(Path(epsreg.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -85,4 +86,4 @@ def test_only_check_epsilon_states_the_eps_rule():
                     and any(_EPS_RULE.search(ast.unparse(arg)) for arg in node.exc.args)
                 ):
                     owners.add(f"{path.stem}.{func.name}")
-    assert owners == {"core.check_epsilon"}
+    assert owners == {"core.check_epsilon", "bessel.check_disk_epsilon"}
