@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -137,13 +137,25 @@ class PerturbedSolution:
     ``norm_h`` is the Euclidean norm of u, ``norm_eps`` the perturbed norm
     sqrt(||Tu||^2 + eps ||u||^2) and ``residual`` the Euclidean norm of the
     normal-equation defect in the singular basis of T (``solve_perturbed``).
+    The solution vector ``u`` is a cached read-only property: when h = 0 it
+    is formed, as ``h + V (c - V* h)`` from the parts the solve keeps, at its
+    first read, so a sweep that reads only the norms never forms it.
     """
 
     epsilon: float
-    u: np.ndarray
     norm_h: float
     norm_eps: float
     residual: float
+    _parts: tuple = field(repr=False, compare=False)  # (h, V*, c - V* h)
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        return _solution_vector(*self._parts)
+
+
+def _solution_vector(h: np.ndarray, right: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """u = h + V coeffs, read-only; one matrix pass."""
+    return _read_only(h + _adjoint_times(right, coeffs))
 
 
 @dataclass(frozen=True)
@@ -187,13 +199,18 @@ def solve_perturbed(T: DiscreteOperator, f, h, epsilon: float) -> PerturbedSolut
 
     ``T.svd`` = (U, s, V*) is formed once per operator; nothing else is kept
     between calls.  In that basis the equation is diagonal:
-    ``c = (s U* f + eps V* h) / (s^2 + eps)`` and ``u = h + V (c - V* h)``,
-    three matrix passes per eps and two when h = 0.  No product with T*T is
-    formed, so the forward error does not grow like ``eps_mach ||T*T|| / eps``
-    (Hansen, Rank-Deficient and Discrete Ill-Posed Problems, 1998, ch. 4-5).
-    The norms take no pass, as ``||T u|| = ||s c||``, and ``residual`` is
-    the defect ``||(s^2 + eps) c - (s U* f + eps V* h)||`` in that basis.  A
-    non-finite ``u`` or an overflowing norm raises NumericError.
+    ``c = (s U* f + eps V* h) / (s^2 + eps)`` and ``u = h + V (c - V* h)``.
+    No product with T*T is formed, so the forward error does not grow like
+    ``eps_mach ||T*T|| / eps`` (Hansen, Rank-Deficient and Discrete
+    Ill-Posed Problems, 1998, ch. 4-5).  When h = 0 the norms come from the
+    singular coordinates alone, ``||u|| = ||c||`` since V has orthonormal
+    columns and ``||T u|| = ||s c||``, so the solve makes one matrix pass,
+    ``U* f``, and ``u`` costs one more pass at its first read.  When h != 0,
+    ``u`` is formed here and ``norm_h`` is ``||u||``: three passes.
+    ``residual`` is the defect ``||(s^2 + eps) c - (s U* f + eps V* h)||`` in
+    that basis.  An overflowing norm raises NumericError here, never at the
+    read of ``u``: each entry of ``V c`` is at most ``||c||`` in modulus,
+    since the rows of V have norm at most 1.
 
     Parameters
     ----------
@@ -210,23 +227,27 @@ def solve_perturbed(T: DiscreteOperator, f, h, epsilon: float) -> PerturbedSolut
     hv = _as_vector(h, T.dom_dim, "h")
 
     left, s, right = T.svd
+    shifted = bool(hv.any())
     # Data or singular values near the float range can overflow; that shows
     # up as an infinite norm, reported below.
     with np.errstate(over="ignore", invalid="ignore"):
         denom = s * s + epsilon
-        hv_right = right @ hv if hv.any() else 0.0  # V* h; h = 0 skips its pass
+        hv_right = right @ hv if shifted else 0.0  # V* h; h = 0 skips its pass
         rhs = s * _adjoint_times(left, fv) + epsilon * hv_right
         c = rhs / denom
-        u = hv + _adjoint_times(right, c - hv_right)
         residual = float(np.linalg.norm(denom * c - rhs))
-        norm_h = float(np.linalg.norm(u))
+        # h is copied: a caller's later write to it must not reach a u formed later.
+        parts = (hv if shifted else hv.copy(), right, c - hv_right)
+        u = _solution_vector(*parts) if shifted else None
+        norm_h = float(np.linalg.norm(c if u is None else u))
         norm_eps = math.hypot(float(np.linalg.norm(s * c)), math.sqrt(epsilon) * norm_h)
-    # A non-finite entry of u makes norm_h, and so norm_eps, non-finite too.
+    # A non-finite entry of u or c makes norm_h, and so norm_eps, non-finite too.
     if not math.isfinite(norm_eps):
         raise NumericError(f"solution or its norm overflows at eps={epsilon:g}")
-    return PerturbedSolution(
-        epsilon=epsilon, u=u, norm_h=norm_h, norm_eps=norm_eps, residual=residual
-    )
+    solution = PerturbedSolution(epsilon, norm_h, norm_eps, residual, parts)
+    if u is not None:
+        vars(solution)["u"] = u  # the cache of the ``u`` property: no second pass
+    return solution
 
 
 def check_epsilon(epsilon) -> float:

@@ -279,8 +279,9 @@ def basis_table(op: DiracOperatorKind, modes, epsilon: float, x, y):
 
     One Bessel table of the distinct orders on the radii times one angular
     table; column k holds the bits of the mode's ``BasisFunction.value_xy``.
+    ``epsilon`` is held to ``bessel.check_disk_epsilon`` at every point.
     """
-    check_epsilon(epsilon)
+    check_disk_epsilon(epsilon)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     orders, inverse = np.unique(np.array([i for i, _ in modes], dtype=int), return_inverse=True)

@@ -6,8 +6,9 @@ This module keeps the definitions those tables are checked against, in the
 form the paper states them: fields as closures with a linear structure,
 the eps-inner product (A u, A v) + eps (u, v), the boundary form h,
 Gram-Schmidt, the defining function delta of the data arc and the seeds
-delta * P, and, for the abstract engine, the minimal-norm solution, the
-kernel orthogonality of u_eps and a 50-digit solve of the normal equations.
+delta * P, the exact norm of the Cauchy-Riemann pole datum 1/(z - z0) and,
+for the abstract engine, the minimal-norm solution, the kernel orthogonality
+of u_eps and a 50-digit solve of the normal equations.
 Only the tests import it.
 """
 
@@ -267,6 +268,20 @@ def seed_fields(seeds) -> list:
 # ---------------------------------------------------------------------------
 # Abstract engine
 # ---------------------------------------------------------------------------
+
+
+def cr_pole_norm(z0: complex) -> float:
+    """L^2 norm over the unit disk of 1/(z - z0) for |z0| > 1: sqrt(-pi ln(1 - |z0|^-2)).
+
+    Outside the closed disk a pole leaves 1/(z - z0) holomorphic on it, so
+    the Cauchy problem for d1 + i d2 with that trace on any arc is solvable,
+    and its solution has this norm: 1/(z - z0) = -sum_n z^n / z0^(n+1), and
+    the z^n are orthogonal with ||z^n||^2 = pi / (n + 1).
+    """
+    ratio = abs(z0) ** -2
+    if not ratio < 1.0:
+        raise InputError(f"the pole must lie outside the closed unit disk, got |z0| = {abs(z0):g}")
+    return math.sqrt(-math.pi * math.log1p(-ratio))
 
 
 def minimal_norm_solution(T: DiscreteOperator, f, rank_tol: float = 1e-12, range_tol: float = 1e-9):

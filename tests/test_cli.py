@@ -503,6 +503,10 @@ class TestUnreadableInputs:
         assert not out.exists()
 
 
+# --verify's checks, computed once at collection.
+VERIFY_CHECKS = list(cli.verify_checks())
+
+
 class TestVerifySuite:
     def test_all_checks_pass(self, capsys):
         assert cli.main(["--verify"]) == 0
@@ -511,14 +515,12 @@ class TestVerifySuite:
         assert not [line for line in lines if line.startswith("FAIL")]
         assert sum("galerkin reproduces span member" in line for line in lines) == 2
 
-    def test_no_check_fails(self):
-        # A failure names its check and value.
-        failed = [
-            (name, value)
-            for name, value, bound, above in cli.verify_checks()
-            if not cli._passes(value, bound, above)
-        ]
-        assert failed == []
+    @pytest.mark.parametrize(
+        "name, value, bound, above", VERIFY_CHECKS, ids=[check[0] for check in VERIFY_CHECKS]
+    )
+    def test_check_passes(self, name, value, bound, above):
+        # One case per check, named by it.
+        assert cli._passes(value, bound, above), f"{name}: {value} against {bound}"
 
     def test_lowered_helmholtz_bound_fails_its_checks_only(self, tmp_path, capsys, monkeypatch):
         # --verify and verify_basis read the one table of bounds.

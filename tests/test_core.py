@@ -23,7 +23,7 @@ from epsreg.core import (
     solve_perturbed,
 )
 from epsreg.bessel import check_disk_epsilon
-from epsreg.errors import InputError
+from epsreg.errors import InputError, NumericError
 from reference import (
     graded_operator,
     kernel_orthogonality_check,
@@ -85,6 +85,56 @@ class TestSolvePerturbed:
             assert np.linalg.norm(sol.u - exact) <= 1e-13 * np.linalg.norm(exact)
             rhs = T.matrix.conj().T @ f + eps * h
             assert sol.residual <= 4.0 * np.finfo(float).eps * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("complex_op", [False, True])
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_u_is_the_singular_basis_formula_bitwise(self, complex_op, shifted):
+        # u = h + V (c - V* h) with c = (s U* f + eps V* h) / (s^2 + eps),
+        # and ||u|| = ||c|| to rounding when h = 0.
+        rng = np.random.default_rng(17)
+        matrix = rng.standard_normal((9, 6))
+        if complex_op:
+            matrix = matrix + 1j * rng.standard_normal((9, 6))
+        T = DiscreteOperator(matrix)
+        f = rng.standard_normal(9)
+        h = rng.standard_normal(6) if shifted else np.zeros(6)
+        left, s, right = T.svd
+        for eps in (1.0, 1e-4, 1e-12):
+            sol = solve_perturbed(T, f, h, eps)
+            right_h = right @ h if shifted else 0.0
+            c = (s * core._adjoint_times(left, f) + eps * right_h) / (s * s + eps)
+            assert np.array_equal(sol.u, h + core._adjoint_times(right, c - right_h))
+            assert sol.norm_h == pytest.approx(np.linalg.norm(sol.u), rel=1e-14)
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_matrix_passes_and_u_read_once(self, shifted, monkeypatch):
+        # h = 0: one pass (U* f) per solve and one more (V c) at the first
+        # read of u; h != 0: V* h, U* f and V (c - V* h), all at the solve.
+        passes = []
+        adjoint_times = core._adjoint_times
+        monkeypatch.setattr(
+            core, "_adjoint_times", lambda mat, v: passes.append(mat.shape) or adjoint_times(mat, v)
+        )
+        rng = np.random.default_rng(4)
+        T = DiscreteOperator(rng.standard_normal((7, 5)))
+        h = rng.standard_normal(5) if shifted else np.zeros(5)
+        sol = solve_perturbed(T, rng.standard_normal(7), h, 0.1)
+        assert len(passes) == (2 if shifted else 1)
+        u = sol.u
+        assert len(passes) == 2 and sol.u is u and not u.flags.writeable
+        h[:] = 1.0  # the caller's h is theirs again once the solve returns
+        assert np.array_equal(sol.u, u)
+        with pytest.raises(AttributeError):
+            sol.u = u
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_overflow_raises_at_the_solve(self, shifted):
+        # c_2 = 1e-200 * 1e201 / (1e-400 + 3e-308) is beyond the largest
+        # double; the solve raises, whether or not u is ever read.
+        T = DiscreteOperator(np.diag([1e-200, 1.0]))
+        h = [1.0, 1.0] if shifted else [0.0, 0.0]
+        with pytest.raises(NumericError, match=r"^solution or its norm overflows at eps=3e-308$"):
+            solve_perturbed(T, [1e201, 1.0], h, 3e-308)
 
     @pytest.mark.parametrize("complex_op", [False, True])
     def test_rank_deficient_down_to_smallest_normal(self, complex_op):
@@ -812,11 +862,16 @@ DISK_EPS_ENTRY_POINTS = {
     name: EPS_ENTRY_POINTS[name]
     for name in (
         "bessel.RadialFactor",
+        "diskbasis.basis_table",
         "diskbasis.boundary_amplitudes",
         "variational.basis_grams",
         "variational.solve_mixed_boundary_series",
     )
 }
+# basis_table on the circle, where its Bessel argument is sqrt(eps) itself: the same rule.
+DISK_EPS_ENTRY_POINTS["diskbasis.basis_table at r = 1"] = lambda eps: diskbasis.basis_table(
+    GRAD, diskbasis.enumerate_modes(2), eps, [1.0], [0.0]
+)
 DISK_EPS_ENTRY_POINTS["cli._bessel_range_check"] = lambda eps: cli._bessel_range_check(
     {"schedule": [eps, 1.0]}
 )

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 from epsreg.bessel import RadialFactor, bessel_i, bessel_i_prime
 from epsreg.core import Verdict
-from epsreg.diskbasis import BasisFunction, DiracOperatorKind, apply_operator
+from epsreg.diskbasis import BasisFunction, DiracOperatorKind, apply_operator, basis_table
 from epsreg import cli
 from epsreg.errors import InputError, NumericError
 from epsreg import variational
@@ -34,6 +34,7 @@ from epsreg.variational import (
 from reference import (
     boundary_form_h,
     constant,
+    cr_pole_norm,
     gram_schmidt,
     inner_eps,
     monomial,
@@ -666,6 +667,30 @@ class TestSeriesSolver:
         arc = ArcSpec(0.5 * math.pi, 1.5 * math.pi)
         with pytest.raises(NumericError, match=r"overflow at eps=7.5e-09"):
             solve_mixed_boundary_series(CR, arc, None, None, 7.5e-9, n_modes=54)
+
+    @pytest.mark.parametrize(
+        "z0", [1.5 * np.exp(0.3j), 1.2 * np.exp(-0.4j)], ids=["1.5 e^0.3i", "1.2 e^-0.4i"]
+    )
+    def test_cr_pole_data_reach_the_exact_norm(self, z0, quad64):
+        # With |z0| > 1, 1/(z - z0) solves the Cauchy problem for CR with its
+        # own trace on Gamma and no conormal data on the complement; at
+        # n_modes 40 and eps 1e-8 the series' L^2 norm is within 2% of its
+        # norm (measured 1.3731 against 1.3589, and 1.9322 against 1.9300).
+        eps = 1e-8
+        sol = solve_mixed_boundary_series(
+            CR, UPPER, lambda phi: 1.0 / (np.exp(1j * phi) - z0), None, eps, n_modes=40, n_phi=512
+        )
+        values = basis_table(CR, sol.modes, eps, quad64.x, quad64.y) @ sol.raw_coeffs
+        norm = math.sqrt(float(np.real(quad64.integrate(np.abs(values) ** 2))))
+        assert norm == pytest.approx(cr_pole_norm(z0), rel=0.02)
+
+    def test_cr_pole_norm_series(self):
+        # The closed form against the sum of pi |z0|^(-2n-2) / (n + 1).
+        z0 = 1.5 * np.exp(0.3j)
+        terms = math.pi * abs(z0) ** (-2.0 * np.arange(1, 200)) / np.arange(1, 200)
+        assert cr_pole_norm(z0) == pytest.approx(math.sqrt(float(np.sum(terms))), rel=1e-14)
+        with pytest.raises(InputError):
+            cr_pole_norm(0.5j)
 
     def test_helmholtz_residual_of_solution(self):
         from epsreg.diskbasis import check_helmholtz
