@@ -8,7 +8,7 @@ Cauchy-Riemann operators), together with the closed-form 1D example used
 as analytic ground truth.
 """
 
-from .bessel import RadialFactor, bessel_i, bessel_i_prime
+from .bessel import bessel_i, bessel_i_prime
 from .core import (
     DiscreteOperator,
     PerturbedSolution,

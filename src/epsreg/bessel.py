@@ -1,4 +1,4 @@
-"""Modified Bessel functions of the first kind and disk radial factors.
+"""Modified Bessel functions of the first kind and their range on the disk.
 
 The radial part of a bounded solution of the separated Helmholtz-type
 equation on the unit disk is ``I_i(sqrt(eps) * r)``: the modified Bessel
@@ -27,7 +27,6 @@ saves four of the loop's nine array operations on the other terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,9 +37,9 @@ __all__ = [
     "NU_MAX",
     "X_MAX",
     "check_disk_epsilon",
+    "check_order",
     "bessel_i",
     "bessel_i_prime",
-    "RadialFactor",
 ]
 
 NU_MAX = 60
@@ -62,7 +61,8 @@ _MILLER_BUFFER = 40
 _FACTORIALS = np.array([float(math.factorial(n)) for n in range(171)])  # 171! overflows
 
 
-def _validate_order(nu):
+def check_order(nu):
+    """The order(s) as an integer array in [0, NU_MAX], or InputError."""
     arr = np.asarray(nu)
     if arr.dtype.kind not in "iu":
         raise InputError(f"order must be an integer, got {nu!r}")
@@ -162,7 +162,7 @@ def bessel_i(nu, x):
         result would leave the supported overflow-safe range) or orders
         outside ``[0, NU_MAX]``.
     """
-    nu = _validate_order(nu)
+    nu = check_order(nu)
     arr = _validate_argument(x)
     out = _bessel_i(nu, arr)
     return float(out[0]) if nu.ndim == arr.ndim == 0 else out
@@ -175,44 +175,10 @@ def bessel_i_prime(nu, x):
     one-sided limit (``1/2`` for ``nu = 1``, ``0`` otherwise).  Supported
     for every order up to NU_MAX; both neighbors come from one kernel call.
     """
-    nu = _validate_order(nu)
+    nu = check_order(nu)
     arr = _validate_argument(x)
     nu_b, arr_b = np.broadcast_arrays(nu, np.atleast_1d(arr))
     lower, upper = _bessel_i([np.where(nu_b == 0, 1, nu_b - 1), nu_b + 1], [arr_b, arr_b])
     out = 0.5 * (lower + upper)
     return float(out[0]) if nu.ndim == arr.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class RadialFactor:
-    """Bounded-at-origin radial factor g_i(r, eps) = I_i(sqrt(eps) * r).
-
-    Attributes
-    ----------
-    order : int
-        Angular index i (the Bessel order).
-    epsilon : float
-        Positive perturbation parameter.
-    """
-
-    order: int
-    epsilon: float
-
-    def __post_init__(self):
-        _validate_order(self.order)
-        check_disk_epsilon(self.epsilon)
-
-    @property
-    def scale(self) -> float:
-        """sqrt(epsilon), the argument scaling of the Bessel factor."""
-        return math.sqrt(self.epsilon)
-
-    def value(self, r):
-        return bessel_i(self.order, self.scale * np.asarray(r, dtype=float))
-
-    def derivative(self, r):
-        """d/dr of the radial factor (one-sided at r = 0)."""
-        return self.scale * bessel_i_prime(
-            self.order, self.scale * np.asarray(r, dtype=float)
-        )
 

@@ -20,8 +20,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import core, diskbasis, ode1d, variational
-from .bessel import NU_MAX, RadialFactor, bessel_i, check_disk_epsilon
-from .diskbasis import BasisFunction, DiracOperatorKind
+from .bessel import NU_MAX, bessel_i, check_disk_epsilon
+from .diskbasis import DiracOperatorKind
 from .errors import InputError, NumericError
 
 _FUNCTIONS = {
@@ -278,20 +278,24 @@ def _ring_points(radius: float, count: int) -> np.ndarray:
     return np.column_stack([radius * np.cos(angles), radius * np.sin(angles)])
 
 
+def _mode_boundary_data(op, mode, eps):
+    """(u0, u1): the trace and n(A b) on the circle of the basis mode ``(i, j)`` at eps."""
+    (trace,), (conormal,) = diskbasis.boundary_amplitudes(op, [mode], eps)
+    angular = lambda phi: op.angular_table([mode], phi)[..., 0]
+    return (lambda phi: trace * angular(phi)), (lambda phi: conormal * angular(phi))
+
+
 def _run_disk_mixed(cfg: ExperimentConfig) -> RunResult:
     p = cfg.params
     op = p["operator"]
     arc = variational.ArcSpec(p["gamma_start"], p["gamma_end"])
-    i, branch = p["source_index"], p["source_branch"]
     points = _ring_points(0.5, 16)
     g_phi, g_w = arc.quadrature(p["n_phi"])
     c_phi, c_w = arc.complement_quadrature(p["n_phi"])
 
     rows = []
     for eps in p["schedule"]:
-        source = BasisFunction(RadialFactor(i, eps), branch, op)
-        u0 = lambda phi: source.value_polar(1.0, phi)
-        u1 = lambda phi: source.normal_trace_values(phi)
+        u0, u1 = _mode_boundary_data(op, (p["source_index"], p["source_branch"]), eps)
         sol = variational.solve_mixed_boundary_series(
             op, arc, u0, u1, eps, n_modes=p["n_modes"], n_phi=p["n_phi"]
         )
@@ -516,14 +520,9 @@ def verify_checks():
         gal_err = math.sqrt(max(float(np.real(np.conj(diff) @ (gram.T @ diff))), 0.0))
         yield f"galerkin reproduces span member eps={eps:g}", gal_err, 1e-9, False
 
-    src = BasisFunction(RadialFactor(2, 1.0), 1, DiracOperatorKind.GRADIENT)
+    u0, u1 = _mode_boundary_data(DiracOperatorKind.GRADIENT, (2, 1), 1.0)
     series = variational.solve_mixed_boundary_series(
-        DiracOperatorKind.GRADIENT,
-        arc,
-        lambda phi: src.value_polar(1.0, phi),
-        lambda phi: src.normal_trace_values(phi),
-        1.0,
-        n_modes=6,
+        DiracOperatorKind.GRADIENT, arc, u0, u1, 1.0, n_modes=6
     )
     raw = np.array(series.raw_coeffs, dtype=float, copy=True)
     raw[series.modes.index((2, 1))] -= 1.0

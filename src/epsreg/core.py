@@ -208,9 +208,9 @@ def solve_perturbed(T: DiscreteOperator, f, h, epsilon: float) -> PerturbedSolut
     ``U* f``, and ``u`` costs one more pass at its first read.  When h != 0,
     ``u`` is formed here and ``norm_h`` is ``||u||``: three passes.
     ``residual`` is the defect ``||(s^2 + eps) c - (s U* f + eps V* h)||`` in
-    that basis.  An overflowing norm raises NumericError here, never at the
-    read of ``u``: each entry of ``V c`` is at most ``||c||`` in modulus,
-    since the rows of V have norm at most 1.
+    that basis.  A non-finite entry or an overflowing norm raises
+    NumericError here, never at the read of ``u``: each entry of ``V c`` is
+    at most ``||c||`` in modulus, since the rows of V have norm at most 1.
 
     Parameters
     ----------
@@ -239,8 +239,8 @@ def solve_perturbed(T: DiscreteOperator, f, h, epsilon: float) -> PerturbedSolut
         # h is copied: a caller's later write to it must not reach a u formed later.
         parts = (hv if shifted else hv.copy(), right, c - hv_right)
         u = _solution_vector(*parts) if shifted else None
-        norm_h = float(np.linalg.norm(c if u is None else u))
-        norm_eps = math.hypot(float(np.linalg.norm(s * c)), math.sqrt(epsilon) * norm_h)
+        norm_h = _norm(c if u is None else u)
+        norm_eps = math.hypot(_norm(s * c), math.sqrt(epsilon) * norm_h)
     # A non-finite entry of u or c makes norm_h, and so norm_eps, non-finite too.
     if not math.isfinite(norm_eps):
         raise NumericError(f"solution or its norm overflows at eps={epsilon:g}")
@@ -248,6 +248,15 @@ def solve_perturbed(T: DiscreteOperator, f, h, epsilon: float) -> PerturbedSolut
     if u is not None:
         vars(solution)["u"] = u  # the cache of the ``u`` property: no second pass
     return solution
+
+
+def _norm(v: np.ndarray) -> float:
+    """||v||, rescaled by max |v_k| only when the plain sum of squares overflows."""
+    norm = float(np.linalg.norm(v))
+    if math.isfinite(norm) or not np.all(np.isfinite(v)):
+        return norm
+    scale = float(np.max(np.abs(v)))
+    return scale * float(np.linalg.norm(v / scale))
 
 
 def check_epsilon(epsilon) -> float:

@@ -17,6 +17,10 @@ therefore has the closed form
 which at ``r = 1`` reads ``sqrt(eps) I_i'(sqrt(eps)) + (lambda - i)
 I_i(sqrt(eps))`` times the angular factor.  That combination is strictly
 positive for every ``eps > 0`` (otherwise b would vanish identically).
+
+A ``BasisFunction`` is one mode ``(op, i, j, eps)``.  The solvers read the
+modes as tables, one column per mode (``basis_table``, ``angular_table``,
+``boundary_amplitudes``), each with the bits of its mode's ``BasisFunction``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import RadialFactor, bessel_i, bessel_i_prime, check_disk_epsilon
+from .bessel import bessel_i, bessel_i_prime, check_disk_epsilon, check_order
 from .core import check_epsilon
 from .errors import InputError
 
@@ -64,10 +68,6 @@ class DiracOperatorKind(enum.Enum):
     def is_complex(self) -> bool:
         return self is DiracOperatorKind.CAUCHY_RIEMANN
 
-    @property
-    def dtype(self):
-        return complex if self.is_complex else float
-
     def symbol(self, xi) -> np.ndarray:
         """Principal symbol sigma(A)(xi) as an (l x k) matrix."""
         x1, x2 = float(xi[0]), float(xi[1])
@@ -87,14 +87,6 @@ class DiracOperatorKind(enum.Enum):
         if self is DiracOperatorKind.GRADIENT:
             return float(i)
         return 0.0 if branch == 1 else 2.0 * i
-
-    def angular(self, i: int, branch: int, phi):
-        """Angular factor H_i^(j)(phi): the one column of ``angular_table``."""
-        return self.angular_table([(i, branch)], phi)[..., 0]
-
-    def angular_derivative(self, i: int, branch: int, phi):
-        """d/dphi of the angular factor: the one column of ``angular_derivative_table``."""
-        return self.angular_derivative_table([(i, branch)], phi)[..., 0]
 
     def angular_table(self, modes, phi):
         """H_i^(j)(phi) of every mode (i, j), shape phi.shape + (len(modes),).
@@ -166,25 +158,21 @@ def enumerate_modes(i_max: int):
 
 @dataclass(frozen=True)
 class BasisFunction:
-    """b_i^(j)(r, phi, eps) = I_i(sqrt(eps) r) * H_i^(j)(phi)."""
+    """One mode (op, i, j, eps): b_i^(j)(r, phi) = I_i(sqrt(eps) r) * H_i^(j)(phi)."""
 
-    radial: RadialFactor
-    branch: int
     operator: DiracOperatorKind
+    index: int
+    branch: int
+    epsilon: float
 
     def __post_init__(self):
-        _validate_mode(self.radial.order, self.branch)
-
-    @property
-    def index(self) -> int:
-        return self.radial.order
-
-    @property
-    def epsilon(self) -> float:
-        return self.radial.epsilon
+        check_order(self.index)
+        check_disk_epsilon(self.epsilon)
+        _validate_mode(self.index, self.branch)
 
     def value_polar(self, r, phi):
-        return self.radial.value(r) * self.operator.angular(self.index, self.branch, phi)
+        radial = bessel_i(self.index, math.sqrt(self.epsilon) * np.asarray(r, dtype=float))
+        return radial * self.operator.angular_table([(self.index, self.branch)], phi)[..., 0]
 
     def value_xy(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -197,15 +185,14 @@ class BasisFunction:
         y = np.asarray(y, dtype=float)
         r = np.hypot(x, y)
         phi = np.arctan2(y, x)
-        i = self.index
-        scale = self.radial.scale
-        g_prime = self.radial.derivative(r)
-        h = self.operator.angular(i, self.branch, phi)
-        h_prime = self.operator.angular_derivative(i, self.branch, phi)
+        i, mode, root = self.index, [(self.index, self.branch)], math.sqrt(self.epsilon)
+        g_prime = root * bessel_i_prime(i, root * r)
+        h = self.operator.angular_table(mode, phi)[..., 0]
+        h_prime = self.operator.angular_derivative_table(mode, phi)[..., 0]
 
         # g(r)/r with its limit at the origin: only i = 1 contributes there.
         safe_r = np.where(r > 1e-12, r, 1.0)
-        ratio = np.where(r > 1e-12, self.radial.value(r) / safe_r, 0.5 * scale if i == 1 else 0.0)
+        ratio = np.where(r > 1e-12, bessel_i(i, root * r) / safe_r, 0.5 * root if i == 1 else 0.0)
 
         cos_p, sin_p = np.cos(phi), np.sin(phi)
         ux = cos_p * g_prime * h - sin_p * ratio * h_prime
@@ -215,7 +202,7 @@ class BasisFunction:
     def normal_trace_values(self, phi):
         """n(A b) on the unit circle: closed form, no differentiation."""
         _, conormal = boundary_amplitudes(self.operator, [(self.index, self.branch)], self.epsilon)
-        return conormal[0] * self.operator.angular(self.index, self.branch, phi)
+        return conormal[0] * self.operator.angular_table([(self.index, self.branch)], phi)[..., 0]
 
 
 class Field:

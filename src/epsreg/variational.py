@@ -41,7 +41,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import core, diskbasis
-from .bessel import RadialFactor, bessel_i, bessel_i_prime, check_disk_epsilon
+from .bessel import bessel_i, bessel_i_prime, check_disk_epsilon
 from .diskbasis import BasisFunction, DiracOperatorKind, Field
 from .errors import InputError, NumericError
 
@@ -788,8 +788,7 @@ class SeriesSolution:
     @property
     def field(self) -> LinearCombination:
         """u as a combination of the modes g_i H_i^(j), built per access."""
-        eps, op = self.epsilon, self.operator
-        basis = [BasisFunction(RadialFactor(i, eps), j, op) for i, j in self.modes]
+        basis = [BasisFunction(self.operator, i, j, self.epsilon) for i, j in self.modes]
         return LinearCombination(self.raw_coeffs, basis)
 
     def trace_on(self, phi) -> np.ndarray:

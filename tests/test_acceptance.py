@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from epsreg.bessel import RadialFactor, bessel_i, bessel_i_prime
+from epsreg.bessel import bessel_i, bessel_i_prime
 from epsreg.core import (
     DiscreteOperator,
     Verdict,
@@ -181,7 +181,7 @@ def test_criterion_05_basis_structure():
                 max_offdiag_relative(energy_gram),
             )
             for i, branch in modes:
-                b = BasisFunction(RadialFactor(i, eps), branch, op)
+                b = BasisFunction(op, i, branch, eps)
                 worst_helm = max(worst_helm, _fd_helmholtz_relative(b, eps, points))
                 min_coupling = min(min_coupling, nonvanishing_check(op, i, branch, eps))
     report(
@@ -369,7 +369,7 @@ def test_criterion_08b_disk_reconstruction_noisy():
 def test_criterion_09_series_round_trip():
     """Data from b_2^(1) recovers its expansion; off-coefficients <= 1e-8."""
     eps = 1.0
-    src = BasisFunction(RadialFactor(2, eps), 1, GRAD)
+    src = BasisFunction(GRAD, 2, 1, eps)
     sol = solve_mixed_boundary_series(
         GRAD,
         UPPER,
@@ -421,9 +421,9 @@ def test_criterion_10_gram_schmidt_versus_paper():
     eps = 1.0
     root = math.sqrt(eps)
     funcs = [
-        wrap(BasisFunction(RadialFactor(0, eps), 1, GRAD)),
-        wrap(BasisFunction(RadialFactor(1, eps), 1, GRAD)),
-        wrap(BasisFunction(RadialFactor(1, eps), 2, GRAD)),
+        wrap(BasisFunction(GRAD, 0, 1, eps)),
+        wrap(BasisFunction(GRAD, 1, 1, eps)),
+        wrap(BasisFunction(GRAD, 1, 2, eps)),
     ]
     inner = lambda a, b: boundary_form_h(a, b, GRAD, UPPER)
     ours = gram_schmidt(funcs, inner)

@@ -1,4 +1,4 @@
-"""Tests for the modified Bessel functions and radial factors."""
+"""Tests for the modified Bessel functions."""
 
 import math
 
@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from epsreg.bessel import (
     NU_MAX,
-    RadialFactor,
     _MILLER_BUFFER,
     _SERIES_STRIDE,
     _bessel_i,
@@ -259,27 +258,3 @@ class TestOdeResidual:
                 residual = r * r * gpp + r * gp - (i * i + epsilon * r * r) * g
                 assert abs(residual) <= 1e-8 * (1.0 + abs(g))
 
-
-class TestRadialFactor:
-    def test_value_at_origin(self):
-        assert RadialFactor(0, 2.0).value(0.0) == 1.0
-        assert RadialFactor(1, 2.0).value(0.0) == 0.0
-        assert RadialFactor(5, 2.0).value(0.0) == 0.0
-
-    def test_positive_inside(self):
-        g = RadialFactor(3, 4.0)
-        radii = np.linspace(0.05, 1.0, 20)
-        assert np.all(g.value(radii) > 0.0)
-
-    def test_example_values(self):
-        value = RadialFactor(2, 4.0).value(0.5)
-        assert value == pytest.approx(series_oracle(2, 1.0), rel=1e-12)
-        assert value == pytest.approx(0.1357476697670383, rel=1e-12)
-        deriv = RadialFactor(0, 1.0).derivative(1.0)
-        assert deriv == pytest.approx(series_oracle(1, 1.0), rel=1e-12)
-
-    def test_domain_validation(self):
-        with pytest.raises(InputError):
-            RadialFactor(0, 0.0)
-        with pytest.raises(InputError):
-            RadialFactor(0, -1.0)

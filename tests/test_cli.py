@@ -233,6 +233,24 @@ class TestRunDiskMixed:
             _, trace_err, normal_err, helm = (float(tok) for tok in line.split(","))
             assert trace_err <= 1e-8 and normal_err <= 1e-8 and helm <= 1e-4
 
+    @pytest.mark.parametrize(
+        "op, mode",
+        [
+            (DiracOperatorKind.GRADIENT, (2, 1)),
+            (DiracOperatorKind.GRADIENT, (1, 2)),
+            (DiracOperatorKind.CAUCHY_RIEMANN, (3, 2)),
+        ],
+    )
+    @pytest.mark.parametrize("eps", [400.0, 40.0, 10.0, 4.0, 1.0, 0.4])
+    def test_source_data_bitwise_equal_to_basis_function(self, op, mode, eps):
+        # The bench deck's sources: the table-built data keep the bits of the mode's closure.
+        arc = variational.ArcSpec(0.5 * math.pi, 1.5 * math.pi)
+        phi = np.concatenate([arc.quadrature(256)[0], arc.complement_quadrature(256)[0]])
+        u0, u1 = cli._mode_boundary_data(op, mode, eps)
+        source = diskbasis.BasisFunction(op, *mode, eps)
+        assert u0(phi).tobytes() == source.value_polar(1.0, phi).tobytes()
+        assert u1(phi).tobytes() == source.normal_trace_values(phi).tobytes()
+
 
 class TestRunVerifyBasis:
     def test_passes_tolerances(self, tmp_path):

@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from epsreg import bessel, cli, core, diskbasis, ode1d, variational
+from epsreg import cli, core, diskbasis, ode1d, variational
 from epsreg.core import (
     DiscreteOperator,
     _parse_entry,
@@ -135,6 +135,23 @@ class TestSolvePerturbed:
         h = [1.0, 1.0] if shifted else [0.0, 0.0]
         with pytest.raises(NumericError, match=r"^solution or its norm overflows at eps=3e-308$"):
             solve_perturbed(T, [1e201, 1.0], h, 3e-308)
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_norm_beyond_the_squares_range_is_finite(self, shifted):
+        # c = (1, 1e200): its plain sum of squares overflows, its norm does not.
+        T = DiscreteOperator(np.diag([1e-100, 1.0]))
+        h = [1.0, 1.0] if shifted else [0.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_perturbed(T, [1e100, 1.0], h, 1e-300)
+        assert sol.norm_h == pytest.approx(1e200, rel=1e-15)
+        assert np.all(np.isfinite(sol.u)) and math.isfinite(sol.norm_eps)
+
+    def test_overflowing_norm_of_finite_entries_raises(self):
+        # c = (1.5e308, 1.5e308) is finite; its norm, 2.1e308, is not.
+        T = DiscreteOperator(np.diag([1e-100, 1e-100]))
+        with pytest.raises(NumericError, match=r"^solution or its norm overflows at eps=1e-300$"):
+            solve_perturbed(T, [1.5e208, 1.5e208], [0.0, 0.0], 1e-300)
 
     @pytest.mark.parametrize("complex_op", [False, True])
     def test_rank_deficient_down_to_smallest_normal(self, complex_op):
@@ -796,7 +813,7 @@ EPS_ENTRY_POINTS = {
         DiscreteOperator(np.eye(2)), [1.0, 1.0], [0.0, 0.0], eps
     ),
     "core.validate_schedule": lambda eps: core.validate_schedule([eps]),
-    "bessel.RadialFactor": lambda eps: bessel.RadialFactor(1, eps),
+    "diskbasis.BasisFunction": lambda eps: diskbasis.BasisFunction(GRAD, 1, 1, eps),
     "diskbasis.basis_table": lambda eps: diskbasis.basis_table(
         GRAD, diskbasis.enumerate_modes(2), eps, [0.5], [0.1]
     ),
@@ -861,7 +878,7 @@ class TestCheckEpsilon:
 DISK_EPS_ENTRY_POINTS = {
     name: EPS_ENTRY_POINTS[name]
     for name in (
-        "bessel.RadialFactor",
+        "diskbasis.BasisFunction",
         "diskbasis.basis_table",
         "diskbasis.boundary_amplitudes",
         "variational.basis_grams",

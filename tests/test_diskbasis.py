@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from epsreg.bessel import NU_MAX, RadialFactor, bessel_i, bessel_i_prime
+from epsreg.bessel import NU_MAX, bessel_i, bessel_i_prime
 from epsreg.diskbasis import (
     BasisFunction,
     DiracOperatorKind,
@@ -45,32 +45,60 @@ class TestSymbol:
 
 class TestEvaluate:
     def test_mode_zero_center(self):
-        b = BasisFunction(RadialFactor(0, 2.5), 1, GRAD)
+        b = BasisFunction(GRAD, 0, 1, 2.5)
         assert b.value_polar(0.0, 1.234) == pytest.approx(1.0 / SQRT_2PI, rel=1e-14)
 
     def test_gradient_cos_mode(self):
-        b = BasisFunction(RadialFactor(1, 1.0), 1, GRAD)
+        b = BasisFunction(GRAD, 1, 1, 1.0)
         assert b.value_polar(1.0, 0.0) == pytest.approx(bessel_i(1, 1.0) / SQRT_PI, rel=1e-13)
 
     def test_cauchy_riemann_phase(self):
-        b = BasisFunction(RadialFactor(1, 4.0), 1, CR)
+        b = BasisFunction(CR, 1, 1, 4.0)
         value = b.value_polar(0.5, math.pi / 2.0)
         assert value == pytest.approx(1j * bessel_i(1, 1.0) / SQRT_PI, rel=1e-13)
 
     def test_mode_validation(self):
         with pytest.raises(InputError):
-            BasisFunction(RadialFactor(0, 1.0), 2, GRAD)
+            BasisFunction(GRAD, 0, 2, 1.0)
         with pytest.raises(InputError):
-            BasisFunction(RadialFactor(1, 1.0), 3, GRAD)
+            BasisFunction(GRAD, 1, 3, 1.0)
 
     def test_gradient_continuous_at_origin(self):
-        b = BasisFunction(RadialFactor(1, 1.0), 1, GRAD)
+        b = BasisFunction(GRAD, 1, 1, 1.0)
         gx0, gy0 = b.gradient_xy(0.0, 0.0)
         gx1, gy1 = b.gradient_xy(1e-9, 1e-9)
         assert gx0 == pytest.approx(0.5 / SQRT_PI, rel=1e-12)
         assert abs(gy0) <= 1e-14
         assert gx1 == pytest.approx(gx0, rel=1e-8)
         assert abs(gy1 - gy0) <= 1e-8
+
+
+class TestRadialPart:
+    """The radial factor I_i(sqrt(eps) r) of a mode, where H_i^(1)(0) is positive."""
+
+    def test_value_at_origin(self):
+        assert BasisFunction(GRAD, 0, 1, 2.0).value_polar(0.0, 0.0) == 1.0 / SQRT_2PI
+        assert BasisFunction(GRAD, 1, 1, 2.0).value_polar(0.0, 0.0) == 0.0
+        assert BasisFunction(CR, 5, 1, 2.0).value_polar(0.0, 0.0) == 0.0
+
+    def test_positive_inside(self):
+        radii = np.linspace(0.05, 1.0, 20)
+        assert np.all(BasisFunction(GRAD, 3, 1, 4.0).value_polar(radii, 0.0) > 0.0)
+
+    def test_example_values(self):
+        # I_2(1) and I_0'(1) = I_1(1), from the ascending series.
+        value = BasisFunction(GRAD, 2, 1, 4.0).value_polar(0.5, 0.0)
+        assert value * SQRT_PI == pytest.approx(0.1357476697670383, rel=1e-12)
+        slope, _ = BasisFunction(GRAD, 0, 1, 1.0).gradient_xy(1.0, 0.0)
+        assert slope * SQRT_2PI == pytest.approx(0.565159103992485, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "index, eps",
+        [(0, 0.0), (0, -1.0), (0, 4000.0), (-1, 1.0), (NU_MAX + 1, 1.0), (1.5, 1.0)],
+    )
+    def test_domain_validation(self, index, eps):
+        with pytest.raises(InputError):
+            BasisFunction(GRAD, index, 1, eps)
 
 
 class TestApplyOperator:
@@ -92,7 +120,7 @@ class TestApplyOperator:
             np.testing.assert_allclose(out, 0.0, atol=1e-7)
 
     def test_exact_gradient_used_for_basis(self):
-        b = BasisFunction(RadialFactor(2, 1.0), 1, GRAD)
+        b = BasisFunction(GRAD, 2, 1, 1.0)
         field = apply_operator(GRAD, b)
         x, y = np.array([0.4]), np.array([0.3])
         out = field(x, y)
@@ -131,14 +159,14 @@ class TestNormalTrace:
         eps = 1.0
         phis = np.linspace(0.0, 2.0 * math.pi, 7, endpoint=False)
         for i, branch in [(0, 1), (1, 1), (2, 2)]:
-            b = BasisFunction(RadialFactor(i, eps), branch, GRAD)
-            expected = math.sqrt(eps) * bessel_i_prime(i, math.sqrt(eps)) * GRAD.angular(
-                i, branch, phis
-            )
+            b = BasisFunction(GRAD, i, branch, eps)
+            expected = math.sqrt(eps) * bessel_i_prime(i, math.sqrt(eps)) * GRAD.angular_table(
+                [(i, branch)], phis
+            )[:, 0]
             np.testing.assert_allclose(b.normal_trace_values(phis), expected, rtol=1e-12)
 
     def test_mode_zero_constant(self):
-        b = BasisFunction(RadialFactor(0, 1.0), 1, GRAD)
+        b = BasisFunction(GRAD, 0, 1, 1.0)
         vals = b.normal_trace_values(np.linspace(0, 6, 9))
         expected = bessel_i(1, 1.0) / SQRT_2PI
         np.testing.assert_allclose(vals, expected, rtol=1e-12)
@@ -146,7 +174,7 @@ class TestNormalTrace:
     def test_cr_branch_two_closed_form(self):
         eps = 1.0
         root = math.sqrt(eps)
-        b = BasisFunction(RadialFactor(1, eps), 2, CR)
+        b = BasisFunction(CR, 1, 2, eps)
         phis = np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False)
         expected = (
             (root * bessel_i_prime(1, root) + bessel_i(1, root))
@@ -159,7 +187,7 @@ class TestNormalTrace:
         # n o A = r d/dr + i d/dphi, realized by centered differences of the
         # analytic basis formula at r = 1.
         eps = 0.7
-        b = BasisFunction(RadialFactor(1, eps), 2, CR)
+        b = BasisFunction(CR, 1, 2, eps)
         h = 1e-6
         phis = np.array([0.3, 1.1, 4.0])
         dr = (b.value_polar(1.0 + h, phis) - b.value_polar(1.0 - h, phis)) / (2 * h)
@@ -174,11 +202,11 @@ class TestHelmholtz:
         radii = rng.uniform(0.01, 0.95, 20)
         angles = rng.uniform(0.0, 2.0 * math.pi, 20)
         pts = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
-        b = BasisFunction(RadialFactor(0, 1.0), 1, GRAD)
+        b = BasisFunction(GRAD, 0, 1, 1.0)
         assert check_helmholtz(b, 1.0, pts) <= 1e-5
 
     def test_higher_mode(self):
-        b = BasisFunction(RadialFactor(3, 0.25), 1, GRAD)
+        b = BasisFunction(GRAD, 3, 1, 0.25)
         assert check_helmholtz(b, 0.25, ring(0.6, 20)) <= 1e-5
 
     def test_harmonic_polynomial_limit(self):
@@ -188,7 +216,7 @@ class TestHelmholtz:
             assert check_helmholtz(u, 0.0, ring(0.5, 16)) <= 1e-7
 
     def test_point_validation(self):
-        b = BasisFunction(RadialFactor(0, 1.0), 1, GRAD)
+        b = BasisFunction(GRAD, 0, 1, 1.0)
         with pytest.raises(InputError):
             check_helmholtz(b, 1.0, np.array([[0.0, 0.0]]))
         with pytest.raises(InputError):
@@ -211,7 +239,8 @@ class TestModeTables:
     def closed_form(op, i, j, phi):
         # (H_i^(j), d/dphi H_i^(j)) as the angular_table docstring states them.
         if i == 0:
-            return np.full(phi.shape, 1.0 / SQRT_2PI, op.dtype), np.zeros(phi.shape, op.dtype)
+            dtype = complex if op.is_complex else float
+            return np.full(phi.shape, 1.0 / SQRT_2PI, dtype), np.zeros(phi.shape, dtype)
         if op is GRAD:
             if j == 1:
                 return np.cos(i * phi) / SQRT_PI, -i * np.sin(i * phi) / SQRT_PI
@@ -231,7 +260,6 @@ class TestModeTables:
             value, slope = self.closed_form(op, i, j, phi)
             assert values[:, k].tobytes() == value.tobytes(), (i, j)
             assert slopes[:, k].tobytes() == slope.tobytes(), (i, j)
-            assert op.angular(i, j, phi).tobytes() == value.tobytes(), (i, j)
 
     def test_angular_table_shape_and_validation(self):
         assert CR.angular_table([(0, 1), (2, 2)], 0.3).shape == (2,)
@@ -248,7 +276,7 @@ class TestModeTables:
         values = basis_table(op, modes, eps, *pts.T)
         assert residuals.shape == (len(modes),)
         for k, (i, j) in enumerate(modes):
-            b = BasisFunction(RadialFactor(i, eps), j, op)
+            b = BasisFunction(op, i, j, eps)
             assert residuals[k] == check_helmholtz(b, eps, pts), (i, j)
             assert values[:, k].tobytes() == b.value_xy(*pts.T).tobytes(), (i, j)
 

@@ -87,3 +87,26 @@ def test_only_check_epsilon_states_the_eps_rule():
                 ):
                     owners.add(f"{path.stem}.{func.name}")
     assert owners == {"core.check_epsilon", "bessel.check_disk_epsilon"}
+
+
+def _scopes_calling(name, node, scope=()):
+    """The dotted scope of every call of ``name`` (bare or as an attribute) under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            func = child.func
+            if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                yield ".".join(scope)
+        named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _scopes_calling(name, child, scope + (child.name,) if named else scope)
+
+
+def test_only_series_field_builds_basis_functions():
+    """The solvers and the CLI read the modes as tables; one BasisFunction per
+    mode is built only for SeriesSolution.field, so the closure layer cannot
+    regrow unnoticed."""
+    callers = [
+        f"{path.stem}.{scope}"
+        for path in sorted(Path(epsreg.__file__).parent.glob("*.py"))
+        for scope in _scopes_calling("BasisFunction", ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert callers == ["variational.SeriesSolution.field"]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from epsreg.bessel import RadialFactor, bessel_i, bessel_i_prime
+from epsreg.bessel import bessel_i, bessel_i_prime
 from epsreg.core import Verdict
 from epsreg.diskbasis import BasisFunction, DiracOperatorKind, apply_operator, basis_table
 from epsreg import cli
@@ -194,7 +194,7 @@ class TestInnerProducts:
     def test_radial_reduction_oracle(self, quad64):
         # Separation of variables reduces (b, b)_eps for b = I_1(r) cos(phi)/sqrt(pi)
         # to one-dimensional radial integrals.
-        b = BasisFunction(RadialFactor(1, 1.0), 1, GRAD)
+        b = BasisFunction(GRAD, 1, 1, 1.0)
         l2_1d = quad(lambda r: bessel_i(1, r) ** 2 * r, 0.0, 1.0, epsabs=1e-13)[0]
         energy_1d = quad(
             lambda r: (bessel_i_prime(1, r) ** 2 + (bessel_i(1, r) / r) ** 2) * r,
@@ -206,8 +206,8 @@ class TestInnerProducts:
         assert float(np.real(value)) == pytest.approx(energy_1d + l2_1d, rel=1e-9)
 
     def test_conjugate_symmetry(self, quad_small):
-        u = BasisFunction(RadialFactor(1, 1.0), 1, CR)
-        v = BasisFunction(RadialFactor(2, 1.0), 2, CR)
+        u = BasisFunction(CR, 1, 1, 1.0)
+        v = BasisFunction(CR, 2, 2, 1.0)
         combo_u = 1.5 * wrap(u) + (0.3 + 0.7j) * wrap(v)
         combo_v = (0.2 - 0.1j) * wrap(u) + 2.0 * wrap(v)
         ab = complex(inner_eps(combo_u, combo_v, CR, 0.7, quad_small))
@@ -221,7 +221,7 @@ class TestBoundaryForm:
         # quantity appears under the square root in the normalized first
         # element of the boundary-orthonormal basis.
         eps = 1.0
-        b0 = BasisFunction(RadialFactor(0, eps), 1, GRAD)
+        b0 = BasisFunction(GRAD, 0, 1, eps)
         g0 = bessel_i(0, 1.0)
         g0p = bessel_i_prime(0, 1.0)
         value = boundary_form_h(b0, b0, GRAD, UPPER)
@@ -240,8 +240,8 @@ class TestBoundaryForm:
         assert abs(complex(boundary_form_h(u, u, GRAD, UPPER))) <= 1e-24
 
     def test_distinct_frequencies_full_circle(self):
-        b1 = BasisFunction(RadialFactor(1, 1.0), 1, GRAD)
-        b2 = BasisFunction(RadialFactor(2, 1.0), 1, GRAD)
+        b1 = BasisFunction(GRAD, 1, 1, 1.0)
+        b2 = BasisFunction(GRAD, 2, 1, 1.0)
         value = boundary_form_h(b1, b2, GRAD, ArcSpec(0.0, 2 * math.pi))
         assert abs(complex(value)) <= 1e-14
 
@@ -250,8 +250,8 @@ class TestBoundaryForm:
         # plus the conormal product over the whole circle: for the
         # orthonormal angular modes cos(phi) and sin(2 phi) that is
         # I_1(1)^2 + I_2(1)^2 + I_1'(1)^2 + I_2'(1)^2.
-        u = wrap(BasisFunction(RadialFactor(1, 1.0), 1, GRAD)) + wrap(
-            BasisFunction(RadialFactor(2, 1.0), 2, GRAD)
+        u = wrap(BasisFunction(GRAD, 1, 1, 1.0)) + wrap(
+            BasisFunction(GRAD, 2, 2, 1.0)
         )
         gamma = ArcSpec(0.3, 2.0)
         complement = ArcSpec(2.0, 0.3 + 2.0 * math.pi)
@@ -289,9 +289,9 @@ class TestGramSchmidt:
         # form, cross-checked against a brute-force classical pass.
         eps = 1.0
         funcs = [
-            wrap(BasisFunction(RadialFactor(0, eps), 1, GRAD)),
-            wrap(BasisFunction(RadialFactor(1, eps), 1, GRAD)),
-            wrap(BasisFunction(RadialFactor(1, eps), 2, GRAD)),
+            wrap(BasisFunction(GRAD, 0, 1, eps)),
+            wrap(BasisFunction(GRAD, 1, 1, eps)),
+            wrap(BasisFunction(GRAD, 1, 2, eps)),
         ]
         inner = lambda a, b: boundary_form_h(a, b, GRAD, UPPER)
         result = gram_schmidt(funcs, inner)
@@ -494,7 +494,7 @@ class TestSeriesSolver:
 
     def test_round_trip_from_raw_basis_function(self):
         eps = 1.0
-        src = BasisFunction(RadialFactor(2, eps), 1, GRAD)
+        src = BasisFunction(GRAD, 2, 1, eps)
         sol = solve_mixed_boundary_series(
             GRAD,
             UPPER,
@@ -519,7 +519,7 @@ class TestSeriesSolver:
         # k_i from boundary data must equal the direct h-projection of the
         # source onto each orthonormal basis element.
         eps = 0.5
-        src = BasisFunction(RadialFactor(2, eps), 1, op)
+        src = BasisFunction(op, 2, 1, eps)
         sol = solve_mixed_boundary_series(
             op,
             UPPER,
@@ -540,7 +540,7 @@ class TestSeriesSolver:
 
     def test_trace_error_small_for_b11_data(self):
         eps = 1.0
-        src = BasisFunction(RadialFactor(1, eps), 1, GRAD)
+        src = BasisFunction(GRAD, 1, 1, eps)
         sol = solve_mixed_boundary_series(
             GRAD,
             UPPER,
@@ -562,7 +562,7 @@ class TestSeriesSolver:
         # weights: the fit error must shrink as the expansion grows.
         eps = 1.0
         sources = [
-            (BasisFunction(RadialFactor(i, eps), branch, GRAD), 2.0**-i)
+            (BasisFunction(GRAD, i, branch, eps), 2.0**-i)
             for i in range(1, 21)
             for branch in (1, 2)
         ]
@@ -587,7 +587,7 @@ class TestSeriesSolver:
         # Deep modes underflow on the boundary for tiny eps; the expansion
         # must still reproduce the data at machine accuracy.
         eps = 1e-8
-        src = BasisFunction(RadialFactor(2, eps), 1, GRAD)
+        src = BasisFunction(GRAD, 2, 1, eps)
         u0 = lambda phi: src.value_polar(1.0, phi)
         sol = solve_mixed_boundary_series(
             GRAD, UPPER, u0, lambda phi: src.normal_trace_values(phi), eps, n_modes=16
@@ -607,7 +607,7 @@ class TestSeriesSolver:
         phi = np.linspace(0.0, 2.0 * math.pi, 101)
         trace = variational._mode_columns(op, sol.modes, sol.trace_scale, phi)
         conormal = variational._mode_columns(op, sol.modes, sol.conormal_scale, phi)
-        basis = [BasisFunction(RadialFactor(i, eps), j, op) for i, j in sol.modes]
+        basis = [BasisFunction(op, i, j, eps) for i, j in sol.modes]
         assert np.array_equal(
             trace, np.column_stack([b.value_polar(1.0, phi) for b in basis])
         )
@@ -640,7 +640,7 @@ class TestSeriesSolver:
         # I_39(sqrt(eps)) is a normal float here, though its square is not:
         # the boundary-normalized columns keep every mode.
         arc = ArcSpec(0.5 * math.pi, 1.5 * math.pi)
-        src = BasisFunction(RadialFactor(3, eps), 2, CR)
+        src = BasisFunction(CR, 3, 2, eps)
         u0 = lambda phi: src.value_polar(1.0, phi)
         u1 = lambda phi: src.normal_trace_values(phi)
         sol = solve_mixed_boundary_series(CR, arc, u0, u1, eps, n_modes=40)
@@ -696,7 +696,7 @@ class TestSeriesSolver:
         from epsreg.diskbasis import check_helmholtz
 
         eps = 1.0
-        src = BasisFunction(RadialFactor(1, eps), 1, GRAD)
+        src = BasisFunction(GRAD, 1, 1, eps)
         sol = solve_mixed_boundary_series(
             GRAD,
             UPPER,
@@ -1286,17 +1286,17 @@ class TestBasisGrams:
     @pytest.mark.parametrize("eps", [1e-5, 1e-2, 1.0, 4e2])
     def test_radial_table_equals_radial_factor(self, eps, quad64):
         values, slopes = variational._radial_table(8, eps, quad64.r)
+        root = math.sqrt(eps)
         for i in range(9):
-            g = RadialFactor(i, eps)
-            assert np.array_equal(values[:, i], g.value(quad64.r))
-            assert np.array_equal(slopes[:, i], g.derivative(quad64.r))
+            assert np.array_equal(values[:, i], bessel_i(i, root * quad64.r))
+            assert np.array_equal(slopes[:, i], root * bessel_i_prime(i, root * quad64.r))
 
     @pytest.mark.parametrize("op", [GRAD, CR])
     @pytest.mark.parametrize("eps", [1e-2, 1.0, 4e2])
     def test_matches_pointwise_gram(self, op, eps):
         quad = DiskQuadrature.build(24, 96)
         modes, l2_gram, energy_gram = basis_grams(op, 8, eps, quad)
-        basis = [BasisFunction(RadialFactor(i, eps), j, op) for i, j in modes]
+        basis = [BasisFunction(op, i, j, eps) for i, j in modes]
         values = np.column_stack([b.value_xy(quad.x, quad.y) for b in basis])
         grads = [op.apply_gradient(*b.gradient_xy(quad.x, quad.y)) for b in basis]
         l2_ref = (quad.w[:, None] * values).T @ np.conj(values)
