@@ -380,6 +380,15 @@ def _bessel_range_check(params):
         raise InputError(f"bad 'schedule': {exc}", key="schedule") from exc
 
 
+def _disk_mixed_check(params):
+    """The Bessel range of the schedule, then the mode rule for the source mode."""
+    _bessel_range_check(params)
+    try:
+        diskbasis.check_mode(params["source_index"], params["source_branch"])
+    except InputError as exc:
+        raise InputError(f"bad 'source_branch': {exc}", key="source_branch") from exc
+
+
 class Experiment(NamedTuple):
     """CSV header, config schema (key -> ``Key``), runner and an optional
     parse-time ``check(params)`` whose InputError names its key."""
@@ -412,9 +421,9 @@ EXPERIMENTS = {
     "disk_mixed": Experiment(
         "epsilon,trace_error_gamma,normal_error_complement,helmholtz_residual",
         _schema(**_ARC, n_modes=Key(int, False, 16, (0, NU_MAX)), n_phi=_N_PHI,
-                source_index=Key(int, False, 2), source_branch=Key(int, False, 1)),
+                source_index=Key(int, False, 2, (0, NU_MAX)), source_branch=Key(int, False, 1)),
         _run_disk_mixed,
-        _bessel_range_check,
+        _disk_mixed_check,
     ),
     "verify_basis": Experiment(
         ",".join(["epsilon", *_VERIFY_TOLS]),

@@ -28,8 +28,10 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import length_hint
 
 import numpy as np
 
@@ -347,43 +349,38 @@ def run_path(T: DiscreteOperator, f, h, schedule) -> RegularizationPath:
     return RegularizationPath(entries=entries, verdict=verdict, growth_slope=slope)
 
 
-def _parse_entry(token):
-    comma = "," if isinstance(token, str) else b","
-    if comma in token:
-        re_part, im_part = token.split(comma, 1)
+def _parse_entry(token: bytes):
+    if b"," in token:
+        re_part, im_part = token.split(b",", 1)
         return complex(float(re_part), float(im_part))
     return float(token)
 
 
-def _ascii_tokens(data: bytes) -> bool:
-    """Whether ``data.split()`` and ``float`` read ``data`` as they read its text.
-
-    Bytes know only ASCII digits and the ASCII whitespace; ``str`` also reads
-    non-ASCII digits and spaces, and splits on the separators ``\\x1c``-``\\x1f``.
-    """
-    return data.isascii() and not any(sep in data for sep in b"\x1c\x1d\x1e\x1f")
+def _check_ascii(text, what: str) -> None:
+    """InputError naming the first non-ASCII character of ``text`` and its offset."""
+    if not text.isascii():
+        at = re.search(r"[^\x00-\x7f]" if isinstance(text, str) else rb"[^\x00-\x7f]", text).start()
+        raise InputError(f"{what} is not ASCII: {text[at:at + 1]!r} at offset {at}")
 
 
 def parse_matrix_text(text: str | bytes) -> DiscreteOperator:
     """Parse the plain-text matrix format.
 
-    First line: ``rows cols``.  Then ``rows * cols`` whitespace-separated
-    entries in row-major order; complex entries are written ``re,im``.
-
-    ``text`` is a ``str`` or its UTF-8 ``bytes``, which give the same
-    operator and the same error messages.  ASCII bytes are split and
-    converted as they are, with no decoded copy; other bytes are decoded
-    first, and bytes that are not UTF-8 raise ``UnicodeDecodeError``.
+    The text is ASCII.  First line: ``rows cols``.  Then ``rows * cols``
+    whitespace-separated entries in row-major order; complex entries are
+    written ``re,im``.  ``text`` is a ``str`` or ``bytes``; both are split
+    and converted as bytes, and a non-ASCII character in either is an
+    InputError.
     """
-    if isinstance(text, bytes) and not _ascii_tokens(text):
-        text = text.decode("utf-8")
-    tokens = text.split()
+    _check_ascii(text, "matrix text")
+    data = text.encode("ascii") if isinstance(text, str) else text
+    tokens = data.split()
     if len(tokens) < 2:
         raise InputError("matrix text must start with 'rows cols'")
     try:
         rows, cols = int(tokens[0]), int(tokens[1])
     except ValueError as exc:
-        header = [_as_str(token) for token in tokens[:2]]
+        header = [token.decode() for token in tokens[:2]]
         raise InputError(f"malformed matrix header: {header}") from exc
     if rows <= 0 or cols <= 0:
         raise InputError(f"matrix dimensions must be positive, got {rows} x {cols}")
@@ -391,26 +388,15 @@ def parse_matrix_text(text: str | bytes) -> DiscreteOperator:
     del tokens  # one list of the entries through the conversion, not two
     if len(body) != rows * cols:
         raise InputError(f"expected {rows * cols} matrix entries, found {len(body)}")
-    comma = "," if isinstance(text, str) else b","
-    kind, convert = (complex, _parse_entry) if comma in text else (float, float)
+    kind, convert = (complex, _parse_entry) if b"," in data else (float, float)
+    entries = iter(body)
     try:
-        arr = np.fromiter(map(convert, body), dtype=kind, count=len(body))
-    except ValueError as exc:
-        raise InputError(f"malformed matrix entry: {_entry_error(convert, body)}") from exc
+        arr = np.fromiter(map(convert, entries), dtype=kind, count=len(body))
+    except ValueError as exc:  # map stopped at the bad token: those it did not pull follow it
+        row, col = divmod(len(body) - 1 - length_hint(entries), cols)
+        bad = f"{body[row * cols + col].decode()!r} at row {row + 1}, column {col + 1}"
+        raise InputError(f"malformed matrix entry {bad}") from exc
     return DiscreteOperator._adopt(arr.reshape(rows, cols))
-
-
-def _as_str(token) -> str:
-    return token if isinstance(token, str) else token.decode("ascii")
-
-
-def _entry_error(convert, body) -> ValueError:
-    """The error of converting ``body`` as text: float(b"x") names b'x', float("x") 'x'."""
-    for token in body:
-        try:
-            convert(_as_str(token))
-        except ValueError as exc:
-            return exc
 
 
 def _read_bytes(path, what: str) -> bytes:
@@ -423,16 +409,12 @@ def _read_bytes(path, what: str) -> bytes:
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def _decode(data: bytes, path, what: str) -> str:
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InputError(f"cannot read {what} {path}: {exc}") from exc
-
-
 def read_text(path, what: str) -> str:
     """UTF-8 text of a file; a missing, unreadable or undecodable file is an InputError."""
-    return _decode(_read_bytes(path, what), path, what)
+    try:
+        return _read_bytes(path, what).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
 
 
 # (file bytes, operator) of the last matrix file loaded.  One tuple, read
@@ -454,17 +436,14 @@ def load_matrix(path) -> DiscreteOperator:
     load, and a file that fails to load leaves the kept one alone.  The
     price is that the process holds the last file's bytes between loads,
     not a digest: 10.4 MB for an 800 x 600 matrix of ``repr`` floats,
-    whose operator is 3.84 MB.  A first load parses those bytes without a
-    decoded copy, so the peak memory of a load still falls.
+    whose operator is 3.84 MB.  A non-ASCII file is refused with its name.
     """
     global _last_matrix
     data = _read_bytes(path, "matrix file")
     kept, operator = _last_matrix
     if data == kept:
         return operator
-    try:
-        operator = parse_matrix_text(data)
-    except UnicodeDecodeError as exc:
-        raise InputError(f"cannot read matrix file {path}: {exc}") from exc
+    _check_ascii(data, f"matrix file {path}")
+    operator = parse_matrix_text(data)
     _last_matrix = (data, operator)
     return operator

@@ -44,6 +44,7 @@ __all__ = [
     "check_helmholtz",
     "basis_table",
     "boundary_amplitudes",
+    "check_mode",
     "nonvanishing_check",
     "symbol_defect",
 ]
@@ -83,7 +84,7 @@ class DiracOperatorKind(enum.Enum):
 
     def eigenvalue(self, i: int, branch: int) -> float:
         """Eigenvalue lambda_i^(j) of n o A on r^i H_i^(j)."""
-        _validate_mode(i, branch)
+        check_mode(i, branch)
         if self is DiracOperatorKind.GRADIENT:
             return float(i)
         return 0.0 if branch == 1 else 2.0 * i
@@ -127,7 +128,8 @@ class DiracOperatorKind(enum.Enum):
         return out
 
 
-def _validate_mode(i: int, branch: int) -> None:
+def check_mode(i: int, branch: int) -> None:
+    """The mode rule, or InputError: i >= 0, branch 1 or 2, and mode 0 on branch 1 only."""
     if i < 0:
         raise InputError(f"mode index must be nonnegative, got {i}")
     if i == 0 and branch != 1:
@@ -139,7 +141,7 @@ def _validate_mode(i: int, branch: int) -> None:
 def _mode_arrays(modes):
     """Orders and second-branch mask of a mode list, every mode validated."""
     for i, branch in modes:
-        _validate_mode(i, branch)
+        check_mode(i, branch)
     orders = np.array([i for i, _ in modes], dtype=int)
     return orders, np.array([branch == 2 for _, branch in modes], dtype=bool)
 
@@ -168,7 +170,7 @@ class BasisFunction:
     def __post_init__(self):
         check_order(self.index)
         check_disk_epsilon(self.epsilon)
-        _validate_mode(self.index, self.branch)
+        check_mode(self.index, self.branch)
 
     def value_polar(self, r, phi):
         radial = bessel_i(self.index, math.sqrt(self.epsilon) * np.asarray(r, dtype=float))

@@ -640,11 +640,11 @@ class SeedSystem:
         eps = np.asarray(epsilons, dtype=float)
         first = int(np.argmin(eps))
         g0 = self.gains(proj, eps[first:first + 1])[:, 0]
-        targets = f_values if self.operator is DiracOperatorKind.GRADIENT else (f_values,)
         coeffs = self.eigvecs @ g0
         ax, ay = (_tensor_combination(r, a, coeffs) for r, a in self.tables[1:])
-        image = [ax, ay] if self.operator is DiracOperatorKind.GRADIENT else [ax + 1j * ay]
-        base = sum(self.quad.w @ np.abs(a - np.asarray(f)) ** 2 for a, f in zip(image, targets))
+        image = np.atleast_2d(self.operator.apply_gradient(ax, ay))
+        targets = np.atleast_2d(f_values)
+        base = sum(self.quad.w @ np.abs(a - f) ** 2 for a, f in zip(image, targets))
         lam = self.lam[:, None]
         t = (eps - eps[first]) / (lam + eps)
         return np.sqrt(base + np.abs(g0) ** 2 @ (t * (lam * t + 2.0 * eps[first])))
@@ -670,7 +670,6 @@ class SeedSystem:
         return np.sqrt(np.maximum(base + (spread - spread[first]), 0.0))
 
 
-_SEED_TRACE_TOL = 1e-9
 _SEED_DROP_TOL = 1e-10
 
 
@@ -684,9 +683,9 @@ def build_seed_system(
 
     Seeds are delta * monomial in graded order, normalized to unit graph
     norm, and kept as the radial x angular tables their Grams are summed
-    from.  Their boundary traces on Gamma quadrature nodes, taken from the
-    tables the seeds are built from, are verified against ``_SEED_TRACE_TOL``; by
-    construction they vanish there exactly.  One generalized
+    from.  Their traces on Gamma vanish exactly by construction: at r = 1
+    both terms of ``_seed_tables`` carry a factor that is zero there,
+    1 - r^2 or sigma.  One generalized
     eigendecomposition of the seed Grams (see ``_seed_spectrum``) serves
     every eps of a sweep.
     """
@@ -715,13 +714,6 @@ def build_seed_system(
         cross = gram(slope_radial, gx_ang, gy_ang) / outer
         k_gram = k_gram + 1j * (cross.T - cross)
     value_radial, slope_radial = value_radial / norms, slope_radial / norms
-
-    g_phi, _ = arc.quadrature(quad.n_phi)
-    ring, _, (ring_ang, _, _) = _seed_tables(arc, exponents, np.ones(1), g_phi)
-    traces = _tensor_combination(ring / norms, ring_ang, np.eye(size))
-    trace_max = float(np.max(np.abs(traces)))
-    if trace_max > _SEED_TRACE_TOL:
-        raise NumericError(f"seed trace on Gamma {trace_max:.3e} exceeds {_SEED_TRACE_TOL:.1e}")
 
     lam, eigvecs, dropped = _seed_spectrum(k_gram, m_gram, _SEED_DROP_TOL)
     return SeedSystem(
@@ -1028,8 +1020,6 @@ def cauchy_pipeline(spec: CauchyProblemSpec) -> PipelineResult:
     else:
         f_raw = np.zeros_like(a_lift)
     f_tilde = np.asarray(f_raw) - a_lift
-    if spec.operator is DiracOperatorKind.GRADIENT:
-        f_tilde = (f_tilde[0], f_tilde[1])
 
     epsilons = np.asarray(spec.schedule, dtype=float)
     proj = seeds.project(f_tilde)

@@ -6,9 +6,10 @@ This module keeps the definitions those tables are checked against, in the
 form the paper states them: fields as closures with a linear structure,
 the eps-inner product (A u, A v) + eps (u, v), the boundary form h,
 Gram-Schmidt, the defining function delta of the data arc and the seeds
-delta * P, the exact norm of the Cauchy-Riemann pole datum 1/(z - z0) and,
-for the abstract engine, the minimal-norm solution, the kernel orthogonality
-of u_eps and a 50-digit solve of the normal equations.
+delta * P, the exact mixed data of a K_0 source outside the disk, the exact
+norm of the Cauchy-Riemann pole datum 1/(z - z0) and, for the abstract
+engine, the minimal-norm solution, the kernel orthogonality of u_eps and a
+50-digit solve of the normal equations.
 Only the tests import it.
 """
 
@@ -263,6 +264,44 @@ def seed_fields(seeds) -> list:
         (1.0 / norm) * _product_field(delta, monomial(px, py))
         for norm, (px, py) in zip(seeds.norms, seeds.exponents)
     ]
+
+
+# ---------------------------------------------------------------------------
+# Exact mixed data
+# ---------------------------------------------------------------------------
+
+
+def k0_source(epsilon: float, x0) -> AlgebraField:
+    """u = K_0(sqrt(eps) |x - x0|) with its gradient -sqrt(eps) K_1(sqrt(eps) rho) (x - x0) / rho.
+
+    For |x0| > 1 the source lies outside the closed disk, so u solves
+    (-Laplace + eps) u = 0 there for every eps, with full angular content on
+    the circle: the mixed problem with u's own data (``k0_mixed_data``) has
+    the solution u.
+    """
+    import scipy.special
+
+    root = math.sqrt(epsilon)
+    ax, ay = x0
+    if not math.hypot(ax, ay) > 1.0:
+        raise InputError(f"the source must lie outside the closed unit disk, got x0 = {x0}")
+
+    def value(x, y):
+        return scipy.special.k0(root * np.hypot(x - ax, y - ay))
+
+    def gradient(x, y):
+        dx, dy = x - ax, y - ay
+        rho = np.hypot(dx, dy)
+        slope = -root * scipy.special.k1(root * rho) / rho
+        return slope * dx, slope * dy
+
+    return AlgebraField(value, gradient)
+
+
+def k0_mixed_data(op: DiracOperatorKind, epsilon: float, x0):
+    """(u0, u1) of ``k0_source``: its trace t(u) and its conormal trace n(A u) on the circle."""
+    u = k0_source(epsilon, x0)
+    return (lambda phi: trace_values(u, phi)), (lambda phi: conormal_values(op, u, phi))
 
 
 # ---------------------------------------------------------------------------

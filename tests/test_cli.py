@@ -234,6 +234,30 @@ class TestRunDiskMixed:
             assert trace_err <= 1e-8 and normal_err <= 1e-8 and helm <= 1e-4
 
     @pytest.mark.parametrize(
+        "keys, line, message",
+        [
+            ("source_index = 61\n", 4, "'source_index' must lie in [0, 60]"),
+            ("source_index = -1\n", 4, "'source_index' must lie in [0, 60]"),
+            (
+                "source_index = 0\nsource_branch = 2\n",
+                5,
+                "bad 'source_branch': mode 0 carries a single angular branch",
+            ),
+            ("source_branch = 3\n", 4, "bad 'source_branch': angular branch must be 1 or 2, got 3"),
+        ],
+    )
+    def test_bad_source_mode_fails_at_parse_time(self, tmp_path, capsys, keys, line, message):
+        out = tmp_path / "dm.csv"
+        cfg = write_config(
+            tmp_path,
+            f"[disk_mixed]\ngamma_start = 0.0\ngamma_end = 3.0\n{keys}"
+            f"schedule = 1\noutput = {out}\n",
+        )
+        assert cli.main(["run", cfg]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:{line}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "op, mode",
         [
             (DiracOperatorKind.GRADIENT, (2, 1)),

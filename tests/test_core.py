@@ -549,7 +549,7 @@ class TestLoadMatrixCache:
 
         cold = messages()
         assert cold[0] == f"matrix file not found: {missing}"
-        assert cold[1].startswith(f"cannot read matrix file {binary}: 'utf-8' codec")
+        assert cold[1] == f"matrix file {binary} is not ASCII: b'\\xff' at offset 4"
         T = load_matrix(good)
         assert messages() == cold
         assert load_matrix(good) is T
@@ -586,7 +586,7 @@ class TestLoadMatrixCache:
 
     @staticmethod
     def text_parse(text):
-        """The str parse the operator was read with before it took bytes."""
+        """A reference parse of ASCII text: ``str`` tokens, each converted alone."""
         tokens = text.split()[2:]
         if "," not in text:
             return np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
@@ -612,9 +612,6 @@ class TestLoadMatrixCache:
         [
             [" ", "\n"],
             ["\t", "  ", "\r\n", "\x0b", "\x0c", " \n\n ", "\r"],
-            # separators only str.split knows: bytes with them parse as text
-            [" ", "\x1c", "\x1d\n", "\x1e", "\x1f"],
-            [" ", "\xa0", " ", "\n"],
         ],
     )
     def test_bytes_parse_bitwise_equal_to_text_parse(self, tmp_path, complex_share, separators):
@@ -626,13 +623,41 @@ class TestLoadMatrixCache:
         expected = self.text_parse(text)
         path = tmp_path / "m.txt"
         path.write_bytes(text.encode())
-        for T in (parse_matrix_text(text.encode()), load_matrix(path)):
+        for T in (parse_matrix_text(text), parse_matrix_text(text.encode()), load_matrix(path)):
             assert T.matrix.dtype == expected.dtype
             assert T.matrix.tobytes() == expected.tobytes()
 
-    def test_non_ascii_digits_parse_as_text(self):
-        text = "1 3 ١ ２.5 -٣e1"
-        assert parse_matrix_text(text.encode()).matrix.tolist() == [[1.0, 2.5, -30.0]]
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("1 3 ١ ２.5 -٣e1", "'١' at offset 4"),
+            ("1 3 ١ ２.5 -٣e1".encode(), "b'\\xd9' at offset 4"),
+            ("1 2\n1\xa02", "'\\xa0' at offset 5"),
+            ("1 2\n1\xa02".encode(), "b'\\xc2' at offset 5"),
+            ("1 1 \ud800", "'\\ud800' at offset 4"),
+            (b"1 1\n\xff\n", "b'\\xff' at offset 4"),
+        ],
+        ids=["str-digits", "bytes-digits", "str-nbsp", "bytes-nbsp", "str-surrogate", "bytes-ff"],
+    )
+    def test_non_ascii_text_refused(self, tmp_path, text, expected):
+        with pytest.raises(InputError) as error:
+            parse_matrix_text(text)
+        assert str(error.value) == f"matrix text is not ASCII: {expected}"
+        path = tmp_path / "m.txt"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8", "surrogatepass"))
+        with pytest.raises(InputError, match=f"^matrix file {path} is not ASCII: "):
+            load_matrix(path)
+
+    @pytest.mark.parametrize(
+        "separator", ["\x1c", "\x1d", "\x1e", "\x1f"], ids=["FS", "GS", "RS", "US"]
+    )
+    def test_information_separators_are_not_whitespace(self, separator):
+        # str.split() splits at them, bytes.split() does not: the format splits as bytes.
+        token = f"1{separator}2"
+        for text in (f"1 2\n{token} 3", f"1 2\n{token} 3".encode()):
+            with pytest.raises(InputError) as error:
+                parse_matrix_text(text)
+            assert str(error.value) == f"malformed matrix entry {token!r} at row 1, column 1"
 
     def test_bench_sized_repr_matrix_bitwise_equal_to_text_parse(self, tmp_path):
         m = np.random.default_rng(3).standard_normal((800, 600))
@@ -653,32 +678,19 @@ class TestLoadMatrixCache:
                 None,
                 "cannot read matrix file {path}: [Errno 21] Is a directory: '{path}'",
             ),
-            (
-                "bad_utf8",
-                b"1 1\n\xff\n",
-                "cannot read matrix file {path}: 'utf-8' codec can't decode byte 0xff in "
-                "position 4: invalid start byte",
-            ),
+            ("bad_utf8", b"1 1\n\xff\n", "matrix file {path} is not ASCII: b'\\xff' at offset 4"),
             (
                 "non_ascii",
                 "1 2\n1 é\n".encode(),
-                "malformed matrix entry: could not convert string to float: 'é'",
+                "matrix file {path} is not ASCII: b'\\xc3' at offset 6",
             ),
             ("empty", b"", "matrix text must start with 'rows cols'"),
             ("bad_header", b"2 x\n1 2\n", "malformed matrix header: ['2', 'x']"),
             ("non_positive", b"0 2\n", "matrix dimensions must be positive, got 0 x 2"),
             ("too_few", b"2 2\n1 2 3\n", "expected 4 matrix entries, found 3"),
             ("too_many", b"2 2\n1 2 3 4 5\n", "expected 4 matrix entries, found 5"),
-            (
-                "bad_real",
-                b"1 2\n1 x\n",
-                "malformed matrix entry: could not convert string to float: 'x'",
-            ),
-            (
-                "bad_complex",
-                b"1 2\n1,2 3,y\n",
-                "malformed matrix entry: could not convert string to float: 'y'",
-            ),
+            ("bad_real", b"1 2\n1 x\n", "malformed matrix entry 'x' at row 1, column 2"),
+            ("bad_complex", b"1 2\n1,2 3,y\n", "malformed matrix entry '3,y' at row 1, column 2"),
         ],
     )
     def test_load_error_messages(self, tmp_path, name, content, expected):
@@ -690,7 +702,7 @@ class TestLoadMatrixCache:
         with pytest.raises(InputError) as error:
             load_matrix(path)
         assert str(error.value) == expected.format(path=path)
-        if content is not None and name != "bad_utf8":
+        if content is not None and content.isascii():
             with pytest.raises(InputError) as text_error:
                 parse_matrix_text(content.decode())
             with pytest.raises(InputError) as bytes_error:
@@ -741,7 +753,7 @@ class TestMatrixText:
 
     @staticmethod
     def token_loop(text):
-        return np.array([_parse_entry(tok) for tok in text.split()[2:]])
+        return np.array([_parse_entry(tok) for tok in text.encode().split()[2:]])
 
     def test_real_body_bitwise_equal_to_token_loop(self):
         rng = np.random.default_rng(5)
@@ -778,19 +790,64 @@ class TestMatrixText:
         assert T.matrix.tobytes() == self.token_loop(text).tobytes()
 
     @pytest.mark.parametrize(
-        "text", ["1 2 1 zz", "1 2 1,x 2", "1 2 0x10 1", "1 2 1,2,3 2", "1 2 ,1 2", "1 2 1, 2"]
+        "text, token, row, col",
+        [
+            ("1 2 1 zz", "zz", 1, 2),
+            ("1 2 1,x 2", "1,x", 1, 1),
+            ("1 2 0x10 1", "0x10", 1, 1),
+            ("1 2 1,2,3 2", "1,2,3", 1, 1),
+            ("1 2 ,1 2", ",1", 1, 1),
+            ("1 2 1, 2", "1,", 1, 1),
+            ("3 2\n1 2\n3 4\n5 q\n", "q", 3, 2),
+            ("2 2\n1,1 2\n3 - \n", "-", 2, 2),
+        ],
     )
-    def test_malformed_entry_message(self, text):
-        with pytest.raises(ValueError) as loop_error:
-            self.token_loop(text)
-        with pytest.raises(InputError) as error:
-            parse_matrix_text(text)
-        assert str(error.value) == f"malformed matrix entry: {loop_error.value}"
+    def test_malformed_entry_message(self, text, token, row, col):
+        # The first entry that does not convert is named, with its row and column.
+        for arg in (text, text.encode()):
+            with pytest.raises(InputError) as error:
+                parse_matrix_text(arg)
+            expected = f"malformed matrix entry {token!r} at row {row}, column {col}"
+            assert str(error.value) == expected
 
     def test_malformed(self):
         for text in ("", "2", "2 2 1 2 3", "a b 1 2", "1 1 zz", "0 2 "):
             with pytest.raises(InputError):
                 parse_matrix_text(text)
+
+
+_MATRIX_TOKENS = st.one_of(
+    st.floats().map(repr),
+    st.tuples(st.floats(), st.floats()).map(lambda pair: f"{pair[0]!r},{pair[1]!r}"),
+    st.integers(-2, 4).map(str),
+    st.sampled_from(["", ",", "1,", ",1", "1,2,3", "1_0", "0x10", "1e999", "-", "\x00", "\x1c"]),
+    st.sampled_from(["\xa0", "\u2003", "١", "é", "\ud800", "\udcff"]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def _matrix_texts(draw):
+    """Matrix-like text, as ``str`` or as bytes: a header, then about rows * cols tokens."""
+    rows, cols = draw(st.integers(-1, 3)), draw(st.integers(-1, 3))
+    count = draw(st.one_of(st.just(max(rows * cols, 0)), st.integers(0, 10)))
+    tokens = [str(rows), str(cols)] + draw(st.lists(_MATRIX_TOKENS, min_size=count, max_size=count))
+    gaps = draw(st.lists(st.sampled_from([" ", "\n", "\t", "\r\n", "\x0b", "\x1f", "\xa0"]),
+                         min_size=len(tokens), max_size=len(tokens)))
+    text = "".join(gap + token for gap, token in zip(gaps, tokens))
+    return text.encode("utf-8", "surrogatepass") if draw(st.booleans()) else text
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(text=st.one_of(_matrix_texts(), st.text(max_size=30), st.binary(max_size=30)))
+def test_parse_matrix_text_fuzz(text):
+    # Any str or bytes gives an operator or an InputError; nothing else escapes.
+    try:
+        T = parse_matrix_text(text)
+    except InputError:
+        return
+    assert text.isascii()
+    assert np.all(np.isfinite(T.matrix)) and not T.matrix.flags.writeable
 
 
 GRAD = diskbasis.DiracOperatorKind.GRADIENT

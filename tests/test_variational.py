@@ -10,7 +10,13 @@ from scipy.integrate import quad
 
 from epsreg.bessel import bessel_i, bessel_i_prime
 from epsreg.core import Verdict
-from epsreg.diskbasis import BasisFunction, DiracOperatorKind, apply_operator, basis_table
+from epsreg.diskbasis import (
+    BasisFunction,
+    DiracOperatorKind,
+    apply_operator,
+    basis_table,
+    check_helmholtz,
+)
 from epsreg import cli
 from epsreg.errors import InputError, NumericError
 from epsreg import variational
@@ -37,6 +43,8 @@ from reference import (
     cr_pole_norm,
     gram_schmidt,
     inner_eps,
+    k0_mixed_data,
+    k0_source,
     monomial,
     pair_outputs,
     seed_fields,
@@ -315,6 +323,21 @@ class TestTrialSpace:
         for column in trial_space_for_epsilon(seeds, 0.5).T:
             member = LinearCombination(column, fields)
             assert float(np.max(np.abs(member.value_xy(np.cos(phi), np.sin(phi))))) <= 1e-9
+
+    def test_seed_tables_vanish_on_gamma(self):
+        # At r = 1 both terms of every seed carry 1 - r^2 or sigma, which are
+        # zero on Gamma, so the trace is exactly zero.  The seeds of a smaller
+        # trial size are the leading columns of these TRIAL_MAX.
+        rng = np.random.default_rng(29)
+        starts = rng.uniform(0.0, 2 * math.pi, 40)
+        lengths = rng.uniform(0.05, 2 * math.pi, 40)
+        arcs = [ArcSpec(0.0, 2 * math.pi)] + [ArcSpec(a, a + b) for a, b in zip(starts, lengths)]
+        exponents = variational._monomial_exponents(variational.TRIAL_MAX)
+        for arc in arcs:
+            phi, _ = arc.quadrature(256)
+            ring, _, (angular, _, _) = variational._seed_tables(arc, exponents, np.ones(1), phi)
+            traces = variational._tensor_combination(ring, angular, np.eye(len(exponents)))
+            assert np.all(traces == 0.0), arc
 
     def test_traces_nonzero_on_complement(self, quad_small):
         seeds = build_seed_system(UPPER, GRAD, 4, quad_small)
@@ -683,6 +706,48 @@ class TestSeriesSolver:
         values = basis_table(CR, sol.modes, eps, quad64.x, quad64.y) @ sol.raw_coeffs
         norm = math.sqrt(float(np.real(quad64.integrate(np.abs(values) ** 2))))
         assert norm == pytest.approx(cr_pole_norm(z0), rel=0.02)
+
+    K0_SOURCE = (1.5, 0.3)
+
+    def _k0_error(self, quad, op, eps, n_modes):
+        """Relative L^2 error on the disk nodes of the series for ``k0_source``'s own data."""
+        u0, u1 = k0_mixed_data(op, eps, self.K0_SOURCE)
+        sol = solve_mixed_boundary_series(op, UPPER, u0, u1, eps, n_modes=n_modes, n_phi=1024)
+        values = basis_table(op, sol.modes, eps, quad.x, quad.y) @ sol.raw_coeffs
+        exact = k0_source(eps, self.K0_SOURCE).value_xy(quad.x, quad.y)
+        misfit = float(np.real(quad.integrate(np.abs(values - exact) ** 2)))
+        return math.sqrt(misfit / float(np.real(quad.integrate(exact**2))))
+
+    @pytest.mark.parametrize(
+        "op, eps, bound",
+        [
+            # Bounds about 4x the errors measured at n_modes 40: 8.3e-7,
+            # 1.6e-9, 1.1e-10, 5.5e-11 (gradient) and 7.8e-7, 5.1e-9 (CR).
+            # CR below eps 1 is ROADMAP item 4 (2.4e-2 at eps 1e-8).
+            (GRAD, 1e2, 3e-6),
+            (GRAD, 1.0, 6e-9),
+            (GRAD, 1e-4, 5e-10),
+            (GRAD, 1e-8, 2e-10),
+            (CR, 1e2, 3e-6),
+            (CR, 1.0, 2e-8),
+        ],
+    )
+    def test_k0_source_reproduced(self, quad64, op, eps, bound):
+        # u = K_0(sqrt(eps) |x - x0|) with |x0| > 1 solves its own mixed data,
+        # and the error falls as the modes grow.
+        errors = [self._k0_error(quad64, op, eps, n_modes) for n_modes in (16, 24, 40)]
+        assert errors[2] <= bound
+        assert errors[0] > errors[1] > errors[2]
+
+    def test_k0_source_solves_helmholtz(self):
+        angles = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
+        points = np.column_stack([0.6 * np.cos(angles), 0.6 * np.sin(angles)])
+        for eps in (1e2, 1.0, 1e-4):
+            u = k0_source(eps, self.K0_SOURCE)
+            scale = float(np.max(np.abs(u.value_xy(points[:, 0], points[:, 1]))))
+            assert check_helmholtz(u, eps, points) <= 1e-6 * scale
+        with pytest.raises(InputError):
+            k0_source(1.0, (0.5, 0.5))
 
     def test_cr_pole_norm_series(self):
         # The closed form against the sum of pi |z0|^(-2n-2) / (n + 1).
