@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import core, diskbasis, ode1d, variational
-from .bessel import NU_MAX, bessel_i, check_disk_epsilon
+from .bessel import bessel_i, check_disk_epsilon, check_order
 from .diskbasis import DiracOperatorKind
 from .errors import InputError, NumericError
 
@@ -90,14 +90,26 @@ def _choice(mapping: dict):
     return parse
 
 
+def _order(value: str) -> int:
+    """An integer Bessel order, held to ``bessel.check_order``."""
+    return int(check_order(int(value)))
+
+
+def _seed(value: str) -> int:
+    """A nonnegative integer: a seed of ``np.random.default_rng``."""
+    number = int(value)
+    if number < 0:
+        raise ValueError(f"must be nonnegative, got {number}")
+    return number
+
+
 class Key(NamedTuple):
-    """A config key: parser of its text (ValueError on bad text), whether it is
-    required, its default (None: absent) and an inclusive integer range."""
+    """A config key: parser of its text (ValueError on bad text, InputError
+    included), whether it is required and its default (None: absent)."""
 
     parse: Callable
     required: bool = False
     default: object = None
-    bounds: Optional[tuple] = None
 
 
 _REQUIRED_FLOAT = Key(float, True)
@@ -105,11 +117,10 @@ _OPERATOR = Key(
     _choice({op.value: op for op in DiracOperatorKind}), False, DiracOperatorKind.GRADIENT
 )
 _ARC = dict(operator=_OPERATOR, gamma_start=_REQUIRED_FLOAT, gamma_end=_REQUIRED_FLOAT)
-# Bessel orders stop at NU_MAX; quadratures need 2 radii, 4 angles and stop
-# at N_R_MAX, N_PHI_MAX.  ArcSpec and CauchyProblemSpec own the arc,
-# trial_size and seed-quadrature rules (``_keyed_check``).
-_N_R = Key(int, False, 64, (2, variational.N_R_MAX))
-_N_PHI = Key(int, False, 256, (4, variational.N_PHI_MAX))
+# The library owns the ranges: ``_order`` and each experiment's check apply
+# their owners (check_quadrature_size, ArcSpec, ...; ``_keyed_check``).
+_N_R = Key(int, False, 64)
+_N_PHI = Key(int, False, 256)
 
 
 def _schema(**keys) -> dict:
@@ -128,8 +139,9 @@ def _keyed_check(source, lines, build, *args):
 def parse_config(path: str) -> ExperimentConfig:
     """Strict parse of an experiment config; unknown keys are rejected.
 
-    The first failure is reported, in this order: parsers, required keys,
-    schedule, arc, finiteness, integer ranges, the experiment's check.
+    The first failure is reported, in this order: parsers (the order rule
+    included), required keys, schedule, arc, finiteness, the experiment's
+    check.
     """
     sections = _parse_sections(core.read_text(path, "config file"), path)
     if len(sections) != 1:
@@ -167,9 +179,6 @@ def parse_config(path: str) -> ExperimentConfig:
     for key, value in params.items():
         if schema[key].parse in (float, _floats) and not np.all(np.isfinite(value)):
             raise InputError(f"{path}:{lines[key]}: bad {key!r}: values must be finite")
-    for key, spec in schema.items():
-        if spec.bounds and not spec.bounds[0] <= params[key] <= spec.bounds[1]:
-            raise InputError(f"{path}:{lines[key]}: {key!r} must lie in {list(spec.bounds)}")
     if experiment.check:
         _keyed_check(path, lines, experiment.check, params)
     output = params.pop("output")
@@ -196,12 +205,16 @@ def _fmt(values) -> str:
     return ",".join(f"{float(v):.17g}" for v in values)
 
 
+def _ode1d_problem(p) -> ode1d.Ode1dProblem:
+    """The ode1d problem of parsed params; parse_config builds it for its rules."""
+    return ode1d.Ode1dProblem(p["a"], p["b"], p["u0"], _FUNCTIONS[p["f"]])
+
+
 def _run_ode1d(cfg: ExperimentConfig) -> RunResult:
     p = cfg.params
-    problem = ode1d.Ode1dProblem(p["a"], p["b"], p["u0"], _FUNCTIONS[p["f"]])
     rows = [
         (row.epsilon, row.c0_error, row.c1_error)
-        for row in ode1d.convergence_report(problem, p["schedule"])
+        for row in ode1d.convergence_report(_ode1d_problem(p), p["schedule"])
     ]
     summary = f"experiment=ode1d rows={len(rows)}"
     if len(rows) >= 2 and rows[-1][1] > 0.0 and rows[-2][1] > 0.0:
@@ -372,8 +385,10 @@ def _run_verify_basis(cfg: ExperimentConfig) -> RunResult:
     return RunResult(rows, None, summary, ok)
 
 
-def _bessel_range_check(params):
-    """disk_mixed and verify_basis evaluate I_i(sqrt(eps) r), r <= 1."""
+def _disk_check(params):
+    """The quadrature sizes, then the Bessel range of the schedule: disk_mixed
+    and verify_basis evaluate I_i(sqrt(eps) r), r <= 1."""
+    variational.check_quadrature_size(params.get("n_r"), params["n_phi"])
     try:
         check_disk_epsilon(max(params["schedule"]))
     except InputError as exc:
@@ -381,8 +396,8 @@ def _bessel_range_check(params):
 
 
 def _disk_mixed_check(params):
-    """The Bessel range of the schedule, then the mode rule for the source mode."""
-    _bessel_range_check(params)
+    """``_disk_check``, then the mode rule for the source mode."""
+    _disk_check(params)
     try:
         diskbasis.check_mode(params["source_index"], params["source_branch"])
     except InputError as exc:
@@ -405,6 +420,7 @@ EXPERIMENTS = {
         _schema(a=_REQUIRED_FLOAT, b=_REQUIRED_FLOAT, u0=Key(float, False, 0.0),
                 f=Key(_choice(dict(zip(_FUNCTIONS, _FUNCTIONS))), True)),
         _run_ode1d,
+        _ode1d_problem,
     ),
     "matrix_path": Experiment(
         "epsilon,norm_h,norm_eps,residual",
@@ -420,17 +436,17 @@ EXPERIMENTS = {
     ),
     "disk_mixed": Experiment(
         "epsilon,trace_error_gamma,normal_error_complement,helmholtz_residual",
-        _schema(**_ARC, n_modes=Key(int, False, 16, (0, NU_MAX)), n_phi=_N_PHI,
-                source_index=Key(int, False, 2, (0, NU_MAX)), source_branch=Key(int, False, 1)),
+        _schema(**_ARC, n_modes=Key(_order, False, 16), n_phi=_N_PHI,
+                source_index=Key(_order, False, 2), source_branch=Key(int, False, 1)),
         _run_disk_mixed,
         _disk_mixed_check,
     ),
     "verify_basis": Experiment(
         ",".join(["epsilon", *_VERIFY_TOLS]),
-        _schema(operator=_OPERATOR, i_max=Key(int, False, 8, (0, NU_MAX)), n_r=_N_R,
-                n_phi=_N_PHI, seed=Key(int, False, 0)),
+        _schema(operator=_OPERATOR, i_max=Key(_order, False, 8), n_r=_N_R,
+                n_phi=_N_PHI, seed=Key(_seed, False, 0)),
         _run_verify_basis,
-        _bessel_range_check,
+        _disk_check,
     ),
 }
 

@@ -165,19 +165,13 @@ class RegularizationPath:
     """Ordered eps-sweep with a solvability verdict.
 
     ``growth_slope`` is the fitted slope of log||u_eps|| versus log(1/eps)
-    over the final decade of the schedule.
+    over the final decade of the schedule.  ``run_path`` builds it from a
+    schedule that ``validate_schedule`` has passed.
     """
 
     entries: tuple
     verdict: Verdict
     growth_slope: float
-
-    def __post_init__(self):
-        if not self.entries:
-            raise InputError("regularization path must hold at least one entry")
-        eps = [entry.epsilon for entry in self.entries]
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise InputError("path entries must be ordered by strictly decreasing epsilon")
 
 
 def _as_vector(v, length: int, name: str) -> np.ndarray:

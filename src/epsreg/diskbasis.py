@@ -150,10 +150,11 @@ def enumerate_modes(i_max: int):
     """Mode list [(0,1), (1,1), (1,2), ...] up to index i_max.
 
     The counts per index are the planar ones: one function for i = 0 and
-    two for every i >= 1.
+    two for every i >= 1.  i_max is a Bessel order, held to
+    ``bessel.check_order``.
     """
     modes = [(0, 1)]
-    for i in range(1, i_max + 1):
+    for i in range(1, int(check_order(i_max)) + 1):
         modes.extend([(i, 1), (i, 2)])
     return modes
 

@@ -62,7 +62,9 @@ def _sdc(t, s):
 
 @dataclass(frozen=True)
 class Ode1dProblem:
-    """Interval (a, b), Cauchy datum u0 at a, right-hand side f; eps is an argument."""
+    """Interval (a, b), Cauchy datum u0 at a, right-hand side f; eps is an argument.
+
+    Owns the rules a < b (key 'b') and f finite on [a, b] (key 'f')."""
 
     a: float
     b: float
@@ -71,11 +73,13 @@ class Ode1dProblem:
 
     def __post_init__(self):
         if not (self.b - self.a > 0.0):
-            raise InputError(f"interval requires a < b, got ({self.a}, {self.b})")
+            raise InputError(f"interval requires a < b, got ({self.a}, {self.b})", key="b")
         samples = np.linspace(self.a, self.b, 7)
-        vals = np.fromiter(map(self.f, samples.tolist()), float, count=samples.size)
+        # An f that overflows is refused below, not warned about.
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.fromiter(map(self.f, samples.tolist()), float, count=samples.size)
         if not np.all(np.isfinite(vals)):
-            raise InputError("right-hand side f is not finite on the interval")
+            raise InputError("right-hand side f is not finite on the interval", key="f")
 
     def _require_inside(self, x: float) -> float:
         if not (self.a - 1e-12 <= x <= self.b + 1e-12):

@@ -56,6 +56,7 @@ __all__ = [
     "max_offdiag_relative",
     "N_R_MAX",
     "N_PHI_MAX",
+    "check_quadrature_size",
     "TRIAL_MAX",
     "seed_quadrature_needs",
     "SeedSystem",
@@ -88,6 +89,14 @@ N_R_MAX = 1024
 N_PHI_MAX = 4096
 
 
+def check_quadrature_size(n_r=None, n_phi=None) -> None:
+    """n_r in [2, N_R_MAX] and n_phi in [4, N_PHI_MAX] (None: not checked),
+    or InputError keyed by the size at fault."""
+    for key, size, low, high in (("n_r", n_r, 2, N_R_MAX), ("n_phi", n_phi, 4, N_PHI_MAX)):
+        if size is not None and not low <= size <= high:
+            raise InputError(f"{key!r} must lie in [{low}, {high}], got {size}", key=key)
+
+
 @dataclass(frozen=True)
 class DiskQuadrature:
     """Tensor quadrature on the unit disk in polar form.
@@ -110,9 +119,7 @@ class DiskQuadrature:
 
     @classmethod
     def build(cls, n_r: int = 64, n_phi: int = 256) -> "DiskQuadrature":
-        if not (2 <= n_r <= N_R_MAX and 4 <= n_phi <= N_PHI_MAX):
-            bounds = f"[2, {N_R_MAX}] x [4, {N_PHI_MAX}]"
-            raise InputError(f"quadrature sizes outside {bounds}: {n_r} x {n_phi}")
+        check_quadrature_size(n_r, n_phi)
         return _disk_quadrature(n_r, n_phi)
 
     def integrate(self, values) -> complex:
@@ -826,9 +833,8 @@ def solve_mixed_boundary_series(
     or a coefficient beyond the largest, raises NumericError.
     """
     check_disk_epsilon(epsilon)
-    if n_modes < 0:
-        raise InputError("n_modes must be nonnegative")
     modes = diskbasis.enumerate_modes(n_modes)
+    check_quadrature_size(n_phi=n_phi)
     g_phi, g_w = arc.quadrature(n_phi)
     c_phi, c_w = arc.complement_quadrature(n_phi)
 
@@ -943,8 +949,9 @@ def l_curve_corner(norms, residuals) -> int:
 class CauchyProblemSpec:
     """Cauchy problem: operator kind, arc, rhs f, datum u0, discretization.
 
-    Owns the rules trial_size in [1, TRIAL_MAX] and ``seed_quadrature_needs``;
-    a refusal's ``InputError.key`` names the parameter at fault.
+    Owns the rules trial_size in [1, TRIAL_MAX] and ``seed_quadrature_needs``,
+    after ``check_quadrature_size``; a refusal's ``InputError.key`` names the
+    parameter at fault.
     """
 
     operator: DiracOperatorKind
@@ -959,6 +966,7 @@ class CauchyProblemSpec:
 
     def __post_init__(self):
         core.validate_schedule(self.schedule)
+        check_quadrature_size(self.n_r, self.n_phi)
         if not 1 <= self.trial_size <= TRIAL_MAX:
             raise InputError(f"'trial_size' must lie in [1, {TRIAL_MAX}]", key="trial_size")
         for key, need in seed_quadrature_needs(self.trial_size).items():

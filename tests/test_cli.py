@@ -123,6 +123,24 @@ class TestRunOde1d:
         assert cli.main(["run", path, "--output", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "a, b, f, line, message",
+        [
+            ("2", "1", "cos", 4, "interval requires a < b, got (2.0, 1.0)"),
+            ("0", "800", "exp", 6, "right-hand side f is not finite on the interval"),
+        ],
+        ids=["reversed-interval", "f-overflows"],
+    )
+    def test_problem_rules_fail_at_parse_time(self, tmp_path, capsys, a, b, f, line, message):
+        # Ode1dProblem's refusals cite the line of their key (b, f) and write
+        # no CSV; an overflowing f raises no RuntimeWarning on the way.
+        out = tmp_path / "ode.csv"
+        text = ODE_CONFIG.format(out=out).replace("a = 0.0", f"a = {a}")
+        path = write_config(tmp_path, text.replace("b = 1.0", f"b = {b}").replace("cos", f))
+        assert cli.main(["run", path]) == 2
+        assert capsys.readouterr().err == f"error: {path}:{line}: {message}\n"
+        assert not out.exists()
+
 
 class TestRunMatrixPath:
     def test_complex_matrix_and_verdict(self, tmp_path):
@@ -236,8 +254,16 @@ class TestRunDiskMixed:
     @pytest.mark.parametrize(
         "keys, line, message",
         [
-            ("source_index = 61\n", 4, "'source_index' must lie in [0, 60]"),
-            ("source_index = -1\n", 4, "'source_index' must lie in [0, 60]"),
+            (
+                "source_index = 61\n",
+                4,
+                "bad value for 'source_index': order 61 outside supported range [0, 60]",
+            ),
+            (
+                "source_index = -1\n",
+                4,
+                "bad value for 'source_index': order -1 outside supported range [0, 60]",
+            ),
             (
                 "source_index = 0\nsource_branch = 2\n",
                 5,
@@ -602,8 +628,8 @@ class TestScheduleValues:
 
 
 class TestNumberValues:
-    # Non-finite numbers and a negative i_max fail at parse time with the
-    # config line; none of them writes a CSV.
+    # Non-finite numbers, a negative i_max and a negative seed fail at parse
+    # time with the config line; none of them writes a CSV.
     @pytest.mark.parametrize(
         "section, body, lineno",
         [
@@ -613,8 +639,12 @@ class TestNumberValues:
             ("ode1d", "a = -inf\nb = 1\nf = cos", 2),
             ("matrix_path", "matrix = m.txt\nf = 1 nan", 3),
             ("verify_basis", "i_max = -1", 2),
+            ("verify_basis", "seed = -1", 2),
         ],
-        ids=["noise-nan", "noise-inf", "u0-inf", "a-minus-inf", "f-nan", "i_max-negative"],
+        ids=[
+            "noise-nan", "noise-inf", "u0-inf", "a-minus-inf", "f-nan", "i_max-negative",
+            "seed-negative",
+        ],
     )
     def test_rejected_with_line_number(self, tmp_path, capsys, section, body, lineno):
         out = tmp_path / "out.csv"
@@ -633,20 +663,27 @@ class TestRanges:
     # Bessel orders stop at NU_MAX = 60 and arguments at X_MAX = 60, so
     # n_modes, i_max and the disk_mixed / verify_basis eps are bounded; the
     # quadratures need n_r in [2, 1024] and n_phi in [4, 4096].  Each fails
-    # at parse time with the config line.
+    # at parse time with the config line and the message of the rule's owner
+    # (bessel.check_order, variational.check_quadrature_size, ...).
     @pytest.mark.parametrize(
         "section, body, lineno, message",
         [
-            ("disk_mixed", f"{ARC}\nn_modes = 61", 4, "'n_modes' must lie in [0, 60]"),
-            ("verify_basis", "i_max = 61", 2, "'i_max' must lie in [0, 60]"),
+            (
+                "disk_mixed", f"{ARC}\nn_modes = 61", 4,
+                "bad value for 'n_modes': order 61 outside supported range [0, 60]",
+            ),
+            (
+                "verify_basis", "i_max = 61", 2,
+                "bad value for 'i_max': order 61 outside supported range [0, 60]",
+            ),
             ("disk_mixed", f"{ARC}\nschedule = 4000 1", 4, "bad 'schedule': eps above 3600"),
             ("verify_basis", "schedule = 3601 1", 2, "bad 'schedule': eps above 3600"),
-            ("verify_basis", "n_r = 1", 2, "'n_r' must lie in [2, 1024]"),
-            ("disk_cauchy", f"{ARC}\nn_phi = 3", 4, "'n_phi' must lie in [4, 4096]"),
-            ("verify_basis", "n_r = 1025", 2, "'n_r' must lie in [2, 1024]"),
-            ("disk_mixed", f"{ARC}\nn_phi = 4097", 4, "'n_phi' must lie in [4, 4096]"),
-            ("disk_cauchy", f"{ARC}\nn_r = 1025", 4, "'n_r' must lie in [2, 1024]"),
-            ("disk_cauchy", f"{ARC}\nn_phi = 4097", 4, "'n_phi' must lie in [4, 4096]"),
+            ("verify_basis", "n_r = 1", 2, "'n_r' must lie in [2, 1024], got 1"),
+            ("disk_cauchy", f"{ARC}\nn_phi = 3", 4, "'n_phi' must lie in [4, 4096], got 3"),
+            ("verify_basis", "n_r = 1025", 2, "'n_r' must lie in [2, 1024], got 1025"),
+            ("disk_mixed", f"{ARC}\nn_phi = 4097", 4, "'n_phi' must lie in [4, 4096], got 4097"),
+            ("disk_cauchy", f"{ARC}\nn_r = 1025", 4, "'n_r' must lie in [2, 1024], got 1025"),
+            ("disk_cauchy", f"{ARC}\nn_phi = 4097", 4, "'n_phi' must lie in [4, 4096], got 4097"),
             ("disk_cauchy", f"{ARC}\ntrial_size = 0", 4, "'trial_size' must lie in [1, 231]"),
             ("disk_cauchy", f"{ARC}\ntrial_size = 232", 4, "'trial_size' must lie in [1, 231]"),
             ("disk_cauchy", f"{ARC}\ntrial_size = 66\nn_r = 12", 5, "'n_r' must be >= 13"),
@@ -744,6 +781,67 @@ def test_disk_cauchy_run_fuzz(tmp_path, capsys, text):
     assert code in (0, 2, 3)
     assert "Traceback" not in err
     assert out.exists() == (code == 0)
+
+
+# Per experiment, values of each key at and around the owners' edges, small
+# sizes only; None leaves the key out.
+_RUN_FUZZ_KEYS = {
+    "ode1d": dict(
+        a=["0", "-1", "2", "1e-3"],
+        b=["1", "2", "800", "0"],
+        u0=[None, "0.3", "-2"],
+        f=list(cli._FUNCTIONS),
+    ),
+    "verify_basis": dict(
+        operator=[None, "gradient", "cauchy_riemann"],
+        i_max=["2", "0", "-1", "5", "61"],
+        n_r=["6", "1", "2", "12"],
+        n_phi=["16", "3", "4", "32"],
+        seed=[None, "-1", "7", str(2**70)],
+    ),
+    "disk_mixed": dict(
+        operator=[None, "gradient", "cauchy_riemann"],
+        gamma_start=["0", "1"],
+        gamma_end=["3", "6.283185307179586", "1.000001"],
+        n_modes=["4", "0", "-1", "8", "61"],
+        n_phi=["32", "0", "4", "64"],
+        source_index=[None, "-1", "0", "3", "61"],
+        source_branch=[None, "2", "3"],
+    ),
+}
+_RUN_FUZZ_SCHEDULES = ["1 0.25", "3600 1", "4000 1", "1e-2 1e-8", "1e-300", "1e2"]
+
+
+@st.composite
+def _run_configs(draw):
+    name = draw(st.sampled_from(sorted(_RUN_FUZZ_KEYS)))
+    body = [
+        f"{key} = {value}"
+        for key, values in _RUN_FUZZ_KEYS[name].items()
+        if (value := draw(st.sampled_from(values))) is not None
+    ]
+    body.append(f"schedule = {draw(st.sampled_from(_RUN_FUZZ_SCHEDULES))}")
+    return f"[{name}]\n" + "\n".join(body) + "\n"
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=_run_configs())
+def test_series_and_1d_run_fuzz(tmp_path, capsys, text):
+    # As test_disk_cauchy_run_fuzz, for the experiments that may also exit 1
+    # (a failed verify_basis check), which writes its CSV.
+    out = tmp_path / "fuzz.csv"
+    out.unlink(missing_ok=True)
+    path = write_config(tmp_path, text + f"output = {out}\n", name="fuzz.ini")
+    code = cli.main(["run", path])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    assert out.exists() == (code in (0, 1))
 
 
 # Arc endpoints at and around the validators' edges (0, 2 pi, 2 pi +- 1e-12,

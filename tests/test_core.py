@@ -946,8 +946,8 @@ DISK_EPS_ENTRY_POINTS = {
 DISK_EPS_ENTRY_POINTS["diskbasis.basis_table at r = 1"] = lambda eps: diskbasis.basis_table(
     GRAD, diskbasis.enumerate_modes(2), eps, [1.0], [0.0]
 )
-DISK_EPS_ENTRY_POINTS["cli._bessel_range_check"] = lambda eps: cli._bessel_range_check(
-    {"schedule": [eps, 1.0]}
+DISK_EPS_ENTRY_POINTS["cli._disk_check"] = lambda eps: cli._disk_check(
+    {"n_phi": 4, "schedule": [eps, 1.0]}
 )
 
 

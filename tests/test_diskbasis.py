@@ -261,6 +261,12 @@ class TestModeTables:
             assert values[:, k].tobytes() == value.tobytes(), (i, j)
             assert slopes[:, k].tobytes() == slope.tobytes(), (i, j)
 
+    def test_enumerate_modes_applies_the_order_rule(self):
+        assert len(enumerate_modes(0)) == 1 and len(enumerate_modes(NU_MAX)) == 2 * NU_MAX + 1
+        for i_max in (-5, -1, NU_MAX + 1):
+            with pytest.raises(InputError, match=f"order {i_max} outside supported range"):
+                enumerate_modes(i_max)
+
     def test_angular_table_shape_and_validation(self):
         assert CR.angular_table([(0, 1), (2, 2)], 0.3).shape == (2,)
         assert GRAD.angular_table([(1, 1)], np.zeros((3, 4))).shape == (3, 4, 1)

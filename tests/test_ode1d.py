@@ -101,8 +101,15 @@ class TestPerturbedSolution:
     def test_interval_validation(self):
         with pytest.raises(InputError):
             Ode1dProblem(1.0, 1.0, 0.0, math.cos)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError) as info:
             Ode1dProblem(2.0, 1.0, 0.0, math.cos)
+        assert info.value.key == "b"
+
+    def test_overflowing_rhs_refused_without_warning(self):
+        # exp(800) overflows: an InputError keyed 'f', not a RuntimeWarning.
+        with pytest.raises(InputError, match="not finite") as info:
+            Ode1dProblem(0.0, 800.0, 0.0, np.exp)
+        assert info.value.key == "f"
 
 
 class TestConvergenceReport:

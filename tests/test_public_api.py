@@ -89,6 +89,57 @@ def test_only_check_epsilon_states_the_eps_rule():
     assert owners == {"core.check_epsilon", "bessel.check_disk_epsilon"}
 
 
+# The size limits and the one function that may read each.
+_LIMIT_OWNERS = {
+    "NU_MAX": "bessel.check_order",
+    "N_R_MAX": "variational.check_quadrature_size",
+    "N_PHI_MAX": "variational.check_quadrature_size",
+}
+# A raised message that states a range rule on an order or a quadrature size.
+_SIZE_RULE = re.compile(
+    r"\b(order|n_modes|i_max|source_index|n_r|n_phi|key)\b.*(outside supported|must lie in)"
+)
+
+
+def _limit_reads(node, scope=()):
+    """(name, dotted scope) of every load or import of a limit under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            name = child.id
+        elif isinstance(child, (ast.Attribute, ast.alias)):
+            name = getattr(child, "attr", None) or child.name
+        else:
+            name = None
+        if name in _LIMIT_OWNERS:
+            yield name, ".".join(scope)
+        named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _limit_reads(child, scope + (child.name,) if named else scope)
+
+
+def test_only_the_owners_state_the_size_ranges():
+    """bessel.check_order alone raises for an order outside [0, NU_MAX] and
+    variational.check_quadrature_size alone for an n_r or n_phi out of range;
+    every caller, the CLI included, applies them, so no copy of either range
+    (with the limits or as a message) can regrow."""
+    readers, raisers = set(), set()
+    for path in sorted(Path(epsreg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        readers.update((name, f"{path.stem}.{scope}") for name, scope in _limit_reads(tree))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if (
+                    isinstance(node, ast.Raise)
+                    and isinstance(node.exc, ast.Call)
+                    and getattr(node.exc.func, "id", None) in ("InputError", "ValueError")
+                    and any(_SIZE_RULE.search(ast.unparse(arg)) for arg in node.exc.args)
+                ):
+                    raisers.add(f"{path.stem}.{func.name}")
+    assert readers == set(_LIMIT_OWNERS.items())
+    assert raisers == set(_LIMIT_OWNERS.values())
+
+
 def _scopes_calling(name, node, scope=()):
     """The dotted scope of every call of ``name`` (bare or as an attribute) under ``node``."""
     for child in ast.iter_child_nodes(node):

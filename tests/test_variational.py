@@ -108,8 +108,9 @@ class TestDiskQuadrature:
         # Above the bounds the build refuses before any Gauss-Legendre solve,
         # and a refused size never enters the memo.
         for n_r, n_phi in ((variational.N_R_MAX + 1, 8), (8, 3), (8, variational.N_PHI_MAX + 1)):
-            with pytest.raises(InputError, match="outside"):
+            with pytest.raises(InputError, match="must lie in") as info:
                 DiskQuadrature.build(n_r, n_phi)
+            assert info.value.key == ("n_r" if n_r > variational.N_R_MAX else "n_phi")
         after = variational._disk_quadrature.cache_info()
         assert (after.misses, after.currsize) == (before.misses, before.currsize)
 
@@ -757,6 +758,23 @@ class TestSeriesSolver:
         with pytest.raises(InputError):
             cr_pole_norm(0.5j)
 
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ({"n_phi": 0}, "'n_phi' must lie in [4, 4096], got 0"),
+            ({"n_phi": -8}, "'n_phi' must lie in [4, 4096], got -8"),
+            ({"n_modes": -1}, "order -1 outside supported range [0, 60]"),
+            ({"n_modes": 61}, "order 61 outside supported range [0, 60]"),
+        ],
+        ids=["n_phi-zero", "n_phi-negative", "n_modes-negative", "n_modes-high"],
+    )
+    def test_sizes_refused_by_their_owners(self, sizes, message):
+        # n_phi by check_quadrature_size, n_modes by the order rule that
+        # enumerate_modes applies; on the full circle, where n_phi 0 once
+        # divided by zero.
+        with pytest.raises(InputError, match=re.escape(message)):
+            solve_mixed_boundary_series(GRAD, ArcSpec(0.0, 2.0 * math.pi), None, None, 1.0, **sizes)
+
     def test_helmholtz_residual_of_solution(self):
         from epsreg.diskbasis import check_helmholtz
 
@@ -1030,6 +1048,9 @@ class TestPipeline:
             ({"trial_size": 66, "n_phi": 20}, "n_phi", "'n_phi' must be >= 21 to integrate"),
             # Both short: n_r is reported, as parse_config reports it.
             ({"trial_size": 66, "n_r": 2, "n_phi": 4}, "n_r", "'n_r' must be >= 13"),
+            # check_quadrature_size runs first: n_phi 3 fails its range, not the seed rule.
+            ({"n_r": 1025}, "n_r", "'n_r' must lie in [2, 1024], got 1025"),
+            ({"n_phi": 3}, "n_phi", "'n_phi' must lie in [4, 4096], got 3"),
         ]
         assert needs == {"n_r": 13, "n_phi": 21}
         for change, key, message in specs:
@@ -1371,6 +1392,11 @@ class TestBasisGrams:
         for gram, ref in ((l2_gram, l2_ref), (energy_gram, energy_ref)):
             diag = np.sqrt(np.abs(np.real(np.diag(ref))))
             assert np.all(np.abs(gram - ref) <= 1e-12 * np.outer(diag, diag))
+
+    @pytest.mark.parametrize("i_max", [-3, 61])
+    def test_i_max_held_to_the_order_rule(self, i_max, quad_small):
+        with pytest.raises(InputError, match=f"order {i_max} outside supported range"):
+            basis_grams(GRAD, i_max, 1.0, quad_small)
 
     def test_bessel_points_per_call(self, monkeypatch):
         # Tables on the n_r radii: one value and one derivative (two
