@@ -64,7 +64,9 @@ _FACTORIALS = np.array([float(math.factorial(n)) for n in range(171)])  # 171! o
 def check_order(nu):
     """The order(s) as an integer array in [0, NU_MAX], or InputError."""
     arr = np.asarray(nu)
-    if arr.dtype.kind not in "iu":
+    # An integer beyond 64 bits comes as an object array of Python ints.
+    beyond_int64 = arr.dtype == object and all(type(v) is int for v in arr.flat)
+    if arr.dtype.kind not in "iu" and not beyond_int64:
         raise InputError(f"order must be an integer, got {nu!r}")
     bad = arr[(arr < 0) | (arr > NU_MAX)]
     if bad.size:

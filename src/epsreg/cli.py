@@ -247,7 +247,8 @@ def _run_matrix_path(cfg: ExperimentConfig) -> RunResult:
 def _manufactured_cubic():
     """u* = Re z^3 = x^3 - 3 x y^2 with its exact gradient."""
     def value(x, y):
-        return x**3 - 3.0 * x * y**2
+        # x^3 as |x|^3 with the sign of x: numpy's pow takes a scalar path on negative bases.
+        return np.copysign(np.abs(x) ** 3, x) - 3.0 * x * y**2
 
     def gradient(x, y):
         return 3.0 * x**2 - 3.0 * y**2, -6.0 * x * y

@@ -257,7 +257,7 @@ def apply_operator(op: DiracOperatorKind, u):
     def field(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        if np.any(np.hypot(x, y) > 1.0 + 1e-9):
+        if np.any(x * x + y * y > (1.0 + 1e-9) ** 2):
             raise InputError("operator field queried outside the closed unit disk")
         return op.apply_gradient(*grad(x, y))
 

@@ -14,6 +14,7 @@ from epsreg.bessel import (
     _series,
     bessel_i,
     bessel_i_prime,
+    check_order,
 )
 from epsreg.errors import InputError
 
@@ -130,6 +131,18 @@ class TestBesselI:
             bessel_i(-1, 1.0)
         with pytest.raises(InputError):
             bessel_i(1.5, 1.0)
+
+    @pytest.mark.parametrize("nu", [10**19, 10**20, -(10**20), [3, 10**20]])
+    def test_order_beyond_int64_is_out_of_range(self, nu):
+        # 10**20 does not fit int64 or uint64: np.asarray makes an object array.
+        bad = nu[-1] if isinstance(nu, list) else nu
+        with pytest.raises(InputError, match=rf"^order {bad} outside supported range \[0, 60\]$"):
+            check_order(nu)
+
+    @pytest.mark.parametrize("nu", [True, [1, None]])
+    def test_non_integer_order_refused(self, nu):
+        with pytest.raises(InputError, match="order must be an integer"):
+            check_order(nu)
 
     @pytest.mark.parametrize(
         "x", [math.nan, [1.0, math.nan], [20.0, math.nan]], ids=["scalar", "series", "miller"]

@@ -673,6 +673,10 @@ class TestRanges:
                 "bad value for 'n_modes': order 61 outside supported range [0, 60]",
             ),
             (
+                "disk_mixed", f"{ARC}\nn_modes = 100000000000000000000", 4,
+                "bad value for 'n_modes': order 100000000000000000000 outside supported range",
+            ),
+            (
                 "verify_basis", "i_max = 61", 2,
                 "bad value for 'i_max': order 61 outside supported range [0, 60]",
             ),
@@ -695,7 +699,8 @@ class TestRanges:
             ("disk_mixed", "gamma_start = 0\ngamma_end = 7", 3, "arc length exceeds 2 pi"),
         ],
         ids=[
-            "n_modes", "i_max", "mixed-schedule", "verify-schedule", "n_r", "n_phi",
+            "n_modes", "n_modes-beyond-int64", "i_max", "mixed-schedule", "verify-schedule",
+            "n_r", "n_phi",
             "n_r-high", "mixed-n_phi-high", "cauchy-n_r-high", "cauchy-n_phi-high",
             "trial_size-low", "trial_size-high", "seed-n_r", "seed-n_phi",
             "gamma_start", "arc-length",

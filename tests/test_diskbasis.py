@@ -152,6 +152,19 @@ class TestApplyOperator:
         with pytest.raises(InputError):
             field(np.array([1.2]), np.array([0.0]))
 
+    @pytest.mark.parametrize("r, inside", [(1.0, True), (1.0 + 5e-10, True), (1.0 + 2e-9, False)])
+    def test_domain_tolerance_on_the_circle(self, r, inside):
+        # The closed disk is accepted up to r = 1 + 1e-9, in every direction.
+        field = apply_operator(GRAD, lambda x, y: x * y)
+        angles = np.linspace(0.0, 2.0 * math.pi, 13)
+        for x, y in zip(r * np.cos(angles), r * np.sin(angles)):
+            point = (np.array([0.0, x]), np.array([0.0, y]))
+            if inside:
+                np.testing.assert_allclose(field(*point)[0], [0.0, y], rtol=1e-9, atol=1e-9)
+            else:
+                with pytest.raises(InputError, match="outside the closed unit disk"):
+                    field(*point)
+
 
 class TestNormalTrace:
     def test_gradient_closed_form(self):
