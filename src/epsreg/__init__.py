@@ -12,6 +12,7 @@ from .bessel import bessel_i, bessel_i_prime
 from .core import (
     DiscreteOperator,
     PerturbedSolution,
+    ProjectedData,
     RegularizationPath,
     Verdict,
     load_matrix,

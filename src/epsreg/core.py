@@ -13,9 +13,11 @@ up as a positive limit residual ``||T u_eps - f||``.  A matrix has a closed
 range too, but its bound ``||f|| / sigma_min`` can lie far beyond the end
 of the schedule, which is all the slope proxy below reads.
 
-Each eps is solved in the thin SVD ``T = U diag(s) V*`` of the operator,
-formed once at its first solve, where the perturbed normal equation is
-diagonal; ``solve_perturbed`` gives the cost and the accuracy.
+The engine works in two stages, in the thin SVD ``T = U diag(s) V*`` of
+the operator, formed once at its first projection.
+``DiscreteOperator.project`` takes the data of a path to the singular
+coordinates ``U* f`` and ``V* h`` once, and ``solve_perturbed`` then solves
+each eps as a diagonal filter on them; it gives the cost and the accuracy.
 
 The boundedness criterion is asymptotic; as a finite-sample proxy this
 module fits the slope of ``log ||u_eps||`` against ``log(1/eps)`` over the
@@ -40,6 +42,7 @@ from .errors import InputError, NumericError
 __all__ = [
     "DiscreteOperator",
     "PerturbedSolution",
+    "ProjectedData",
     "RegularizationPath",
     "Verdict",
     "solve_perturbed",
@@ -111,11 +114,30 @@ class DiscreteOperator:
 
     @cached_property
     def svd(self):
-        """(U, s, Vh), the thin SVD T = U diag(s) Vh; one per operator, at its first solve."""
+        """(U, s, Vh), the thin SVD T = U diag(s) Vh; one per operator, at its first projection."""
         import scipy.linalg  # on first use: of the runs, only matrix_path needs it
 
         factors = scipy.linalg.svd(self.matrix, full_matrices=False, check_finite=False)
         return tuple(_read_only(factor) for factor in factors)
+
+    def project(self, f, h) -> ProjectedData:
+        """f and h in the singular coordinates of T, for ``solve_perturbed``.
+
+        ``f`` (length ``cod_dim``) and ``h`` (length ``dom_dim``) are checked
+        here, each an InputError keyed on its name.  ``U* f`` is one matrix
+        pass and ``V* h`` one more, skipped when h = 0.  The record keeps a
+        read-only copy of h, so a later write to the caller's f or h does not
+        reach a solve from it.
+        """
+        fv = _as_vector(f, self.cod_dim, "f")
+        hv = _as_vector(h, self.dom_dim, "h")
+        left, _, right = self.svd
+        shifted = bool(hv.any())
+        # Data near the float range can overflow; the solve reports it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            left_f = _read_only(_adjoint_times(left, fv))
+            right_h = _read_only(right @ hv) if shifted else 0.0
+        return ProjectedData(self, _read_only(hv.copy()), left_f, right_h, shifted)
 
 
 def _checked_matrix(matrix) -> np.ndarray:
@@ -133,6 +155,22 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class ProjectedData:
+    """The data of a path in the singular coordinates of T (``DiscreteOperator.project``).
+
+    ``left_f`` is ``U* f``, ``right_h`` is ``V* h`` (0.0 when h = 0, which
+    ``shifted`` records) and ``h`` a read-only copy of h.  Every solve of the
+    path reads these and makes no pass over U.
+    """
+
+    operator: DiscreteOperator = field(repr=False)
+    h: np.ndarray
+    left_f: np.ndarray
+    right_h: np.ndarray | float
+    shifted: bool
+
+
+@dataclass(frozen=True)
 class PerturbedSolution:
     """One solve of (T*T + eps I) u = T* f + eps h.
 
@@ -141,7 +179,8 @@ class PerturbedSolution:
     normal-equation defect in the singular basis of T (``solve_perturbed``).
     The solution vector ``u`` is a cached read-only property: when h = 0 it
     is formed, as ``h + V (c - V* h)`` from the parts the solve keeps, at its
-    first read, so a sweep that reads only the norms never forms it.
+    first read, one matrix pass, so a sweep that reads only the norms never
+    forms it.  When h != 0 the solve forms it.
     """
 
     epsilon: float
@@ -190,51 +229,44 @@ def _adjoint_times(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (v.conj() @ mat).conj()
 
 
-def solve_perturbed(T: DiscreteOperator, f, h, epsilon: float) -> PerturbedSolution:
-    """Solve (T*T + eps I) u = T* f + eps h in the singular basis of T.
+def solve_perturbed(projected: ProjectedData, epsilon: float) -> PerturbedSolution:
+    """Solve (T*T + eps I) u = T* f + eps h from the projected data of f and h.
 
-    ``T.svd`` = (U, s, V*) is formed once per operator; nothing else is kept
-    between calls.  In that basis the equation is diagonal:
+    ``projected`` is ``T.project(f, h)``, which holds ``U* f`` and ``V* h``
+    in the thin SVD ``T.svd`` = (U, s, V*).  In that basis the equation is
+    diagonal, and each eps is a filter on those coordinates:
     ``c = (s U* f + eps V* h) / (s^2 + eps)`` and ``u = h + V (c - V* h)``.
     No product with T*T is formed, so the forward error does not grow like
     ``eps_mach ||T*T|| / eps`` (Hansen, Rank-Deficient and Discrete
     Ill-Posed Problems, 1998, ch. 4-5).  When h = 0 the norms come from the
     singular coordinates alone, ``||u|| = ||c||`` since V has orthonormal
-    columns and ``||T u|| = ||s c||``, so the solve makes one matrix pass,
-    ``U* f``, and ``u`` costs one more pass at its first read.  When h != 0,
-    ``u`` is formed here and ``norm_h`` is ``||u||``: three passes.
-    ``residual`` is the defect ``||(s^2 + eps) c - (s U* f + eps V* h)||`` in
-    that basis.  A non-finite entry or an overflowing norm raises
-    NumericError here, never at the read of ``u``: each entry of ``V c`` is
-    at most ``||c||`` in modulus, since the rows of V have norm at most 1.
+    columns and ``||T u|| = ||s c||``, so the solve makes no matrix pass and
+    ``u`` costs one pass at its first read.  When h != 0, ``u`` is formed
+    here and ``norm_h`` is ``||u||``: one pass.  ``residual`` is the defect
+    ``||(s^2 + eps) c - (s U* f + eps V* h)||`` in that basis.  A non-finite
+    entry or an overflowing norm raises NumericError here, never at the
+    read of ``u``: each entry of ``V c`` is at most ``||c||`` in modulus,
+    since the rows of V have norm at most 1.
 
     Parameters
     ----------
-    T : DiscreteOperator
-    f : array_like
-        Right-hand side in the codomain (length ``cod_dim``).
-    h : array_like
-        Shift datum in the domain (length ``dom_dim``).
+    projected : ProjectedData
+        The data of the solve, from ``DiscreteOperator.project``.
     epsilon : float
         Perturbation parameter, held to ``check_epsilon``.
     """
     epsilon = check_epsilon(epsilon)
-    fv = _as_vector(f, T.cod_dim, "f")
-    hv = _as_vector(h, T.dom_dim, "h")
-
-    left, s, right = T.svd
-    shifted = bool(hv.any())
+    _, s, right = projected.operator.svd
+    right_h = projected.right_h
     # Data or singular values near the float range can overflow; that shows
     # up as an infinite norm, reported below.
     with np.errstate(over="ignore", invalid="ignore"):
         denom = s * s + epsilon
-        hv_right = right @ hv if shifted else 0.0  # V* h; h = 0 skips its pass
-        rhs = s * _adjoint_times(left, fv) + epsilon * hv_right
+        rhs = s * projected.left_f + epsilon * right_h
         c = rhs / denom
         residual = float(np.linalg.norm(denom * c - rhs))
-        # h is copied: a caller's later write to it must not reach a u formed later.
-        parts = (hv if shifted else hv.copy(), right, c - hv_right)
-        u = _solution_vector(*parts) if shifted else None
+        parts = (projected.h, right, c - right_h)
+        u = _solution_vector(*parts) if projected.shifted else None
         norm_h = _norm(c if u is None else u)
         norm_eps = math.hypot(_norm(s * c), math.sqrt(epsilon) * norm_h)
     # A non-finite entry of u or c makes norm_h, and so norm_eps, non-finite too.
@@ -333,12 +365,17 @@ def path_verdict(epsilons, norms) -> tuple[float, Verdict]:
 def run_path(T: DiscreteOperator, f, h, schedule) -> RegularizationPath:
     """Solve the perturbed problem along a decreasing eps schedule.
 
+    f and h are projected once (``DiscreteOperator.project``), and each eps
+    is one ``solve_perturbed`` on that projection: with h = 0 the path
+    makes one matrix pass in all, and with h != 0 one more for ``V* h``
+    and one per eps.
     The verdict is a finite-sample proxy for the boundedness criterion:
     the growth slope of the norms over the final decade of the schedule is
     compared against BOUNDED_SLOPE and UNBOUNDED_SLOPE (``path_verdict``).
     """
     sched = validate_schedule(schedule)
-    entries = tuple(solve_perturbed(T, f, h, float(eps)) for eps in sched)
+    projected = T.project(f, h)
+    entries = tuple(solve_perturbed(projected, eps) for eps in sched.tolist())
     slope, verdict = path_verdict(sched, [e.norm_h for e in entries])
     return RegularizationPath(entries=entries, verdict=verdict, growth_slope=slope)
 
@@ -425,7 +462,7 @@ def load_matrix(path) -> DiscreteOperator:
     (one read and one compare), that operator is returned again with the
     read-only ``svd`` it has formed, so a process parses and factors one
     operator content once however many data it sweeps.  A load never
-    factors: the SVD runs at the operator's first solve.  Only the last
+    factors: the SVD runs at the operator's first projection.  Only the last
     operator is kept; other bytes are parsed and validated as a first
     load, and a file that fails to load leaves the kept one alone.  The
     price is that the process holds the last file's bytes between loads,

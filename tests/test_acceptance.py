@@ -75,7 +75,7 @@ def test_criterion_01_tikhonov_identity():
         T = DiscreteOperator(rng.standard_normal((rows, cols)))
         u = rng.standard_normal(cols)
         eps = 10.0 ** rng.uniform(-3, 1)
-        sol = solve_perturbed(T, T.matrix @ u, np.zeros(cols), eps)
+        sol = solve_perturbed(T.project(T.matrix @ u, np.zeros(cols)), eps)
         system = T.matrix.conj().T @ T.matrix + eps * np.eye(cols)
         expected = u - eps * np.linalg.solve(system, u)
         rel = np.linalg.norm(sol.u - expected) / max(np.linalg.norm(expected), 1e-300)
@@ -121,7 +121,7 @@ def test_criterion_03_energy_estimate():
         f = rng.standard_normal(rows)
         h = rng.standard_normal(cols)
         eps = 10.0 ** rng.uniform(-8, 2)
-        sol = solve_perturbed(T, f, h, eps)
+        sol = solve_perturbed(T.project(f, h), eps)
         bound = np.linalg.norm(f) + math.sqrt(eps) * np.linalg.norm(h) + 1e-9
         worst_excess = max(worst_excess, sol.norm_eps - bound)
         assert sol.norm_eps <= bound

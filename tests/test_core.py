@@ -43,17 +43,17 @@ def direct_solve_oracle(matrix, f, h, eps):
 class TestSolvePerturbed:
     def test_scalar_example(self):
         T = DiscreteOperator(np.array([[1.0]]))
-        sol = solve_perturbed(T, [1.0], [0.0], 1.0)
+        sol = solve_perturbed(T.project([1.0], [0.0]), 1.0)
         assert sol.u == pytest.approx([0.5])
 
     def test_zero_operator(self):
         T = DiscreteOperator(np.zeros((2, 2)))
-        sol = solve_perturbed(T, [3.0, -2.0], [0.0, 0.0], 0.7)
+        sol = solve_perturbed(T.project([3.0, -2.0], [0.0, 0.0]), 0.7)
         np.testing.assert_allclose(sol.u, 0.0, atol=1e-15)
 
     def test_diagonal_example(self):
         T = DiscreteOperator(np.diag([1.0, 0.5]))
-        sol = solve_perturbed(T, [1.0, 1.0], [0.0, 0.0], 0.01)
+        sol = solve_perturbed(T.project([1.0, 1.0], [0.0, 0.0]), 0.01)
         np.testing.assert_allclose(sol.u, [1.0 / 1.01, 0.5 / 0.26], rtol=1e-12)
         np.testing.assert_allclose(
             sol.u, direct_solve_oracle(T.matrix, [1.0, 1.0], [0.0, 0.0], 0.01), rtol=1e-12
@@ -64,7 +64,7 @@ class TestSolvePerturbed:
         T = DiscreteOperator(rng.standard_normal((4, 3)))
         f = rng.standard_normal(4)
         h = rng.standard_normal(3)
-        sol = solve_perturbed(T, f, h, 0.3)
+        sol = solve_perturbed(T.project(f, h), 0.3)
         assert sol.norm_h == pytest.approx(np.linalg.norm(sol.u), rel=1e-14)
         expected_eps = np.sqrt(
             np.linalg.norm(T.matrix @ sol.u) ** 2 + 0.3 * sol.norm_h**2
@@ -80,7 +80,7 @@ class TestSolvePerturbed:
             f = rng.standard_normal(6)
             h = rng.standard_normal(9)
             eps = 10.0 ** rng.uniform(-8, 2)
-            sol = solve_perturbed(T, f, h, eps)
+            sol = solve_perturbed(T.project(f, h), eps)
             exact = perturbed_solution_mp(T.matrix, f, h, eps)
             assert np.linalg.norm(sol.u - exact) <= 1e-13 * np.linalg.norm(exact)
             rhs = T.matrix.conj().T @ f + eps * h
@@ -100,7 +100,7 @@ class TestSolvePerturbed:
         h = rng.standard_normal(6) if shifted else np.zeros(6)
         left, s, right = T.svd
         for eps in (1.0, 1e-4, 1e-12):
-            sol = solve_perturbed(T, f, h, eps)
+            sol = solve_perturbed(T.project(f, h), eps)
             right_h = right @ h if shifted else 0.0
             c = (s * core._adjoint_times(left, f) + eps * right_h) / (s * s + eps)
             assert np.array_equal(sol.u, h + core._adjoint_times(right, c - right_h))
@@ -108,8 +108,10 @@ class TestSolvePerturbed:
 
     @pytest.mark.parametrize("shifted", [False, True])
     def test_matrix_passes_and_u_read_once(self, shifted, monkeypatch):
-        # h = 0: one pass (U* f) per solve and one more (V c) at the first
-        # read of u; h != 0: V* h, U* f and V (c - V* h), all at the solve.
+        # h = 0: one pass (U* f) at the projection and one more (V c) at the
+        # first read of u; h != 0: U* f and V* h at the projection and
+        # V (c - V* h) at the solve.  Only the passes through _adjoint_times
+        # are counted here; TestMatrixPasses counts them all.
         passes = []
         adjoint_times = core._adjoint_times
         monkeypatch.setattr(
@@ -118,7 +120,7 @@ class TestSolvePerturbed:
         rng = np.random.default_rng(4)
         T = DiscreteOperator(rng.standard_normal((7, 5)))
         h = rng.standard_normal(5) if shifted else np.zeros(5)
-        sol = solve_perturbed(T, rng.standard_normal(7), h, 0.1)
+        sol = solve_perturbed(T.project(rng.standard_normal(7), h), 0.1)
         assert len(passes) == (2 if shifted else 1)
         u = sol.u
         assert len(passes) == 2 and sol.u is u and not u.flags.writeable
@@ -134,7 +136,7 @@ class TestSolvePerturbed:
         T = DiscreteOperator(np.diag([1e-200, 1.0]))
         h = [1.0, 1.0] if shifted else [0.0, 0.0]
         with pytest.raises(NumericError, match=r"^solution or its norm overflows at eps=3e-308$"):
-            solve_perturbed(T, [1e201, 1.0], h, 3e-308)
+            solve_perturbed(T.project([1e201, 1.0], h), 3e-308)
 
     @pytest.mark.parametrize("shifted", [False, True])
     def test_norm_beyond_the_squares_range_is_finite(self, shifted):
@@ -143,7 +145,7 @@ class TestSolvePerturbed:
         h = [1.0, 1.0] if shifted else [0.0, 0.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sol = solve_perturbed(T, [1e100, 1.0], h, 1e-300)
+            sol = solve_perturbed(T.project([1e100, 1.0], h), 1e-300)
         assert sol.norm_h == pytest.approx(1e200, rel=1e-15)
         assert np.all(np.isfinite(sol.u)) and math.isfinite(sol.norm_eps)
 
@@ -151,7 +153,7 @@ class TestSolvePerturbed:
         # c = (1.5e308, 1.5e308) is finite; its norm, 2.1e308, is not.
         T = DiscreteOperator(np.diag([1e-100, 1e-100]))
         with pytest.raises(NumericError, match=r"^solution or its norm overflows at eps=1e-300$"):
-            solve_perturbed(T, [1.5e208, 1.5e208], [0.0, 0.0], 1e-300)
+            solve_perturbed(T.project([1.5e208, 1.5e208], [0.0, 0.0]), 1e-300)
 
     @pytest.mark.parametrize("complex_op", [False, True])
     def test_rank_deficient_down_to_smallest_normal(self, complex_op):
@@ -168,7 +170,7 @@ class TestSolvePerturbed:
             for eps in (1e-1, 1e-8, 1e-100, 1e-300, np.finfo(float).tiny):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    sol = solve_perturbed(T, f, h, eps)
+                    sol = solve_perturbed(T.project(f, h), eps)
                 bound = np.linalg.norm(f) + math.sqrt(eps) * np.linalg.norm(h)
                 assert np.isfinite(sol.norm_h) and sol.norm_eps <= (1.0 + 1e-12) * bound
                 if eps >= 1e-8:
@@ -178,7 +180,7 @@ class TestSolvePerturbed:
     def test_complex_operator(self):
         T = DiscreteOperator(np.array([[1.0 + 1.0j, 0.0], [0.0, 2.0j]]))
         f = np.array([1.0 - 1.0j, 2.0])
-        sol = solve_perturbed(T, f, np.zeros(2), 0.5)
+        sol = solve_perturbed(T.project(f, np.zeros(2)), 0.5)
         np.testing.assert_allclose(
             sol.u, direct_solve_oracle(T.matrix, f, np.zeros(2), 0.5), rtol=1e-12
         )
@@ -186,16 +188,16 @@ class TestSolvePerturbed:
     def test_input_errors(self):
         T = DiscreteOperator(np.eye(2))
         with pytest.raises(InputError) as bad_f:
-            solve_perturbed(T, [1.0], [0.0, 0.0], 1.0)
+            solve_perturbed(T.project([1.0], [0.0, 0.0]), 1.0)
         assert bad_f.value.key == "f"
         assert str(bad_f.value) == "f must be a vector of length 2, got shape (1,)"
         with pytest.raises(InputError) as bad_h:
-            solve_perturbed(T, [1.0, 1.0], [0.0], 1.0)
+            solve_perturbed(T.project([1.0, 1.0], [0.0]), 1.0)
         assert bad_h.value.key == "h"
         with pytest.raises(InputError):
-            solve_perturbed(T, [1.0, 1.0], [0.0, 0.0], 0.0)
+            solve_perturbed(T.project([1.0, 1.0], [0.0, 0.0]), 0.0)
         with pytest.raises(InputError):
-            solve_perturbed(T, [1.0, 1.0], [0.0, 0.0], -1.0)
+            solve_perturbed(T.project([1.0, 1.0], [0.0, 0.0]), -1.0)
         with pytest.raises(InputError):
             DiscreteOperator(np.array([[np.nan, 1.0]]))
 
@@ -211,7 +213,7 @@ class TestSolvePerturbed:
         data[where][(0, 1) if where == "operator" else 1] = bad
         name = "operator matrix" if where == "operator" else where
         with pytest.raises(InputError, match=f"^{name} contains non-finite entries$") as err:
-            solve_perturbed(DiscreteOperator(data["operator"]), data["f"], data["h"], 1.0)
+            solve_perturbed(DiscreteOperator(data["operator"]).project(data["f"], data["h"]), 1.0)
         assert err.value.key == (None if where == "operator" else where)
 
 
@@ -226,7 +228,7 @@ class TestTikhonovIdentity:
             T = DiscreteOperator(rng.standard_normal((rows, cols)))
             u = rng.standard_normal(cols)
             eps = 10.0 ** rng.uniform(-3, 1)
-            sol = solve_perturbed(T, T.matrix @ u, np.zeros(cols), eps)
+            sol = solve_perturbed(T.project(T.matrix @ u, np.zeros(cols)), eps)
             adj = T.matrix.conj().T
             system = adj @ T.matrix + eps * np.eye(cols)
             expected = u - eps * np.linalg.solve(system, u)
@@ -241,7 +243,7 @@ class TestTikhonovIdentity:
         u = rng.standard_normal(4)
         f = T.matrix @ u
         norms = [
-            solve_perturbed(T, f, np.zeros(4), eps).norm_h
+            solve_perturbed(T.project(f, np.zeros(4)), eps).norm_h
             for eps in (10.0, 1.0, 0.1, 0.01)
         ]
         assert all(n <= np.linalg.norm(u) + 1e-12 for n in norms)
@@ -257,7 +259,7 @@ class TestTikhonovIdentity:
             f = rng.standard_normal(rows)
             h = rng.standard_normal(cols)
             eps = 10.0 ** rng.uniform(-8, 2)
-            sol = solve_perturbed(T, f, h, eps)
+            sol = solve_perturbed(T.project(f, h), eps)
             bound = np.linalg.norm(f) + np.sqrt(eps) * np.linalg.norm(h) + 1e-9
             assert sol.norm_eps <= bound
 
@@ -272,7 +274,7 @@ class TestTikhonovIdentity:
         f = rng.standard_normal(4)
         h = rng.standard_normal(6)
         eps = 10.0**log_eps
-        sol = solve_perturbed(T, f, h, eps)
+        sol = solve_perturbed(T.project(f, h), eps)
         assert sol.norm_eps <= np.linalg.norm(f) + np.sqrt(eps) * np.linalg.norm(h) + 1e-9
 
     def test_image_convergence(self):
@@ -283,7 +285,7 @@ class TestTikhonovIdentity:
         f = T.matrix @ u
         errors = []
         for eps in 10.0 ** -np.arange(0, 7):
-            sol = solve_perturbed(T, f, np.zeros(6), eps)
+            sol = solve_perturbed(T.project(f, np.zeros(6)), eps)
             errors.append(np.linalg.norm(T.matrix @ (sol.u - u)))
         assert all(b <= a + 1e-14 for a, b in zip(errors, errors[1:]))
         assert errors[-1] < errors[0] / 10.0
@@ -401,15 +403,70 @@ class TestForwardError:
         errors = []
         for T, f, h in _graded_cases():
             exact = perturbed_solution_mp(T.matrix, f, h, eps)
-            u = solve_perturbed(T, f, h, eps).u
+            u = solve_perturbed(T.project(f, h), eps).u
             errors.append(np.linalg.norm(u - exact) / np.linalg.norm(exact))
         # Three times the measured figures: headroom for another LAPACK build.
         median, worst = GRADED_ERRORS[eps]
         assert np.median(errors) <= 3.0 * median and max(errors) <= 3.0 * worst
 
 
-class TestNoHeldData:
-    """solve_perturbed keeps nothing of f or h between calls."""
+class _CountingFactor:
+    """A factor of ``T.svd`` that counts its products with a vector: one matrix pass each."""
+
+    __array_ufunc__ = None  # so that ndarray @ factor defers to __rmatmul__
+
+    def __init__(self, matrix, passes):
+        self.matrix, self.passes = matrix, passes
+
+    def __matmul__(self, v):
+        self.passes.append(self.matrix.shape)
+        return self.matrix @ v
+
+    def __rmatmul__(self, v):
+        self.passes.append(self.matrix.shape)
+        return v @ self.matrix
+
+
+class TestMatrixPasses:
+    """Every product with U or V* of a path, counted on the factors of T.svd."""
+
+    SCHEDULE = np.logspace(0.0, -19.0, 20)
+
+    @staticmethod
+    def _counted(matrix):
+        T = DiscreteOperator(matrix)
+        left, s, right = T.svd
+        passes = []
+        vars(T)["svd"] = (_CountingFactor(left, passes), s, _CountingFactor(right, passes))
+        return T, passes
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_path_passes(self, shifted):
+        # h = 0: U* f once for the whole path, and V c at each first read of
+        # u.  h != 0: U* f and V* h once, then V (c - V* h) per eps.
+        rng = np.random.default_rng(30)
+        matrix = rng.standard_normal((12, 8))
+        f = rng.standard_normal(12)
+        h = rng.standard_normal(8) if shifted else np.zeros(8)
+        T, passes = self._counted(matrix)
+        path = run_path(T, f, h, self.SCHEDULE)
+        assert len(passes) == (2 + len(self.SCHEDULE) if shifted else 1)
+        u = path.entries[7].u
+        assert path.entries[7].u is u
+        assert len(passes) == (2 + len(self.SCHEDULE) if shifted else 2)
+        # The counted factors change no bit of the path.
+        plain = run_path(DiscreteOperator(matrix), f, h, self.SCHEDULE)
+        assert np.array_equal(u, plain.entries[7].u)
+        for counted, expected in zip(path.entries, plain.entries):
+            assert (counted.norm_h, counted.norm_eps, counted.residual) == (
+                expected.norm_h, expected.norm_eps, expected.residual
+            )
+
+
+class TestProjectionIsAValue:
+    """A projection holds its own copy of f and h: a later write to the
+    caller's data reaches only a fresh projection, and solves from one
+    projection do not depend on what was solved in between."""
 
     @pytest.mark.parametrize("complex_op", [False, True])
     def test_repeated_solve_equals_cold_solve_bitwise(self, complex_op):
@@ -421,26 +478,55 @@ class TestNoHeldData:
         f, h = rng.standard_normal(9), rng.standard_normal(6)
         other_f, other_h = rng.standard_normal(9), rng.standard_normal(6)
         for eps in (1.0, 1e-3, 1e-7):
-            solve_perturbed(T, f, h, 10.0 * eps)
-            repeat = solve_perturbed(T, f, h, eps)
-            solve_perturbed(T, other_f, other_h, eps)
-            cold = solve_perturbed(T, f, h, eps)
+            solve_perturbed(T.project(f, h), 10.0 * eps)
+            repeat = solve_perturbed(T.project(f, h), eps)
+            solve_perturbed(T.project(other_f, other_h), eps)
+            cold = solve_perturbed(T.project(f, h), eps)
             assert np.array_equal(repeat.u, cold.u)
             assert (repeat.norm_h, repeat.norm_eps, repeat.residual) == (
                 cold.norm_h, cold.norm_eps, cold.residual
             )
 
-    def test_in_place_change_to_the_data_is_seen(self):
+    @pytest.mark.parametrize("complex_op", [False, True])
+    @pytest.mark.parametrize("written", ["f", "h"])
+    def test_write_after_project_reaches_only_a_fresh_projection(self, complex_op, written):
         rng = np.random.default_rng(9)
-        T = DiscreteOperator(rng.standard_normal((5, 4)))
-        f, h = rng.standard_normal(5), rng.standard_normal(4)
-        solve_perturbed(T, f, h, 0.1)
-        for data in (f, h):
-            data[0] += 1.0
-            changed = solve_perturbed(T, f, h, 0.1)
-            np.testing.assert_allclose(
-                changed.u, direct_solve_oracle(T.matrix, f, h, 0.1), rtol=1e-10, atol=1e-12
-            )
+        matrix, f = rng.standard_normal((5, 4)), rng.standard_normal(5)
+        if complex_op:
+            matrix = matrix + 1j * rng.standard_normal((5, 4))
+            f = f + 1j * rng.standard_normal(5)
+        T, h = DiscreteOperator(matrix), rng.standard_normal(4)
+        projected = T.project(f, h)
+        before = solve_perturbed(projected, 0.1)
+        (f if written == "f" else h)[0] += 1.0
+        after = solve_perturbed(projected, 0.1)
+        assert np.array_equal(after.u, before.u)
+        assert (after.norm_h, after.norm_eps, after.residual) == (
+            before.norm_h, before.norm_eps, before.residual
+        )
+        changed = solve_perturbed(T.project(f, h), 0.1)
+        assert not np.allclose(changed.u, before.u)
+        np.testing.assert_allclose(
+            changed.u, direct_solve_oracle(T.matrix, f, h, 0.1), rtol=1e-10, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_projection_is_read_only(self, shifted):
+        T = DiscreteOperator(np.diag([2.0, 1.0, 0.5]))
+        h = np.array([1.0, 0.0, -1.0]) if shifted else np.zeros(3)
+        projected = T.project([1.0, 2.0, 3.0], h)
+        assert projected.shifted is shifted
+        assert not np.shares_memory(projected.h, h)
+        with pytest.raises(ValueError, match="read-only"):
+            projected.h[0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            projected.left_f[0] = 5.0
+        if shifted:
+            assert not projected.right_h.flags.writeable
+        else:
+            assert projected.right_h == 0.0
+        with pytest.raises(AttributeError):
+            projected.h = h
 
 
 class TestMinimalNorm:
@@ -462,14 +548,14 @@ class TestMinimalNorm:
         u = rng.standard_normal(3)
         f = T.matrix @ u
         plus = minimal_norm_solution(T, f)
-        sol = solve_perturbed(T, f, np.zeros(3), 1e-12)
+        sol = solve_perturbed(T.project(f, np.zeros(3)), 1e-12)
         np.testing.assert_allclose(sol.u, plus, rtol=1e-6, atol=1e-9)
 
 
 class TestKernelOrthogonality:
     def test_decoupled_coordinates(self):
         T = DiscreteOperator(np.array([[1.0, 0.0]]))
-        sol = solve_perturbed(T, [1.0], [0.0, 0.0], 0.5)
+        sol = solve_perturbed(T.project([1.0], [0.0, 0.0]), 0.5)
         assert kernel_orthogonality_check(T, sol, [np.array([0.0, 1.0])]) <= 1e-15
 
     def test_random_kernel_from_svd(self):
@@ -478,12 +564,12 @@ class TestKernelOrthogonality:
         _, _, vh = np.linalg.svd(T.matrix)
         kernel = [vh[j] for j in range(3, 5)]
         f = rng.standard_normal(3)
-        sol = solve_perturbed(T, f, np.zeros(5), 0.1)
+        sol = solve_perturbed(T.project(f, np.zeros(5)), 0.1)
         assert kernel_orthogonality_check(T, sol, kernel) <= 1e-10
 
     def test_rejects_non_kernel_vector(self):
         T = DiscreteOperator(np.eye(2))
-        sol = solve_perturbed(T, [1.0, 0.0], [0.0, 0.0], 1.0)
+        sol = solve_perturbed(T.project([1.0, 0.0], [0.0, 0.0]), 1.0)
         with pytest.raises(InputError):
             kernel_orthogonality_check(T, sol, [np.array([1.0, 0.0])])
 
@@ -867,7 +953,7 @@ def _seeds():
 # Every entry point that takes an eps, as a call of that eps on valid data.
 EPS_ENTRY_POINTS = {
     "core.solve_perturbed": lambda eps: solve_perturbed(
-        DiscreteOperator(np.eye(2)), [1.0, 1.0], [0.0, 0.0], eps
+        DiscreteOperator(np.eye(2)).project([1.0, 1.0], [0.0, 0.0]), eps
     ),
     "core.validate_schedule": lambda eps: core.validate_schedule([eps]),
     "diskbasis.BasisFunction": lambda eps: diskbasis.BasisFunction(GRAD, 1, 1, eps),

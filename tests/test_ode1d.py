@@ -98,6 +98,19 @@ class TestPerturbedSolution:
         _, deriv_b = perturbed_solution(p, 1.0, 4.0e3)
         assert abs(deriv_b - math.cos(1.0)) <= 1e-8
 
+    def test_accuracy_at_large_epsilon(self):
+        # f = cos, u0 = 0: u_eps = sin(x) / (1 + eps) and u_eps' = cos(x) / (1 + eps),
+        # up to terms below e^{-k(b-x)}.  Measured relative errors: value
+        # 6.1e-11 through eps 1e12, derivative 3.4e-6 through 1e10 (2.1e-4 at
+        # 1e12, where the rounding of f(y) - f(x) limits it); at least 3x headroom.
+        p = Ode1dProblem(0.0, 1.5, 0.0, math.cos)
+        for eps in (1e8, 1e10, 1e12):
+            for x in (0.15, 0.75, 1.35):
+                value, deriv = perturbed_solution(p, x, eps)
+                assert value == pytest.approx(math.sin(x) / (1.0 + eps), rel=1e-9, abs=0.0)
+                if eps <= 1e10:
+                    assert deriv == pytest.approx(math.cos(x) / (1.0 + eps), rel=1e-5, abs=0.0)
+
     def test_interval_validation(self):
         with pytest.raises(InputError):
             Ode1dProblem(1.0, 1.0, 0.0, math.cos)
