@@ -16,14 +16,17 @@ of the schedule, which is all the slope proxy below reads.
 The engine works in two stages, in the thin SVD ``T = U diag(s) V*`` of
 the operator, formed once at its first projection.
 ``DiscreteOperator.project`` takes the data of a path to the singular
-coordinates ``U* f`` and ``V* h`` once, and ``solve_perturbed`` then solves
-each eps as a diagonal filter on them; it gives the cost and the accuracy.
+coordinates ``U* f`` and ``V* h`` once and splits off ``h_perp``, the part
+of h outside the row space of T, which no eps changes; ``solve_perturbed``
+then solves each eps as a diagonal filter on them, ``u_eps = h_perp +
+V c(eps)``: this is Tikhonov regularization with an a-priori guess (Engl,
+Hanke and Neubauer, Regularization of Inverse Problems, 1996, ch. 5).
 
 The boundedness criterion is asymptotic; as a finite-sample proxy this
 module fits the slope of ``log ||u_eps||`` against ``log(1/eps)`` over the
-final decade of the sweep and classifies the path by two configurable
-thresholds.  A path of fewer than two eps is Inconclusive: one eps is no
-evidence of boundedness.
+final decade of the sweep and compares it with the fixed thresholds
+``BOUNDED_SLOPE`` and ``UNBOUNDED_SLOPE``.  A path of fewer than two eps is
+Inconclusive: one eps is no evidence of boundedness.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ __all__ = [
     "check_epsilon",
     "run_path",
     "fit_growth_slope",
-    "classify_slope",
     "path_verdict",
     "parse_matrix_text",
     "load_matrix",
@@ -125,19 +127,23 @@ class DiscreteOperator:
 
         ``f`` (length ``cod_dim``) and ``h`` (length ``dom_dim``) are checked
         here, each an InputError keyed on its name.  ``U* f`` is one matrix
-        pass and ``V* h`` one more, skipped when h = 0.  The record keeps a
-        read-only copy of h, so a later write to the caller's f or h does not
-        reach a solve from it.
+        pass, and ``V* h`` and ``h_perp = h - V V* h`` are two more; when
+        h = 0 both are zero arrays, made with no pass.  Every array is fresh
+        and read-only, so a later write to the caller's f or h does not reach
+        a solve from it.
         """
         fv = _as_vector(f, self.cod_dim, "f")
         hv = _as_vector(h, self.dom_dim, "h")
-        left, _, right = self.svd
-        shifted = bool(hv.any())
+        left, s, right = self.svd
         # Data near the float range can overflow; the solve reports it.
         with np.errstate(over="ignore", invalid="ignore"):
-            left_f = _read_only(_adjoint_times(left, fv))
-            right_h = _read_only(right @ hv) if shifted else 0.0
-        return ProjectedData(self, _read_only(hv.copy()), left_f, right_h, shifted)
+            left_f = _adjoint_times(left, fv)
+            if hv.any():
+                right_h = right @ hv
+                h_perp = hv - _adjoint_times(right, right_h)
+            else:
+                right_h, h_perp = np.zeros(s.size), np.zeros_like(hv)
+        return ProjectedData(self, *map(_read_only, (left_f, right_h, h_perp)))
 
 
 def _checked_matrix(matrix) -> np.ndarray:
@@ -158,16 +164,20 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class ProjectedData:
     """The data of a path in the singular coordinates of T (``DiscreteOperator.project``).
 
-    ``left_f`` is ``U* f``, ``right_h`` is ``V* h`` (0.0 when h = 0, which
-    ``shifted`` records) and ``h`` a read-only copy of h.  Every solve of the
-    path reads these and makes no pass over U.
+    ``left_f`` is ``U* f``, ``right_h`` is ``V* h`` and ``h_perp`` is
+    ``h - V V* h``, the part of h outside the row space of T; all three are
+    read-only.  Every solve of the path reads these and makes no matrix pass;
+    ``norm_h_perp`` is taken at the first solve and kept.
     """
 
     operator: DiscreteOperator = field(repr=False)
-    h: np.ndarray
     left_f: np.ndarray
-    right_h: np.ndarray | float
-    shifted: bool
+    right_h: np.ndarray
+    h_perp: np.ndarray
+
+    @cached_property
+    def norm_h_perp(self) -> float:
+        return _norm(self.h_perp)
 
 
 @dataclass(frozen=True)
@@ -177,26 +187,21 @@ class PerturbedSolution:
     ``norm_h`` is the Euclidean norm of u, ``norm_eps`` the perturbed norm
     sqrt(||Tu||^2 + eps ||u||^2) and ``residual`` the Euclidean norm of the
     normal-equation defect in the singular basis of T (``solve_perturbed``).
-    The solution vector ``u`` is a cached read-only property: when h = 0 it
-    is formed, as ``h + V (c - V* h)`` from the parts the solve keeps, at its
-    first read, one matrix pass, so a sweep that reads only the norms never
-    forms it.  When h != 0 the solve forms it.
+    The solution vector ``u = h_perp + V c`` is a cached read-only property,
+    formed from the parts the solve keeps at its first read, one matrix
+    pass, so a sweep that reads only the norms never forms it.
     """
 
     epsilon: float
     norm_h: float
     norm_eps: float
     residual: float
-    _parts: tuple = field(repr=False, compare=False)  # (h, V*, c - V* h)
+    _parts: tuple = field(repr=False, compare=False)  # (h_perp, V*, c)
 
     @cached_property
     def u(self) -> np.ndarray:
-        return _solution_vector(*self._parts)
-
-
-def _solution_vector(h: np.ndarray, right: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """u = h + V coeffs, read-only; one matrix pass."""
-    return _read_only(h + _adjoint_times(right, coeffs))
+        h_perp, right, coeffs = self._parts
+        return _read_only(h_perp + _adjoint_times(right, coeffs))
 
 
 @dataclass(frozen=True)
@@ -232,21 +237,21 @@ def _adjoint_times(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
 def solve_perturbed(projected: ProjectedData, epsilon: float) -> PerturbedSolution:
     """Solve (T*T + eps I) u = T* f + eps h from the projected data of f and h.
 
-    ``projected`` is ``T.project(f, h)``, which holds ``U* f`` and ``V* h``
-    in the thin SVD ``T.svd`` = (U, s, V*).  In that basis the equation is
-    diagonal, and each eps is a filter on those coordinates:
-    ``c = (s U* f + eps V* h) / (s^2 + eps)`` and ``u = h + V (c - V* h)``.
-    No product with T*T is formed, so the forward error does not grow like
-    ``eps_mach ||T*T|| / eps`` (Hansen, Rank-Deficient and Discrete
-    Ill-Posed Problems, 1998, ch. 4-5).  When h = 0 the norms come from the
-    singular coordinates alone, ``||u|| = ||c||`` since V has orthonormal
-    columns and ``||T u|| = ||s c||``, so the solve makes no matrix pass and
-    ``u`` costs one pass at its first read.  When h != 0, ``u`` is formed
-    here and ``norm_h`` is ``||u||``: one pass.  ``residual`` is the defect
+    ``projected`` is ``T.project(f, h)``, which holds ``U* f``, ``V* h`` and
+    ``h_perp = h - V V* h`` in the thin SVD ``T.svd`` = (U, s, V*).  In that
+    basis the equation is diagonal, and each eps is a filter on those
+    coordinates: ``c = (s U* f + eps V* h) / (s^2 + eps)`` and
+    ``u = h_perp + V c``.  No product with T*T is formed, so the forward
+    error does not grow like ``eps_mach ||T*T|| / eps`` (Hansen,
+    Rank-Deficient and Discrete Ill-Posed Problems, 1998, ch. 4-5).  The
+    norms come from these coordinates alone, ``||u||^2 = ||h_perp||^2 +
+    ||c||^2`` since V has orthonormal columns orthogonal to h_perp, and
+    ``||T u|| = ||s c||``, so the solve makes no matrix pass and ``u`` costs
+    one pass at its first read.  ``residual`` is the defect
     ``||(s^2 + eps) c - (s U* f + eps V* h)||`` in that basis.  A non-finite
     entry or an overflowing norm raises NumericError here, never at the
-    read of ``u``: each entry of ``V c`` is at most ``||c||`` in modulus,
-    since the rows of V have norm at most 1.
+    read of ``u``: each entry of ``u`` is at most ``||h_perp|| + ||c||`` in
+    modulus, since the rows of V have norm at most 1.
 
     Parameters
     ----------
@@ -257,25 +262,20 @@ def solve_perturbed(projected: ProjectedData, epsilon: float) -> PerturbedSoluti
     """
     epsilon = check_epsilon(epsilon)
     _, s, right = projected.operator.svd
-    right_h = projected.right_h
     # Data or singular values near the float range can overflow; that shows
     # up as an infinite norm, reported below.
     with np.errstate(over="ignore", invalid="ignore"):
         denom = s * s + epsilon
-        rhs = s * projected.left_f + epsilon * right_h
+        rhs = s * projected.left_f + epsilon * projected.right_h
         c = rhs / denom
         residual = float(np.linalg.norm(denom * c - rhs))
-        parts = (projected.h, right, c - right_h)
-        u = _solution_vector(*parts) if projected.shifted else None
-        norm_h = _norm(c if u is None else u)
+        norm_perp, norm_c = projected.norm_h_perp, _norm(c)
+        norm_h = math.hypot(norm_perp, norm_c)
         norm_eps = math.hypot(_norm(s * c), math.sqrt(epsilon) * norm_h)
-    # A non-finite entry of u or c makes norm_h, and so norm_eps, non-finite too.
-    if not math.isfinite(norm_eps):
+    # A non-finite entry of h_perp or c makes its norm, and so the sum, non-finite too.
+    if not math.isfinite(norm_perp + norm_c + norm_eps):
         raise NumericError(f"solution or its norm overflows at eps={epsilon:g}")
-    solution = PerturbedSolution(epsilon, norm_h, norm_eps, residual, parts)
-    if u is not None:
-        vars(solution)["u"] = u  # the cache of the ``u`` property: no second pass
-    return solution
+    return PerturbedSolution(epsilon, norm_h, norm_eps, residual, (projected.h_perp, right, c))
 
 
 def _norm(v: np.ndarray) -> float:
@@ -341,34 +341,29 @@ def fit_growth_slope(epsilons, norms) -> float:
     return float(np.dot(x, y - y.mean()) / denom)
 
 
-def classify_slope(slope: float) -> Verdict:
-    if slope < BOUNDED_SLOPE:
-        return Verdict.BOUNDED
-    if slope > UNBOUNDED_SLOPE:
-        return Verdict.UNBOUNDED
-    return Verdict.INCONCLUSIVE
-
-
 def path_verdict(epsilons, norms) -> tuple[float, Verdict]:
     """(growth slope, verdict) of a path's norms along its eps schedule.
 
-    One eps is no evidence of boundedness, so a path of fewer than two
-    entries is Inconclusive whatever its slope; otherwise the slope is
-    classified by ``classify_slope``.
+    The path is Bounded when the slope is below BOUNDED_SLOPE and Unbounded
+    above UNBOUNDED_SLOPE.  One eps is no evidence of boundedness, so a path
+    of fewer than two entries is Inconclusive whatever its slope.
     """
     slope = fit_growth_slope(epsilons, norms)
     if len(epsilons) < 2:
         return slope, Verdict.INCONCLUSIVE
-    return slope, classify_slope(slope)
+    if slope < BOUNDED_SLOPE:
+        return slope, Verdict.BOUNDED
+    if slope > UNBOUNDED_SLOPE:
+        return slope, Verdict.UNBOUNDED
+    return slope, Verdict.INCONCLUSIVE
 
 
 def run_path(T: DiscreteOperator, f, h, schedule) -> RegularizationPath:
     """Solve the perturbed problem along a decreasing eps schedule.
 
     f and h are projected once (``DiscreteOperator.project``), and each eps
-    is one ``solve_perturbed`` on that projection: with h = 0 the path
-    makes one matrix pass in all, and with h != 0 one more for ``V* h``
-    and one per eps.
+    is one ``solve_perturbed`` on that projection: the path makes one
+    matrix pass in all with h = 0 and three with h != 0, and no pass per eps.
     The verdict is a finite-sample proxy for the boundedness criterion:
     the growth slope of the norms over the final decade of the schedule is
     compared against BOUNDED_SLOPE and UNBOUNDED_SLOPE (``path_verdict``).

@@ -817,15 +817,10 @@ class SeriesSolution:
         return LinearCombination(self.raw_coeffs, basis)
 
     def trace_on(self, phi) -> np.ndarray:
-        return _mode_columns(self.operator, self.modes, self.trace_scale, phi) @ self.raw_coeffs
+        return self.trace_scale * self.operator.angular_table(self.modes, phi) @ self.raw_coeffs
 
     def conormal_on(self, phi) -> np.ndarray:
-        return _mode_columns(self.operator, self.modes, self.conormal_scale, phi) @ self.raw_coeffs
-
-
-def _mode_columns(operator, modes, scales, phi):
-    """One column per mode: its boundary amplitude times H_i^(j)(phi)."""
-    return scales * operator.angular_table(modes, phi)
+        return self.conormal_scale * self.operator.angular_table(self.modes, phi) @ self.raw_coeffs
 
 
 # Singular values of the weighted boundary matrix below this fraction of the
@@ -871,8 +866,8 @@ def solve_mixed_boundary_series(
 
     root_g, root_c = np.sqrt(g_w), np.sqrt(c_w)
     matrix = np.vstack([
-        root_g[:, None] * _mode_columns(operator, modes, np.ones(len(modes)), g_phi),
-        root_c[:, None] * _mode_columns(operator, modes, conormal_scale / trace_scale, c_phi),
+        root_g[:, None] * operator.angular_table(modes, g_phi),
+        root_c[:, None] * (conormal_scale / trace_scale * operator.angular_table(modes, c_phi)),
     ])
 
     def weighted(data, phi, root):

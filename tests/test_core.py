@@ -89,8 +89,10 @@ class TestSolvePerturbed:
     @pytest.mark.parametrize("complex_op", [False, True])
     @pytest.mark.parametrize("shifted", [False, True])
     def test_u_is_the_singular_basis_formula_bitwise(self, complex_op, shifted):
-        # u = h + V (c - V* h) with c = (s U* f + eps V* h) / (s^2 + eps),
-        # and ||u|| = ||c|| to rounding when h = 0.
+        # u = h_perp + V c with h_perp = h - V V* h and
+        # c = (s U* f + eps V* h) / (s^2 + eps); with h = 0 both V* h and
+        # h_perp are zeros.  norm_h is hypot(||h_perp||, ||c||), which is
+        # ||u|| to rounding.
         rng = np.random.default_rng(17)
         matrix = rng.standard_normal((9, 6))
         if complex_op:
@@ -99,19 +101,21 @@ class TestSolvePerturbed:
         f = rng.standard_normal(9)
         h = rng.standard_normal(6) if shifted else np.zeros(6)
         left, s, right = T.svd
+        right_h = right @ h if shifted else np.zeros(6)
+        h_perp = h - core._adjoint_times(right, right_h) if shifted else np.zeros(6)
         for eps in (1.0, 1e-4, 1e-12):
             sol = solve_perturbed(T.project(f, h), eps)
-            right_h = right @ h if shifted else 0.0
             c = (s * core._adjoint_times(left, f) + eps * right_h) / (s * s + eps)
-            assert np.array_equal(sol.u, h + core._adjoint_times(right, c - right_h))
+            assert np.array_equal(sol.u, h_perp + core._adjoint_times(right, c))
+            assert sol.norm_h == math.hypot(np.linalg.norm(h_perp), np.linalg.norm(c))
             assert sol.norm_h == pytest.approx(np.linalg.norm(sol.u), rel=1e-14)
 
     @pytest.mark.parametrize("shifted", [False, True])
     def test_matrix_passes_and_u_read_once(self, shifted, monkeypatch):
-        # h = 0: one pass (U* f) at the projection and one more (V c) at the
-        # first read of u; h != 0: U* f and V* h at the projection and
-        # V (c - V* h) at the solve.  Only the passes through _adjoint_times
-        # are counted here; TestMatrixPasses counts them all.
+        # h = 0: one pass (U* f) at the projection; h != 0: U* f and
+        # V (V* h) there too.  The solve makes none, and the first read of
+        # u one more (V c).  Only the passes through _adjoint_times are
+        # counted here; TestMatrixPasses counts them all.
         passes = []
         adjoint_times = core._adjoint_times
         monkeypatch.setattr(
@@ -123,7 +127,7 @@ class TestSolvePerturbed:
         sol = solve_perturbed(T.project(rng.standard_normal(7), h), 0.1)
         assert len(passes) == (2 if shifted else 1)
         u = sol.u
-        assert len(passes) == 2 and sol.u is u and not u.flags.writeable
+        assert len(passes) == (3 if shifted else 2) and sol.u is u and not u.flags.writeable
         h[:] = 1.0  # the caller's h is theirs again once the solve returns
         assert np.array_equal(sol.u, u)
         with pytest.raises(AttributeError):
@@ -154,6 +158,38 @@ class TestSolvePerturbed:
         T = DiscreteOperator(np.diag([1e-100, 1e-100]))
         with pytest.raises(NumericError, match=r"^solution or its norm overflows at eps=1e-300$"):
             solve_perturbed(T.project([1.5e208, 1.5e208], [0.0, 0.0]), 1e-300)
+
+    @pytest.mark.parametrize("complex_op", [False, True])
+    def test_wide_operator_with_h_outside_the_row_space(self, complex_op):
+        # A 4x7 T has a 3-dimensional kernel, so a random h has a part
+        # h_perp = h - V V* h that no eps changes: u_eps = h_perp + V c and
+        # ||u_eps|| = hypot(||h_perp||, ||c||).
+        rng = np.random.default_rng(40)
+        matrix = rng.standard_normal((4, 7))
+        if complex_op:
+            matrix = matrix + 1j * rng.standard_normal((4, 7))
+        T = DiscreteOperator(matrix)
+        f, h = rng.standard_normal(4), rng.standard_normal(7)
+        left, s, right = T.svd
+        h_perp = h - core._adjoint_times(right, right @ h)
+        assert np.linalg.norm(h_perp) >= 0.3 * np.linalg.norm(h)
+        for eps in (1e2, 1.0, 1e-4, 1e-10):
+            sol = solve_perturbed(T.project(f, h), eps)
+            c = (s * core._adjoint_times(left, f) + eps * (right @ h)) / (s * s + eps)
+            assert sol.norm_h == math.hypot(np.linalg.norm(h_perp), np.linalg.norm(c))
+            exact = perturbed_solution_mp(T.matrix, f, h, eps)
+            assert np.linalg.norm(sol.u - exact) <= 1e-13 * np.linalg.norm(exact)
+            assert sol.norm_h == pytest.approx(np.linalg.norm(exact), rel=1e-13)
+
+    def test_h_near_the_float_limit_raises_at_the_solve(self):
+        # T = [1 1]: h = (1.7e308, -1.7e308) is orthogonal to the row space,
+        # and u_1 = 1.7e308 + 5e307 would overflow at the read of u; the
+        # solve raises first, as ||h_perp|| + ||c|| is beyond the largest double.
+        T = DiscreteOperator(np.array([[1.0, 1.0]]))
+        projected = T.project([1e308], [1.7e308, -1.7e308])
+        assert np.all(np.isfinite(projected.h_perp))
+        with pytest.raises(NumericError, match=r"^solution or its norm overflows at eps=0\.001$"):
+            solve_perturbed(projected, 1e-3)
 
     @pytest.mark.parametrize("complex_op", [False, True])
     def test_rank_deficient_down_to_smallest_normal(self, complex_op):
@@ -442,18 +478,22 @@ class TestMatrixPasses:
 
     @pytest.mark.parametrize("shifted", [False, True])
     def test_path_passes(self, shifted):
-        # h = 0: U* f once for the whole path, and V c at each first read of
-        # u.  h != 0: U* f and V* h once, then V (c - V* h) per eps.
+        # h = 0: U* f once for the whole path, and the zero V* h and h_perp
+        # with no pass.  h != 0: U* f, V* h and V (V* h) once.  No pass per
+        # eps, and V c at each first read of u.
         rng = np.random.default_rng(30)
         matrix = rng.standard_normal((12, 8))
         f = rng.standard_normal(12)
         h = rng.standard_normal(8) if shifted else np.zeros(8)
         T, passes = self._counted(matrix)
         path = run_path(T, f, h, self.SCHEDULE)
-        assert len(passes) == (2 + len(self.SCHEDULE) if shifted else 1)
+        at_path = 3 if shifted else 1
+        assert len(passes) == at_path
         u = path.entries[7].u
         assert path.entries[7].u is u
-        assert len(passes) == (2 + len(self.SCHEDULE) if shifted else 2)
+        assert len(passes) == at_path + 1
+        path.entries[3].u
+        assert len(passes) == at_path + 2
         # The counted factors change no bit of the path.
         plain = run_path(DiscreteOperator(matrix), f, h, self.SCHEDULE)
         assert np.array_equal(u, plain.entries[7].u)
@@ -464,8 +504,8 @@ class TestMatrixPasses:
 
 
 class TestProjectionIsAValue:
-    """A projection holds its own copy of f and h: a later write to the
-    caller's data reaches only a fresh projection, and solves from one
+    """A projection holds its own arrays made from f and h: a later write to
+    the caller's data reaches only a fresh projection, and solves from one
     projection do not depend on what was solved in between."""
 
     @pytest.mark.parametrize("complex_op", [False, True])
@@ -512,21 +552,23 @@ class TestProjectionIsAValue:
 
     @pytest.mark.parametrize("shifted", [False, True])
     def test_projection_is_read_only(self, shifted):
-        T = DiscreteOperator(np.diag([2.0, 1.0, 0.5]))
-        h = np.array([1.0, 0.0, -1.0]) if shifted else np.zeros(3)
-        projected = T.project([1.0, 2.0, 3.0], h)
-        assert projected.shifted is shifted
-        assert not np.shares_memory(projected.h, h)
-        with pytest.raises(ValueError, match="read-only"):
-            projected.h[0] = 5.0
-        with pytest.raises(ValueError, match="read-only"):
-            projected.left_f[0] = 5.0
-        if shifted:
-            assert not projected.right_h.flags.writeable
-        else:
-            assert projected.right_h == 0.0
-        with pytest.raises(AttributeError):
-            projected.h = h
+        # A wide operator, so that h has a part outside the row space.
+        T = DiscreteOperator(np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        f = np.array([1.0, 2.0])
+        h = np.array([1.0, 0.5, -1.0]) if shifted else np.zeros(3)
+        projected = T.project(f, h)
+        # The SVD may flip the sign of a singular pair; h_perp does not depend on it.
+        np.testing.assert_allclose(projected.h_perp, [0.0, 0.0, h[2]], atol=1e-15)
+        np.testing.assert_allclose(np.abs(projected.right_h), np.abs(h[:2]), rtol=1e-15)
+        if not shifted:
+            assert not projected.right_h.any() and not projected.h_perp.any()
+        for name in ("left_f", "right_h", "h_perp"):
+            array = getattr(projected, name)
+            assert not np.shares_memory(array, h) and not np.shares_memory(array, f)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 5.0
+            with pytest.raises(AttributeError):
+                setattr(projected, name, h)
 
 
 class TestMinimalNorm:

@@ -630,8 +630,8 @@ class TestSeriesSolver:
     def test_boundary_columns_bitwise(self, op, eps):
         sol = solve_mixed_boundary_series(op, UPPER, None, None, eps, n_modes=12)
         phi = np.linspace(0.0, 2.0 * math.pi, 101)
-        trace = variational._mode_columns(op, sol.modes, sol.trace_scale, phi)
-        conormal = variational._mode_columns(op, sol.modes, sol.conormal_scale, phi)
+        trace = sol.trace_scale * op.angular_table(sol.modes, phi)
+        conormal = sol.conormal_scale * op.angular_table(sol.modes, phi)
         basis = [BasisFunction(op, i, j, eps) for i, j in sol.modes]
         assert np.array_equal(
             trace, np.column_stack([b.value_polar(1.0, phi) for b in basis])
