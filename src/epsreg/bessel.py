@@ -19,9 +19,11 @@ can only come on the falling side, so every later term is smaller still
 and below half an ulp of the sum (a subnormal sum needs x below 5e-4,
 where the next term underflows to zero): adding it leaves the sum's bits
 as they are.  An element may therefore run past its own stop without
-changing, which is what happens when a slower element shares its call,
-and also when the stop is tested only every _SERIES_STRIDE terms, which
-saves four of the loop's nine array operations on the other terms.
+changing, as when a slower element shares its call or the stop is tested
+only every _SERIES_STRIDE terms.  Each term is updated in place, with the
+two roundings of ``term * (x/2)^2 / (k (k + nu))`` in that order; an int
+order stays an int, so ``k (k + nu)`` is integer arithmetic.  Only a call
+that spans both branches broadcasts its orders and masks its points.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "check_order",
     "bessel_i",
     "bessel_i_prime",
+    "bessel_i_table",
 ]
 
 NU_MAX = 60
@@ -62,7 +65,9 @@ _FACTORIALS = np.array([float(math.factorial(n)) for n in range(171)])  # 171! o
 
 
 def check_order(nu):
-    """The order(s) as an integer array in [0, NU_MAX], or InputError."""
+    """The order(s) in [0, NU_MAX] or InputError: an int as is, else an integer array."""
+    if type(nu) is int and 0 <= nu <= NU_MAX:
+        return nu
     arr = np.asarray(nu)
     # An integer beyond 64 bits comes as an object array of Python ints.
     beyond_int64 = arr.dtype == object and all(type(v) is int for v in arr.flat)
@@ -87,7 +92,8 @@ def _series(nu, x: np.ndarray) -> np.ndarray:
     term = np.where(nu == 2, quarter_sq, half**nu) / _FACTORIALS[nu]
     total = term.copy()
     for k in range(1, 200):
-        term = term * quarter_sq / (k * (k + nu))
+        term *= quarter_sq
+        term /= k * (k + nu)
         total += term
         if k % _SERIES_STRIDE == 0 and (term <= 1e-18 * (total + 1e-300)).all():
             break
@@ -102,8 +108,8 @@ def _miller_downward(nu, x: np.ndarray) -> np.ndarray:
     own order and normalized by the series I_0(x), as in a run for it alone.
     """
     start = np.maximum(nu, x).astype(int) + _MILLER_BUFFER
-    seed_orders = set(start.tolist())
-    read_orders = set(nu.tolist())
+    seed_orders = set(start.ravel().tolist())
+    read_orders = set(nu.ravel().tolist())
     upper = np.zeros_like(x)  # I_{n+1}
     current = np.zeros_like(x)  # I_n
     at_nu = np.zeros_like(x)
@@ -123,14 +129,17 @@ def _miller_downward(nu, x: np.ndarray) -> np.ndarray:
 
 
 def _bessel_i(nu, x) -> np.ndarray:
-    """The one Bessel kernel: I_nu(x) for validated x, orders broadcast against x."""
-    nu, arr = np.broadcast_arrays(nu, np.atleast_1d(np.asarray(x, dtype=float)))
-    out = np.empty(arr.shape)
+    """The one Bessel kernel: I_nu(x) for validated x and int or integer-array orders nu."""
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
     small = arr < _SERIES_SWITCH
-    if small.any():
-        out[small] = _series(nu[small], arr[small])
-    if not small.all():
-        out[~small] = _miller_downward(nu[~small], arr[~small])
+    if small.all():
+        return _series(nu, arr)
+    nu, arr, small = np.broadcast_arrays(nu, arr, small)
+    if not small.any():
+        return _miller_downward(nu, arr)
+    out = np.empty(arr.shape)
+    out[small] = _series(nu[small], arr[small])
+    out[~small] = _miller_downward(nu[~small], arr[~small])
     return out
 
 
@@ -167,7 +176,7 @@ def bessel_i(nu, x):
     nu = check_order(nu)
     arr = _validate_argument(x)
     out = _bessel_i(nu, arr)
-    return float(out[0]) if nu.ndim == arr.ndim == 0 else out
+    return float(out[0]) if np.ndim(nu) == arr.ndim == 0 else out
 
 
 def bessel_i_prime(nu, x):
@@ -180,7 +189,17 @@ def bessel_i_prime(nu, x):
     nu = check_order(nu)
     arr = _validate_argument(x)
     nu_b, arr_b = np.broadcast_arrays(nu, np.atleast_1d(arr))
-    lower, upper = _bessel_i([np.where(nu_b == 0, 1, nu_b - 1), nu_b + 1], [arr_b, arr_b])
+    lower, upper = _bessel_i(np.stack([np.where(nu_b == 0, 1, nu_b - 1), nu_b + 1]), arr_b)
     out = 0.5 * (lower + upper)
-    return float(out[0]) if nu.ndim == arr.ndim == 0 else out
+    return float(out[0]) if np.ndim(nu) == arr.ndim == 0 else out
+
+
+def bessel_i_table(m, x):
+    """I_0..I_m and I_0'..I_m' at x, orders on a trailing axis: the bits of bessel_i and its prime.
+
+    One kernel call over the orders 0..m+1, then I_i' = (I_{i-1} + I_{i+1}) / 2 (A&S 9.6.26).
+    """
+    m = int(check_order(m))
+    table = _bessel_i(np.arange(m + 2), _validate_argument(x)[..., None])
+    return table[..., :-1], 0.5 * (table[..., np.abs(np.arange(-1, m))] + table[..., 1:])
 

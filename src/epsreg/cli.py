@@ -12,6 +12,7 @@ property check fails).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, field as dc_field
@@ -92,7 +93,7 @@ def _choice(mapping: dict):
 
 def _order(value: str) -> int:
     """An integer Bessel order, held to ``bessel.check_order``."""
-    return int(check_order(int(value)))
+    return check_order(int(value))
 
 
 def _seed(value: str) -> int:
@@ -571,7 +572,8 @@ def _verify_suite() -> int:
 # ---------------------------------------------------------------------------
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="epsreg",
         description="Epsilon-regularization experiments for ill-posed Cauchy problems.",
@@ -582,13 +584,17 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--verify", action="store_true", help="run the built-in property suite and exit"
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         if args.verify:
             return _verify_suite()
         if args.command != "run" or not args.config:
-            parser.print_usage(sys.stderr)
+            _parser().print_usage(sys.stderr)
             return 2
         config = parse_config(args.config)
         return run(config, output_override=args.output)

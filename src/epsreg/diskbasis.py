@@ -102,9 +102,7 @@ class DiracOperatorKind(enum.Enum):
         phi = np.asarray(phi, dtype=float)[..., None]
         if self is DiracOperatorKind.GRADIENT:
             arg = orders * phi
-            out = np.empty(arg.shape)
-            out[..., ~second] = np.cos(arg[..., ~second])
-            out[..., second] = np.sin(arg[..., second])
+            out = np.where(second, np.sin(arg), np.cos(arg))
             out /= _SQRT_PI
         else:
             out = np.exp(1j * np.where(second, -1.0, 1.0) * orders * phi) / _SQRT_PI
@@ -117,9 +115,7 @@ class DiracOperatorKind(enum.Enum):
         phi = np.asarray(phi, dtype=float)[..., None]
         if self is DiracOperatorKind.GRADIENT:
             arg = orders * phi
-            out = np.empty(arg.shape)
-            out[..., ~second] = -orders[~second] * np.sin(arg[..., ~second])
-            out[..., second] = orders[second] * np.cos(arg[..., second])
+            out = orders * np.where(second, np.cos(arg), -np.sin(arg))
             out /= _SQRT_PI
         else:
             factor = 1j * np.where(second, -1.0, 1.0) * orders

@@ -41,7 +41,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import core, diskbasis
-from .bessel import bessel_i, bessel_i_prime, check_disk_epsilon
+from .bessel import bessel_i_table, check_disk_epsilon
 from .diskbasis import BasisFunction, DiracOperatorKind, Field
 from .errors import InputError, NumericError
 
@@ -345,11 +345,10 @@ def conormal_values(op: DiracOperatorKind, u, phi):
 
 
 def _radial_table(i_max: int, epsilon: float, r: np.ndarray):
-    """Columns I_i(sqrt(eps) r) and sqrt(eps) I_i'(sqrt(eps) r), i = 0..i_max."""
+    """Columns I_i(sqrt(eps) r) and sqrt(eps) I_i'(sqrt(eps) r), i = 0..i_max: one kernel call."""
     root = math.sqrt(epsilon)
-    orders = np.arange(i_max + 1)
-    x = np.broadcast_to(root * np.asarray(r, dtype=float)[:, None], (len(r), orders.size))
-    return bessel_i(orders, x), root * bessel_i_prime(orders, x)
+    values, slopes = bessel_i_table(i_max, root * np.asarray(r, dtype=float))
+    return values, root * slopes
 
 
 def basis_grams(operator: DiracOperatorKind, i_max: int, epsilon: float, quad: DiskQuadrature):

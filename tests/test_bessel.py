@@ -14,6 +14,7 @@ from epsreg.bessel import (
     _series,
     bessel_i,
     bessel_i_prime,
+    bessel_i_table,
     check_order,
 )
 from epsreg.errors import InputError
@@ -59,6 +60,16 @@ def scalar_miller(nu: int, x: float) -> float:
             values *= 1e-250
     i0 = float(series_per_order(0, np.asarray(x)))
     return float(values[nu] * (i0 / values[0]))
+
+
+def per_order_reference(nu: int, xs) -> np.ndarray:
+    """One-order runs: the per-order series below x = 15, the scalar Miller recurrence from 15."""
+    xs = np.asarray(xs, dtype=float)
+    small = xs < 15.0
+    out = np.empty_like(xs)
+    out[small] = series_per_order(nu, xs[small])
+    out[~small] = [scalar_miller(nu, float(x)) for x in xs[~small]]
+    return out
 
 
 def second_derivative_oracle(nu: int, x: float) -> float:
@@ -180,20 +191,12 @@ class TestPerElementKernel:
     # last bit (about one point in twenty at order 2).
     XS = [0.0, 1e-3, 14.9, 15.0, 20.0, 59.9] + list(np.linspace(0.01, 14.0, 64))
 
-    def per_order_reference(self, nu: int) -> np.ndarray:
-        xs = np.array(self.XS)
-        small = xs < 15.0
-        out = np.empty_like(xs)
-        out[small] = series_per_order(nu, xs[small])
-        out[~small] = [scalar_miller(nu, float(x)) for x in xs[~small]]
-        return out
-
     def test_one_call_bitwise_equal_to_per_order_calls(self):
         orders = np.arange(NU_MAX + 2)
         nu, x = np.meshgrid(orders, self.XS, indexing="ij")
         table = _bessel_i(nu, x)
         for n in orders:
-            assert np.array_equal(table[n], self.per_order_reference(int(n))), n
+            assert np.array_equal(table[n], per_order_reference(int(n), self.XS)), n
 
     def test_public_tables_bitwise(self):
         orders = np.arange(NU_MAX + 2)
@@ -214,6 +217,89 @@ class TestPerElementKernel:
             bessel_i(np.array([0, 61]), np.ones(2))
         with pytest.raises(InputError, match="must be an integer"):
             bessel_i_prime(np.array([0.0, 1.0]), np.ones(2))
+
+
+class TestKernelOrderTypes:
+    # An int order stays an int through the kernel, and a call on one branch
+    # neither broadcasts nor masks: every order type and argument range must
+    # give the bits of one-order runs.
+    RANGES = {
+        "series": np.linspace(0.0, 14.99, 7),
+        "miller": np.linspace(15.0, 60.0, 7),
+        "mixed": np.array([0.0, 3.0, 14.99, 15.0, 33.0, 60.0, 7.5]),
+    }
+    ORDER_TYPES = {
+        "int": int,
+        "int64": np.int64,
+        "0-d array": np.array,
+        "order array": lambda nu: np.full(7, nu),
+    }
+
+    @pytest.mark.parametrize("order_type", ORDER_TYPES)
+    @pytest.mark.parametrize("span", RANGES)
+    def test_bitwise_equal_to_one_order_runs(self, span, order_type):
+        make = self.ORDER_TYPES[order_type]
+        xs = self.RANGES[span]
+        for nu in (0, 1, 2, 5, 31, NU_MAX):
+            got = bessel_i(make(nu), xs)
+            assert got.tobytes() == per_order_reference(nu, xs).tobytes(), (nu, span)
+
+    @pytest.mark.parametrize("order_type", ["int", "int64", "0-d array"])
+    @pytest.mark.parametrize("x", [2.0, 20.0], ids=["series", "miller"])
+    def test_scalar_inputs_return_floats(self, order_type, x):
+        nu = self.ORDER_TYPES[order_type](3)
+        value, slope = bessel_i(nu, x), bessel_i_prime(nu, x)
+        assert type(value) is float and type(slope) is float
+        assert value == per_order_reference(3, [x])[0]
+
+    def test_int_order_is_returned_unchanged(self):
+        assert type(check_order(7)) is int and check_order(7) == 7
+        assert check_order(np.int64(7)).shape == ()
+
+    @pytest.mark.parametrize(
+        "nu, message",
+        [
+            (True, "order must be an integer, got True"),
+            (7.0, "order must be an integer, got 7.0"),
+            (61, r"order 61 outside supported range \[0, 60\]"),
+            (-1, r"order -1 outside supported range \[0, 60\]"),
+        ],
+    )
+    def test_refused_orders_keep_their_messages(self, nu, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            check_order(nu)
+
+
+class TestBesselITable:
+    XS = np.array([0.0, 1e-3, 2.5, 14.99, 15.0, 27.0, 60.0])
+
+    @pytest.mark.parametrize("m", [0, 1, 30, NU_MAX])
+    def test_bitwise_equal_to_bessel_i_and_prime(self, m):
+        values, slopes = bessel_i_table(m, self.XS)
+        assert values.shape == slopes.shape == (self.XS.size, m + 1)
+        orders = np.arange(m + 1)
+        assert values.tobytes() == bessel_i(orders, self.XS[:, None]).tobytes()
+        assert slopes.tobytes() == bessel_i_prime(orders, self.XS[:, None]).tobytes()
+
+    def test_one_kernel_call_over_orders_to_m_plus_one(self, monkeypatch):
+        from epsreg import bessel
+
+        seen = []
+        kernel = bessel._bessel_i
+
+        def counting(nu, x):
+            seen.append(np.broadcast(nu, x).shape)
+            return kernel(nu, x)
+
+        monkeypatch.setattr(bessel, "_bessel_i", counting)
+        bessel_i_table(NU_MAX, self.XS)
+        assert seen == [(self.XS.size, NU_MAX + 2)]
+
+    def test_order_and_argument_checked(self):
+        with pytest.raises(InputError, match="order 61 outside"):
+            bessel_i_table(NU_MAX + 1, self.XS)
+        with pytest.raises(InputError, match="outside supported range"):
+            bessel_i_table(3, np.array([1.0, math.nan]))
 
 
 class TestStridedSeries:

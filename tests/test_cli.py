@@ -398,6 +398,22 @@ class TestExitCodes:
 
     def test_no_command_prints_usage(self, capsys):
         assert cli.main([]) == 2
+        assert capsys.readouterr().err.startswith("usage: epsreg [-h]")
+
+    def test_parser_is_built_once_per_process(self, monkeypatch, capsys):
+        # The first call builds the parser, not the import; later calls only parse.
+        built = []
+        init = cli.argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting)
+        assert [cli.main([]) for _ in range(3)] == [2, 2, 2]
+        assert len(built) == 1
+        assert capsys.readouterr().err.count("usage: epsreg") == 3
 
 
 class TestImports:

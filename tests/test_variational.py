@@ -1443,19 +1443,21 @@ class TestBasisGrams:
             basis_grams(GRAD, i_max, 1.0, quad_small)
 
     def test_bessel_points_per_call(self, monkeypatch):
-        # Tables on the n_r radii: one value and one derivative (two
-        # orders) per mode index, never the n_r * n_phi nodes.
+        # One kernel call over the orders 0..i_max + 1 on the n_r radii gives
+        # every value and derivative, never the n_r * n_phi nodes.  Points
+        # are counted after the orders broadcast against the arguments.
         from epsreg import bessel
 
         counted = []
         kernel = bessel._bessel_i
 
         def counting(nu, x):
-            counted.append(np.size(x))
+            counted.append(np.broadcast(nu, x).size)
             return kernel(nu, x)
 
         monkeypatch.setattr(bessel, "_bessel_i", counting)
         quad = DiskQuadrature.build(32, 128)
         i_max = 8
         basis_grams(GRAD, i_max, 4e2, quad)
-        assert 0 < sum(counted) <= (i_max + 2) * quad.n_r * 3
+        assert len(counted) == 1
+        assert 0 < sum(counted) <= (i_max + 2) * quad.n_r
