@@ -305,21 +305,14 @@ def _run_disk_mixed(cfg: ExperimentConfig) -> RunResult:
     op = p["operator"]
     arc = variational.ArcSpec(p["gamma_start"], p["gamma_end"])
     points = _ring_points(0.5, 16)
-    g_phi, g_w = arc.quadrature(p["n_phi"])
-    c_phi, c_w = arc.complement_quadrature(p["n_phi"])
-
     rows = []
     for eps in p["schedule"]:
         u0, u1 = _mode_boundary_data(op, (p["source_index"], p["source_branch"]), eps)
         sol = variational.solve_mixed_boundary_series(
             op, arc, u0, u1, eps, n_modes=p["n_modes"], n_phi=p["n_phi"]
         )
-        trace_err = math.sqrt(float(np.sum(g_w * np.abs(sol.trace_on(g_phi) - u0(g_phi)) ** 2)))
-        normal_err = math.sqrt(
-            float(np.sum(c_w * np.abs(sol.conormal_on(c_phi) - u1(c_phi)) ** 2))
-        ) if c_phi.size else 0.0
         helm = float(diskbasis.check_helmholtz(sol.field, eps, points))
-        rows.append((eps, trace_err, normal_err, helm))
+        rows.append((eps, sol.trace_error_gamma, sol.normal_error_complement, helm))
     return RunResult(rows, None, f"experiment=disk_mixed rows={len(rows)}")
 
 

@@ -82,12 +82,10 @@ class DiracOperatorKind(enum.Enum):
             return np.stack([ux, uy])
         return ux + 1j * uy
 
-    def eigenvalue(self, i: int, branch: int) -> float:
-        """Eigenvalue lambda_i^(j) of n o A on r^i H_i^(j)."""
-        check_mode(i, branch)
-        if self is DiracOperatorKind.GRADIENT:
-            return float(i)
-        return 0.0 if branch == 1 else 2.0 * i
+    def eigenvalues(self, modes) -> np.ndarray:
+        """Eigenvalues lambda_i^(j) of n o A on r^i H_i^(j), one per mode (i, j)."""
+        orders, second = _mode_arrays(modes)
+        return np.where(second, 2.0 * orders, 0.0) if self.is_complex else orders.astype(float)
 
     def angular_table(self, modes, phi):
         """H_i^(j)(phi) of every mode (i, j), shape phi.shape + (len(modes),).
@@ -282,7 +280,7 @@ def boundary_amplitudes(op: DiracOperatorKind, modes, epsilon: float):
     """
     check_disk_epsilon(epsilon)
     orders = np.array([i for i, _ in modes], dtype=int)
-    lam = np.array([op.eigenvalue(i, j) for i, j in modes])
+    lam = op.eigenvalues(modes)
     root = math.sqrt(epsilon)
     x = np.full(orders.shape, root)
     trace = bessel_i(orders, x)

@@ -24,11 +24,12 @@ schedule come from one node-value column at its smallest eps plus exact
 terms in eigen-coordinates (see ``SeedSystem``).  The harmonic lift of the
 Cauchy datum takes its node values on the tensor grid from one inverse FFT
 per radius (``FourierHarmonicField.at_nodes``) and its values at arbitrary
-points from Horner's rule.  A separate series solver
-fits mixed boundary data over the Helmholtz modes by least squares, from one
-SVD of their weighted boundary matrix.  The closure forms of the paper's
-definitions (the eps-inner product, the boundary form h, Gram-Schmidt, the
-seeds as closures) are the tests' reference, in ``tests/reference.py``.
+points from Horner's rule.  A separate series solver fits mixed boundary
+data over the Helmholtz modes by least squares, from one SVD of their
+weighted boundary matrix, and reports the fit's misfit on each arc.  The
+closure forms of the paper's definitions (the eps-inner product, the
+boundary form h, Gram-Schmidt, the seeds as closures) are the tests'
+reference, in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -375,7 +376,7 @@ def basis_grams(operator: DiracOperatorKind, i_max: int, epsilon: float, quad: D
     if operator.is_complex:
         # conj(z) A b = (r g' + (lambda - i) g) H at every radius (the closed
         # form of n(A b) in diskbasis), so |A b| = |g' + (lambda - i) g / r| |H|.
-        shift = np.array([operator.eigenvalue(i, j) - i for i, j in modes])
+        shift = operator.eigenvalues(modes) - np.array(orders)
         energy_gram = gram(g_prime + shift * ratio, h)
     else:
         # |grad b|^2 = |g' H|^2 + |(g / r) H'|^2 in the polar frame.
@@ -515,14 +516,14 @@ def _quad_forms(gram: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return np.maximum(np.real(np.sum(np.conj(coeffs) * (gram.T @ coeffs), axis=0)), 0.0)
 
 
-def _seed_spectrum(energy_gram: np.ndarray, l2_gram: np.ndarray, drop_tol: float):
+def _seed_spectrum(energy_gram: np.ndarray, l2_gram: np.ndarray):
     """Generalized eigenpairs K^T w = lam M^T w over the independent seeds.
 
     Both Grams are rescaled to unit L^2 diagonal.  A pivoted Cholesky
     factorization of the scaled M drops every seed whose L^2 distance to the
-    span of the kept ones is at most ``drop_tol`` times its own norm (or at
-    most sqrt(n eps_mach), the rounding level of the pivots, when that is
-    larger); the eigendecomposition runs on the kept seeds.  Returns
+    span of the kept ones is at most ``_SEED_DROP_TOL`` times its own norm
+    (or at most sqrt(n eps_mach), the rounding level of the pivots, when
+    that is larger); the eigendecomposition runs on the kept seeds.  Returns
     (lam, W, dropped) with W^H M^T W = I and W^H K^T W = diag(lam); W has
     zero rows at the dropped seeds.
     """
@@ -533,7 +534,7 @@ def _seed_spectrum(energy_gram: np.ndarray, l2_gram: np.ndarray, drop_tol: float
     import scipy.linalg  # on first use: only the seed system of disk_cauchy needs it
 
     pstrf = scipy.linalg.get_lapack_funcs("pstrf", (m_scaled,))
-    tol = max(drop_tol**2, n * np.finfo(float).eps)
+    tol = max(_SEED_DROP_TOL**2, n * np.finfo(float).eps)
     _, piv, rank, _ = pstrf(m_scaled, tol=tol)
     # LAPACK keeps a positive first pivot whatever the tolerance.
     if rank == 0 or np.real(m_scaled[piv[0] - 1, piv[0] - 1]) <= tol:
@@ -747,7 +748,7 @@ def build_seed_system(
         k_gram = k_gram + 1j * (cross.T - cross)
     value_radial, slope_radial = value_radial / norms, slope_radial / norms
 
-    lam, eigvecs, dropped = _seed_spectrum(k_gram, m_gram, _SEED_DROP_TOL)
+    lam, eigvecs, dropped = _seed_spectrum(k_gram, m_gram)
     return SeedSystem(
         operator=operator, arc=arc, quad=quad, exponents=exponents, norms=norms,
         tables=((value_radial, value_ang), (slope_radial, gx_ang), (slope_radial, gy_ang)),
@@ -796,7 +797,9 @@ class SeriesSolution:
     while contributing nothing: evaluation pairs each coefficient with the
     correspondingly tiny basis values, and the reconstruction stays at
     machine accuracy.  ``trace_scale`` / ``conormal_scale`` hold each mode's
-    t(b) = I_i(sqrt(eps)) and n(A b) amplitudes on the unit circle.
+    t(b) = I_i(sqrt(eps)) and n(A b) amplitudes on the unit circle, and
+    ``trace_error_gamma`` / ``normal_error_complement`` the fit's L^2
+    misfits on Gamma and on the complement.
     """
 
     operator: DiracOperatorKind
@@ -808,6 +811,8 @@ class SeriesSolution:
     raw_coeffs: np.ndarray
     trace_scale: np.ndarray
     conormal_scale: np.ndarray
+    trace_error_gamma: float
+    normal_error_complement: float
 
     @property
     def field(self) -> LinearCombination:
@@ -848,9 +853,9 @@ def solve_mixed_boundary_series(
     one SVD, A = U S V^H, never squared into a Gram (Golub and Van Loan,
     Matrix Computations, 5.3).  The singular values above ``_SERIES_RCOND``
     times the largest give the h-orthonormal basis V S^-1 / I_i(sqrt(eps))
-    and the projections k = U^H b of the weighted data b.  A trace
-    amplitude below the smallest normal float (deep modes at small eps),
-    or a coefficient beyond the largest, raises NumericError.
+    and the projections k = U^H b of the weighted data b, each datum read
+    once.  A trace amplitude below the smallest normal float (deep modes at
+    small eps), or a coefficient beyond the largest, raises NumericError.
     """
     check_disk_epsilon(epsilon)
     modes = diskbasis.enumerate_modes(n_modes)
@@ -864,15 +869,15 @@ def solve_mixed_boundary_series(
         raise NumericError(f"boundary values of mode {modes[low[0]]} underflow at eps={epsilon:g}")
 
     root_g, root_c = np.sqrt(g_w), np.sqrt(c_w)
+    table_g, table_c = operator.angular_table(modes, g_phi), operator.angular_table(modes, c_phi)
     matrix = np.vstack([
-        root_g[:, None] * operator.angular_table(modes, g_phi),
-        root_c[:, None] * (conormal_scale / trace_scale * operator.angular_table(modes, c_phi)),
+        root_g[:, None] * table_g,
+        root_c[:, None] * (conormal_scale / trace_scale * table_c),
     ])
 
-    def weighted(data, phi, root):
-        return root * np.asarray(data(phi)) if data is not None and phi.size else np.zeros(phi.size)
-
-    rhs = np.concatenate([weighted(u0, g_phi, root_g), weighted(u1, c_phi, root_c)])
+    data_g = np.asarray(u0(g_phi)) if u0 is not None else np.zeros(g_phi.size)
+    data_c = np.asarray(u1(c_phi)) if u1 is not None and c_phi.size else np.zeros(c_phi.size)
+    rhs = np.concatenate([root_g * data_g, root_c * data_c])
     left, sing, right_h = np.linalg.svd(matrix, full_matrices=False)
     kept = sing > _SERIES_RCOND * sing[0]
     k = left[:, kept].conj().T @ rhs
@@ -884,16 +889,15 @@ def solve_mixed_boundary_series(
     high = np.flatnonzero(~(np.isfinite(coeff).all(axis=1) & np.isfinite(raw)))
     if high.size:
         raise NumericError(f"coefficients of mode {modes[high[0]]} overflow at eps={epsilon:g}")
+
+    def misfit(scale, table, data, w):
+        return math.sqrt(float(np.sum(w * np.abs((scale * table) @ raw - data) ** 2)))
+
     return SeriesSolution(
-        operator=operator,
-        arc=arc,
-        epsilon=float(epsilon),
-        modes=modes,
-        coeff=coeff,
-        k=k,
-        raw_coeffs=raw,
-        trace_scale=trace_scale,
-        conormal_scale=conormal_scale,
+        operator=operator, arc=arc, epsilon=float(epsilon), modes=modes, coeff=coeff, k=k,
+        raw_coeffs=raw, trace_scale=trace_scale, conormal_scale=conormal_scale,
+        trace_error_gamma=misfit(trace_scale, table_g, data_g, g_w),
+        normal_error_complement=misfit(conormal_scale, table_c, data_c, c_w),
     )
 
 

@@ -328,10 +328,11 @@ class TestBoundaryAmplitudes:
         modes = enumerate_modes(NU_MAX)
         trace, conormal = boundary_amplitudes(op, modes, eps)
         root = math.sqrt(eps)
+        lam = op.eigenvalues(modes)
         for k, (i, j) in enumerate(modes):
             value = bessel_i(i, root)
             assert trace[k] == value
-            assert conormal[k] == root * bessel_i_prime(i, root) + (op.eigenvalue(i, j) - i) * value
+            assert conormal[k] == root * bessel_i_prime(i, root) + (lam[k] - i) * value
 
     def test_one_mode_is_nonvanishing_check(self):
         assert nonvanishing_check(CR, 3, 2, 0.7) == boundary_amplitudes(CR, [(3, 2)], 0.7)[1][0]
@@ -358,11 +359,10 @@ class TestEigenvalueRelation:
             np.testing.assert_allclose(n_of_au, expected, atol=1e-9)
 
     def test_cr_eigenvalues(self):
-        assert CR.eigenvalue(0, 1) == 0.0
-        assert CR.eigenvalue(3, 1) == 0.0
-        assert CR.eigenvalue(3, 2) == 6.0
-        assert GRAD.eigenvalue(4, 1) == 4.0
-        assert GRAD.eigenvalue(4, 2) == 4.0
+        assert CR.eigenvalues([(0, 1), (3, 1), (3, 2)]).tolist() == [0.0, 0.0, 6.0]
+        assert GRAD.eigenvalues([(4, 1), (4, 2)]).tolist() == [4.0, 4.0]
+        with pytest.raises(InputError):
+            CR.eigenvalues([(0, 2)])
 
 
 class TestModeEnumeration:

@@ -574,13 +574,7 @@ class TestSeriesSolver:
             eps,
             n_modes=16,
         )
-        g_phi, g_w = UPPER.quadrature(256)
-        err = math.sqrt(
-            float(
-                np.sum(g_w * np.abs(sol.trace_on(g_phi) - src.value_polar(1.0, g_phi)) ** 2)
-            )
-        )
-        assert err <= 1e-6
+        assert sol.trace_error_gamma <= 1e-6
 
     def test_boundary_fit_nonincreasing_in_modes(self):
         # Data from a fixed 20-mode combination with geometrically decaying
@@ -598,14 +592,10 @@ class TestSeriesSolver:
         def u1(phi):
             return sum(wt * b.normal_trace_values(phi) for b, wt in sources)
 
-        g_phi, g_w = UPPER.quadrature(256)
-        errors = []
-        for n_modes in (4, 8, 16):
-            sol = solve_mixed_boundary_series(GRAD, UPPER, u0, u1, eps, n_modes=n_modes)
-            err = math.sqrt(
-                float(np.sum(g_w * np.abs(sol.trace_on(g_phi) - u0(g_phi)) ** 2))
-            )
-            errors.append(err)
+        errors = [
+            solve_mixed_boundary_series(GRAD, UPPER, u0, u1, eps, n_modes=n_modes).trace_error_gamma
+            for n_modes in (4, 8, 16)
+        ]
         assert errors[0] >= errors[1] >= errors[2]
 
     def test_reconstruction_stable_at_tiny_epsilon(self):
@@ -618,9 +608,8 @@ class TestSeriesSolver:
             GRAD, UPPER, u0, lambda phi: src.normal_trace_values(phi), eps, n_modes=16
         )
         g_phi, g_w = UPPER.quadrature(256)
-        err = math.sqrt(float(np.sum(g_w * np.abs(sol.trace_on(g_phi) - u0(g_phi)) ** 2)))
         scale = math.sqrt(float(np.sum(g_w * np.abs(u0(g_phi)) ** 2)))
-        assert err <= 1e-12 * scale
+        assert sol.trace_error_gamma <= 1e-12 * scale
         inner_val = sol.field.value_xy(np.array([0.3]), np.array([0.2]))
         ref_val = src.value_xy(np.array([0.3]), np.array([0.2]))
         np.testing.assert_allclose(inner_val, ref_val, rtol=1e-10)
@@ -639,6 +628,29 @@ class TestSeriesSolver:
         assert np.array_equal(
             conormal, np.column_stack([b.normal_trace_values(phi) for b in basis])
         )
+
+    @pytest.mark.parametrize("op", [GRAD, CR])
+    @pytest.mark.parametrize(
+        "arc", [ArcSpec(0.3, 2.0), ArcSpec(0.0, 2.0 * math.pi)], ids=["partial", "full"]
+    )
+    @pytest.mark.parametrize("eps", [1e-5, 1.0, 4e2])
+    @pytest.mark.parametrize("source", [(2, 1), (9, 2)], ids=["in span", "beyond span"])
+    def test_misfits_bitwise_equal_to_the_arc_quadrature_formula(self, op, arc, eps, source):
+        # The fit's misfits against the same sums taken afresh from the arc
+        # quadratures, the data closures and the trace_on / conormal_on tables.
+        src = BasisFunction(op, *source, eps)
+        u0 = lambda phi: src.value_polar(1.0, phi)
+        u1 = lambda phi: src.normal_trace_values(phi)
+        sol = solve_mixed_boundary_series(op, arc, u0, u1, eps, n_modes=6)
+        g_phi, g_w = arc.quadrature(256)
+        c_phi, c_w = arc.complement_quadrature(256)
+        trace = math.sqrt(float(np.sum(g_w * np.abs(sol.trace_on(g_phi) - u0(g_phi)) ** 2)))
+        assert sol.trace_error_gamma == trace
+        if arc.is_full:
+            assert sol.normal_error_complement == 0.0
+        else:
+            normal = math.sqrt(float(np.sum(c_w * np.abs(sol.conormal_on(c_phi) - u1(c_phi)) ** 2)))
+            assert sol.normal_error_complement == normal
 
     @pytest.mark.parametrize("eps", [1e-3, 4e2])
     def test_bessel_kernel_calls_do_not_grow_with_n_modes(self, eps, monkeypatch):
@@ -1104,9 +1116,7 @@ def _twin_with_duplicate(seeds, k):
     dup = [*range(seeds.size), k]
     sub = np.ix_(dup, dup)
     grams = {name: getattr(seeds, name)[sub] for name in ("l2_gram", "energy_gram")}
-    lam, eigvecs, dropped = variational._seed_spectrum(
-        grams["energy_gram"], grams["l2_gram"], drop_tol=1e-10
-    )
+    lam, eigvecs, dropped = variational._seed_spectrum(grams["energy_gram"], grams["l2_gram"])
     return dataclasses.replace(
         seeds,
         exponents=[seeds.exponents[j] for j in dup],
