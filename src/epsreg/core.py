@@ -126,11 +126,11 @@ class DiscreteOperator:
         """f and h in the singular coordinates of T, for ``solve_perturbed``.
 
         ``f`` (length ``cod_dim``) and ``h`` (length ``dom_dim``) are checked
-        here, each an InputError keyed on its name.  ``U* f`` is one matrix
-        pass, and ``V* h`` and ``h_perp = h - V V* h`` are two more; when
-        h = 0 both are zero arrays, made with no pass.  Every array is fresh
-        and read-only, so a later write to the caller's f or h does not reach
-        a solve from it.
+        here, each an InputError keyed on its name.  ``U* f`` and
+        ``||f - U U* f||`` are two matrix passes, and ``V* h`` and
+        ``h_perp`` two more; when h = 0 both are zero arrays, made with no
+        pass.  Every array is fresh and read-only, so a later write to the
+        caller's f or h does not reach a solve from it.
         """
         fv = _as_vector(f, self.cod_dim, "f")
         hv = _as_vector(h, self.dom_dim, "h")
@@ -143,7 +143,8 @@ class DiscreteOperator:
                 h_perp = hv - _adjoint_times(right, right_h)
             else:
                 right_h, h_perp = np.zeros(s.size), np.zeros_like(hv)
-        return ProjectedData(self, *map(_read_only, (left_f, right_h, h_perp)))
+            norms = _norm(fv - left @ left_f), _norm(h_perp)
+        return ProjectedData(self, *map(_read_only, (left_f, right_h, h_perp)), *norms)
 
 
 def _checked_matrix(matrix) -> np.ndarray:
@@ -166,18 +167,17 @@ class ProjectedData:
 
     ``left_f`` is ``U* f``, ``right_h`` is ``V* h`` and ``h_perp`` is
     ``h - V V* h``, the part of h outside the row space of T; all three are
-    read-only.  Every solve of the path reads these and makes no matrix pass;
-    ``norm_h_perp`` is taken at the first solve and kept.
+    read-only.  ``norm_f_perp`` is ``||f - U U* f||`` and ``norm_h_perp``
+    is ``||h_perp||``.  Every solve of the path reads these and makes no
+    matrix pass.
     """
 
     operator: DiscreteOperator = field(repr=False)
     left_f: np.ndarray
     right_h: np.ndarray
     h_perp: np.ndarray
-
-    @cached_property
-    def norm_h_perp(self) -> float:
-        return _norm(self.h_perp)
+    norm_f_perp: float
+    norm_h_perp: float
 
 
 @dataclass(frozen=True)
@@ -185,8 +185,8 @@ class PerturbedSolution:
     """One solve of (T*T + eps I) u = T* f + eps h.
 
     ``norm_h`` is the Euclidean norm of u, ``norm_eps`` the perturbed norm
-    sqrt(||Tu||^2 + eps ||u||^2) and ``residual`` the Euclidean norm of the
-    normal-equation defect in the singular basis of T (``solve_perturbed``).
+    sqrt(||Tu||^2 + eps ||u||^2) and ``residual`` the limit residual
+    ||Tu - f|| (``solve_perturbed``).
     The solution vector ``u = h_perp + V c`` is a cached read-only property,
     formed from the parts the solve keeps at its first read, one matrix
     pass, so a sweep that reads only the norms never forms it.
@@ -247,8 +247,10 @@ def solve_perturbed(projected: ProjectedData, epsilon: float) -> PerturbedSoluti
     norms come from these coordinates alone, ``||u||^2 = ||h_perp||^2 +
     ||c||^2`` since V has orthonormal columns orthogonal to h_perp, and
     ``||T u|| = ||s c||``, so the solve makes no matrix pass and ``u`` costs
-    one pass at its first read.  ``residual`` is the defect
-    ``||(s^2 + eps) c - (s U* f + eps V* h)||`` in that basis.  A non-finite
+    one pass at its first read.  ``residual`` is ``||T u - f||``, which is
+    ``hypot(||eps (s V* h - U* f) / (s^2 + eps)||, ||f - U U* f||)`` as
+    ``T h_perp = 0``; unlike the product ``T u - f``, it does not cancel when
+    small (Engl, Hanke and Neubauer 1996, sec. 4.3).  A non-finite
     entry or an overflowing norm raises NumericError here, never at the
     read of ``u``: each entry of ``u`` is at most ``||h_perp|| + ||c||`` in
     modulus, since the rows of V have norm at most 1.
@@ -268,7 +270,8 @@ def solve_perturbed(projected: ProjectedData, epsilon: float) -> PerturbedSoluti
         denom = s * s + epsilon
         rhs = s * projected.left_f + epsilon * projected.right_h
         c = rhs / denom
-        residual = float(np.linalg.norm(denom * c - rhs))
+        misfit = _norm(epsilon * (s * projected.right_h - projected.left_f) / denom)
+        residual = math.hypot(misfit, projected.norm_f_perp)
         norm_perp, norm_c = projected.norm_h_perp, _norm(c)
         norm_h = math.hypot(norm_perp, norm_c)
         norm_eps = math.hypot(_norm(s * c), math.sqrt(epsilon) * norm_h)

@@ -519,16 +519,19 @@ def _quad_forms(gram: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 def _seed_spectrum(energy_gram: np.ndarray, l2_gram: np.ndarray):
     """Generalized eigenpairs K^T w = lam M^T w over the independent seeds.
 
-    Both Grams are rescaled to unit L^2 diagonal.  A pivoted Cholesky
-    factorization of the scaled M drops every seed whose L^2 distance to the
-    span of the kept ones is at most ``_SEED_DROP_TOL`` times its own norm
-    (or at most sqrt(n eps_mach), the rounding level of the pivots, when
-    that is larger); the eigendecomposition runs on the kept seeds.  Returns
-    (lam, W, dropped) with W^H M^T W = I and W^H K^T W = diag(lam); W has
-    zero rows at the dropped seeds.
+    Both Grams are rescaled to unit L^2 diagonal, the only scaling the seeds
+    get: u_eps depends on their span alone.  A pivoted Cholesky factorization
+    of the scaled M drops every seed whose L^2 distance to the span of the
+    kept ones is at most ``_SEED_DROP_TOL`` times its own norm (or at most
+    sqrt(n eps_mach), the rounding level of the pivots, when that is
+    larger); the eigendecomposition runs on the kept seeds.  Returns (lam,
+    W, dropped) with W^H M^T W = I and W^H K^T W = diag(lam); W has zero
+    rows at the dropped seeds.
     """
     n = l2_gram.shape[0]
     scale = np.sqrt(np.real(np.diag(l2_gram)))
+    if not np.all(np.isfinite(scale) & (scale > 0.0)):
+        raise NumericError("degenerate trial seed with zero or non-finite L^2 norm")
     outer = np.outer(scale, scale)
     m_scaled = l2_gram / outer
     import scipy.linalg  # on first use: only the seed system of disk_cauchy needs it
@@ -555,10 +558,10 @@ class SeedSystem:
 
     ``tables`` holds, for each seed quantity q_k (s_k, ds_k/dx, ds_k/dy), a
     radial table on the quadrature radii and an angular table on its angles
-    with q_k = sum_t radial[:, t, k] x angular[:, t, k] (``_seed_tables``,
-    normalized to unit graph norm); projections of node data onto the seeds
-    and node values of seed combinations (``at_nodes``) are contractions with
-    them, so no node matrix is formed.
+    with q_k = sum_t radial[:, t, k] x angular[:, t, k] (``_seed_tables``);
+    projections of node data onto the seeds and node values of seed
+    combinations (``at_nodes``) are contractions with them, so no node
+    matrix is formed.
     ``l2_gram`` (M) and ``energy_gram`` (K) are the L^2 and (A., A.) Gram
     matrices, taken from the same tables, so the eps-Gram is K + eps M.
     ``lam`` and ``eigvecs`` solve K^T w = lam M^T w on the seeds not in
@@ -570,7 +573,7 @@ class SeedSystem:
 
     The rounding grows with the conditioning of M: on the 64 x 256 grid,
     over 12 arcs and both operators, max |W^H M^T W - I| measured up to
-    1.5e-13 / 1.4e-10 / 6.2e-7 / 2.1e-3 at trial_size 28 / 66 / 136 / 231.
+    1.8e-13 / 8.5e-11 / 2.9e-7 / 1.7e-3 at trial_size 28 / 66 / 136 / 231.
 
     In that basis the Galerkin system of every eps is diagonal: with
     p = W^H b the data in eigen-coordinates (``project``), (K + eps M)^T d = b
@@ -584,7 +587,6 @@ class SeedSystem:
     arc: ArcSpec
     quad: DiskQuadrature
     exponents: list
-    norms: np.ndarray
     tables: tuple
     l2_gram: np.ndarray
     energy_gram: np.ndarray
@@ -594,7 +596,7 @@ class SeedSystem:
 
     @property
     def size(self) -> int:
-        return self.norms.size
+        return len(self.exponents)
 
     def _weighted_sum(self, part: int, data) -> np.ndarray:
         """sum_n w_n data_n q_k(x_n) for seed quantity ``part`` (0 value, 1 d/dx, 2 d/dy).
@@ -706,13 +708,12 @@ def build_seed_system(
 ) -> SeedSystem:
     """Construct ``size`` trial seeds vanishing on Gamma and factor their Grams.
 
-    Seeds are delta * monomial in graded order, normalized to unit graph
-    norm, and kept as the radial x angular tables their Grams are summed
-    from.  Their traces on Gamma vanish exactly by construction: at r = 1
-    both terms of ``_seed_tables`` carry a factor that is zero there,
-    1 - r^2 or sigma.  One generalized
-    eigendecomposition of the seed Grams (see ``_seed_spectrum``) serves
-    every eps of a sweep.
+    Seeds are delta * monomial in graded order, unscaled, and kept as the
+    radial x angular tables their Grams are summed from.  Their traces on
+    Gamma vanish exactly by construction: at r = 1 both terms of
+    ``_seed_tables`` carry a factor that is zero there, 1 - r^2 or sigma.
+    One generalized eigendecomposition of the seed Grams (see
+    ``_seed_spectrum``) serves every eps of a sweep.
     """
     if size < 1:
         raise InputError(f"trial-space size must be >= 1, got {size}")
@@ -736,21 +737,14 @@ def build_seed_system(
     # Grams add up in one Gram of the stacked [gx; gy] table.
     grad_ang = angular[1:].reshape(2 * quad.n_phi, 2, size)
     k_gram = gram(slope_gram, grad_ang, grad_ang)
-    # Unit graph norm: D(s)^2 = ||s||^2 + ||A s||^2.
-    norms = np.sqrt(np.diag(m_gram) + np.diag(k_gram))
-    if not np.all(norms > 0.0):
-        raise NumericError("degenerate trial seed with zero or non-finite graph norm")
-    outer = np.outer(norms, norms)
-    m_gram, k_gram = m_gram / outer, k_gram / outer
     if operator is DiracOperatorKind.CAUCHY_RIEMANN:
         # (d/dx + i d/dy) Gram from real products: no complex node matrices.
-        cross = gram(slope_gram, gx_ang, gy_ang) / outer
+        cross = gram(slope_gram, gx_ang, gy_ang)
         k_gram = k_gram + 1j * (cross.T - cross)
-    value_radial, slope_radial = value_radial / norms, slope_radial / norms
 
     lam, eigvecs, dropped = _seed_spectrum(k_gram, m_gram)
     return SeedSystem(
-        operator=operator, arc=arc, quad=quad, exponents=exponents, norms=norms,
+        operator=operator, arc=arc, quad=quad, exponents=exponents,
         tables=((value_radial, value_ang), (slope_radial, gx_ang), (slope_radial, gy_ang)),
         l2_gram=m_gram, energy_gram=k_gram,
         lam=lam, eigvecs=eigvecs, dropped=dropped,

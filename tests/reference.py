@@ -260,10 +260,7 @@ def _product_field(a: Field, b: Field) -> AlgebraField:
 def seed_fields(seeds) -> list:
     """The seeds of a ``SeedSystem`` as closures: the reference for its ``tables``."""
     delta = defining_function(seeds.arc)
-    return [
-        (1.0 / norm) * _product_field(delta, monomial(px, py))
-        for norm, (px, py) in zip(seeds.norms, seeds.exponents)
-    ]
+    return [_product_field(delta, monomial(px, py)) for px, py in seeds.exponents]
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +359,29 @@ def perturbed_solution_mp(matrix, f, h, epsilon: float, dps: int = 50) -> np.nda
     import mpmath
 
     with mpmath.workdps(dps):
-        T = mpmath.matrix(np.asarray(matrix).tolist())
-        eps = mpmath.mpf(float(epsilon))
-        system = T.H * T + eps * mpmath.eye(T.cols)
-        rhs = T.H * mpmath.matrix(np.asarray(f).tolist()) + eps * mpmath.matrix(
-            np.asarray(h).tolist()
-        )
-        u = mpmath.lu_solve(system, rhs)
+        _, _, u = _normal_equation_mp(matrix, f, h, epsilon)
         return np.array([complex(x) for x in u])
+
+
+def limit_residual_mp(matrix, f, h, epsilon: float, dps: int = 50) -> float:
+    """||T u - f|| for the u of ``perturbed_solution_mp``, formed in ``dps``-digit arithmetic."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        T, f_mp, u = _normal_equation_mp(matrix, f, h, epsilon)
+        return float(mpmath.norm(T * u - f_mp))
+
+
+def _normal_equation_mp(matrix, f, h, epsilon: float):
+    """(T, f, u) as mpmath matrices, u solving (T*T + eps I) u = T* f + eps h at the working dps."""
+    import mpmath
+
+    T = mpmath.matrix(np.asarray(matrix).tolist())
+    f_mp = mpmath.matrix(np.asarray(f).tolist())
+    eps = mpmath.mpf(float(epsilon))
+    system = T.H * T + eps * mpmath.eye(T.cols)
+    rhs = T.H * f_mp + eps * mpmath.matrix(np.asarray(h).tolist())
+    return T, f_mp, mpmath.lu_solve(system, rhs)
 
 
 def kernel_orthogonality_check(

@@ -158,6 +158,27 @@ class TestRunMatrixPath:
         assert len(lines) == 1 + 3 + 1
         assert lines[-1].startswith("verdict=")
 
+    def test_residual_column_is_the_limit_residual(self, tmp_path):
+        # f has a part outside the range of the tall T, so ||T u_eps - f||
+        # stays away from 0 and the product formed directly is accurate.
+        matrix = np.array([[1.0, 0.0], [0.0, 0.5], [0.3, 0.2], [0.1, -0.4]])
+        f = np.array([1.0, -2.0, 0.5, 3.0])
+        schedule = [1.0, 0.1, 0.01, 0.001]
+        path, out = tmp_path / "m.txt", tmp_path / "mp.csv"
+        path.write_text("4 2\n" + "\n".join(" ".join(map(repr, row)) for row in matrix.tolist()))
+        cfg = write_config(
+            tmp_path,
+            f"[matrix_path]\nmatrix = {path}\nf = {' '.join(map(repr, f.tolist()))}\n"
+            f"schedule = {' '.join(map(repr, schedule))}\noutput = {out}\n",
+        )
+        assert cli.main(["run", cfg]) == 0
+        rows = [[float(x) for x in line.split(",")] for line in out.read_text().splitlines()[1:-1]]
+        direct = []
+        for eps in schedule:
+            u = np.linalg.solve(matrix.T @ matrix + eps * np.eye(2), matrix.T @ f)
+            direct.append(np.linalg.norm(matrix @ u - f))
+        np.testing.assert_allclose([row[3] for row in rows], direct, rtol=1e-13)
+
     def test_graded_operator_down_to_eps_1e_16(self, tmp_path):
         # Singular values over 13 decades, h = 0: solved through the normal
         # equations this run exited 3 ("normal-equation residual 4.092e-10

@@ -1120,7 +1120,6 @@ def _twin_with_duplicate(seeds, k):
     return dataclasses.replace(
         seeds,
         exponents=[seeds.exponents[j] for j in dup],
-        norms=seeds.norms[dup],
         tables=tuple((radial[..., dup], angular[..., dup]) for radial, angular in seeds.tables),
         lam=lam,
         eigvecs=eigvecs,
@@ -1195,6 +1194,32 @@ class TestSeedSpectrum:
         )
         assert cli.main(["run", str(cfg)]) == 3
         assert not (tmp_path / "dc.csv").exists()
+
+    @pytest.mark.parametrize("op", [GRAD, CR])
+    @pytest.mark.parametrize("size", [28, 66])
+    def test_spectrum_ignores_seed_scaling(self, op, size, quad64):
+        # The family depends on the span of the seeds, not on their scaling:
+        # Grams scaled by D x D give the same lam, the same dropped seeds and
+        # the filter W diag(1 / (lam + eps)) W^H scaled by 1/D x 1/D.  W
+        # itself is not compared, as eigenvectors of near-equal lam may turn.
+        seeds = build_seed_system(UPPER, op, size, quad64)
+        d = np.exp(np.random.default_rng(size).uniform(-3.0, 3.0, size))
+        outer = np.outer(d, d)
+        lam, w, dropped = variational._seed_spectrum(
+            outer * seeds.energy_gram, outer * seeds.l2_gram
+        )
+        assert np.max(np.abs(lam - seeds.lam)) <= 1e-9 * np.max(seeds.lam)
+        assert dropped == seeds.dropped
+        for eps in (1e-1, 1e-5):
+            ref = (seeds.eigvecs / (seeds.lam + eps)) @ seeds.eigvecs.conj().T
+            twin = outer * ((w / (lam + eps)) @ w.conj().T)
+            assert np.linalg.norm(twin - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("norm_sq", [0.0, math.nan, math.inf])
+    def test_degenerate_seed_is_numeric_error(self, norm_sq):
+        grams = np.diag([1.0, norm_sq])
+        with pytest.raises(NumericError, match="zero or non-finite L\\^2 norm"):
+            variational._seed_spectrum(grams, grams)
 
     def test_spectrum_diagonalizes_both_grams(self, quad_small):
         seeds = build_seed_system(UPPER, CR, 12, quad_small)
@@ -1314,8 +1339,6 @@ class TestSeparableSeedGrams:
         for gram, ref in ((seeds.l2_gram, l2_ref), (seeds.energy_gram, energy_ref)):
             diag = np.sqrt(np.abs(np.real(np.diag(ref))))
             assert np.all(np.abs(gram - ref) <= 1e-12 * np.outer(diag, diag))
-        # Every seed has unit graph norm ||s||^2 + ||A s||^2.
-        np.testing.assert_allclose(np.diag(l2_ref) + np.real(np.diag(energy_ref)), 1.0, rtol=1e-12)
         # Projections of node data and node values of seed combinations are
         # contractions with the same tables; check them against the closures,
         # scaled by Cauchy-Schwarz bounds from the Gram diagonals.
