@@ -333,28 +333,33 @@ def _passes(value, bound, above=False) -> bool:
     return value > bound if above else value <= bound
 
 
-def _basis_checks(op, i_max, eps, quad, points):
-    """Disk-basis identities at one eps.
+def _basis_checks(op, i_max, epsilons, quad, points):
+    """Disk-basis identities at each eps of ``epsilons``, lazily, from one Gram sweep.
 
-    Returns the largest relative off-diagonal L^2 and energy Gram entries,
-    the worst Helmholtz residual (scaled by 1 + the mode's magnitude
-    ``|I_i(sqrt(eps) r)| max |H_i|`` on the ring of ``points``) and the
-    smallest normal coupling over the modes up to ``i_max``.
+    Yields per eps the largest relative off-diagonal L^2 and energy Gram
+    entries, the worst Helmholtz residual (scaled by 1 + the mode's
+    magnitude ``|I_i(sqrt(eps) r)| max |H_i|`` on the ring of ``points``) and
+    the smallest normal coupling over the modes up to ``i_max``.  The angular
+    Grams and magnitudes are formed once per call.
     """
-    modes, l2_gram, energy_gram = variational.basis_grams(op, i_max, eps, quad)
+    modes = diskbasis.enumerate_modes(i_max)
     orders = np.array([i for i, _ in modes])
-    ring = bessel_i(orders, np.full(orders.shape, math.sqrt(eps) * float(np.hypot(*points[0]))))
+    radius = float(np.hypot(*points[0]))
     # Both branches of H_i share the amplitude |H_i^(1)(0)|.
-    scale = 1.0 + np.abs(ring) * np.abs(op.angular_table([(i, 1) for i in orders], 0.0))
-    values = lambda x, y: diskbasis.basis_table(op, modes, eps, x, y)
-    helm = diskbasis.check_helmholtz(values, eps, points) / scale
-    _, conormal = diskbasis.boundary_amplitudes(op, modes, eps)
-    return (
-        variational.max_offdiag_relative(l2_gram),
-        variational.max_offdiag_relative(energy_gram),
-        float(np.max(helm)),
-        float(np.min(conormal)),
-    )
+    peak = np.abs(op.angular_table([(i, 1) for i in orders], 0.0))
+    sweep = variational.basis_gram_sweep(op, i_max, epsilons, quad)
+    for eps, (_, l2_gram, energy_gram) in zip(epsilons, sweep):
+        ring = bessel_i(orders, np.full(orders.shape, math.sqrt(eps) * radius))
+        scale = 1.0 + np.abs(ring) * peak
+        values = lambda x, y: diskbasis.basis_table(op, modes, eps, x, y)
+        helm = diskbasis.check_helmholtz(values, eps, points) / scale
+        _, conormal = diskbasis.boundary_amplitudes(op, modes, eps)
+        yield (
+            variational.max_offdiag_relative(l2_gram),
+            variational.max_offdiag_relative(energy_gram),
+            float(np.max(helm)),
+            float(np.min(conormal)),
+        )
 
 
 def _run_verify_basis(cfg: ExperimentConfig) -> RunResult:
@@ -368,8 +373,9 @@ def _run_verify_basis(cfg: ExperimentConfig) -> RunResult:
 
     rows = []
     ok = True
-    for eps in p["schedule"]:
-        values = (*_basis_checks(op, p["i_max"], eps, quad, points), defect)
+    checks = _basis_checks(op, p["i_max"], p["schedule"], quad, points)
+    for eps, checked in zip(p["schedule"], checks):
+        values = (*checked, defect)
         rows.append((eps, *values))
         ok = ok and all(
             _passes(v, bound, c.startswith("min_"))
@@ -499,8 +505,9 @@ def verify_checks():
     points = _ring_points(0.45, 10)
     off_bound = min(tols["max_l2_offdiag"], tols["max_energy_offdiag"])
     for op in DiracOperatorKind:
-        for eps in (0.25, 1.0, 4.0):
-            off_l2, off_en, worst, coupling = _basis_checks(op, 6, eps, quad, points)
+        epsilons = (0.25, 1.0, 4.0)
+        checks = _basis_checks(op, 6, epsilons, quad, points)
+        for eps, (off_l2, off_en, worst, coupling) in zip(epsilons, checks):
             at = f"{op.value} eps={eps}"
             yield f"basis orthogonality {at}", max(off_l2, off_en), off_bound, False
             yield f"helmholtz residual {at}", worst, tols["max_helmholtz_residual"], False

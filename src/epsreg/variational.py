@@ -25,8 +25,9 @@ terms in eigen-coordinates (see ``SeedSystem``).  The harmonic lift of the
 Cauchy datum takes its node values on the tensor grid from one inverse FFT
 per radius (``FourierHarmonicField.at_nodes``) and its values at arbitrary
 points from Horner's rule.  A separate series solver fits mixed boundary
-data over the Helmholtz modes by least squares, from one SVD of their
-weighted boundary matrix, and reports the fit's misfit on each arc.  The
+data over the Helmholtz modes by least squares: the weighted boundary blocks
+are factored by QR once per run, each eps takes one SVD of a small stack of
+their R factors, and the fit reports its misfit on each arc.  The
 closure forms of the paper's definitions (the eps-inner product, the
 boundary form h, Gram-Schmidt, the seeds as closures) are the tests'
 reference, in ``tests/reference.py``.
@@ -37,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -53,6 +54,7 @@ __all__ = [
     "LinearCombination",
     "FourierHarmonicField",
     "conormal_values",
+    "basis_gram_sweep",
     "basis_grams",
     "max_offdiag_relative",
     "N_R_MAX",
@@ -352,37 +354,49 @@ def _radial_table(i_max: int, epsilon: float, r: np.ndarray):
     return values, root * slopes
 
 
-def basis_grams(operator: DiracOperatorKind, i_max: int, epsilon: float, quad: DiskQuadrature):
-    """Disk L^2 and energy Gram matrices of the basis functions b_i^(j).
+def basis_gram_sweep(operator: DiracOperatorKind, i_max: int, epsilons, quad: DiskQuadrature):
+    """Disk L^2 and energy Gram matrices of the basis functions b_i^(j), per eps.
 
     Every b = g(r) H(phi) is separable on the tensor quadrature, so each
     Gram is a Hadamard product of a radial Gram on ``quad.r`` and an
-    angular Gram on ``quad.phi``.  Returns (modes, l2_gram, energy_gram);
-    both Grams are Hermitian and diagonal up to quadrature error.
+    angular Gram on ``quad.phi``.  The angular Grams do not depend on eps:
+    they are formed once, before the first eps, and each eps of
+    ``epsilons`` adds its radial table, its radial Grams and their products.
+    Yields (modes, l2_gram, energy_gram) per eps, lazily; both Grams are
+    Hermitian and diagonal up to quadrature error.
     """
-    check_disk_epsilon(epsilon)
     modes = diskbasis.enumerate_modes(i_max)
     orders = [i for i, _ in modes]
-    values, slopes = _radial_table(i_max, epsilon, quad.r)
-    g, g_prime = values[:, orders], slopes[:, orders]
-    ratio = g / quad.r[:, None]
-    h = operator.angular_table(modes, quad.phi)
 
-    def gram(radial, angular):
-        return ((quad.wr[:, None] * radial).T @ radial) * (
-            quad.wphi * (angular.T @ np.conj(angular))
-        )
+    def angular_gram(angular):
+        return quad.wphi * (angular.T @ np.conj(angular))
 
+    def radial_gram(radial):
+        return (quad.wr[:, None] * radial).T @ radial
+
+    h_gram = angular_gram(operator.angular_table(modes, quad.phi))
     if operator.is_complex:
-        # conj(z) A b = (r g' + (lambda - i) g) H at every radius (the closed
-        # form of n(A b) in diskbasis), so |A b| = |g' + (lambda - i) g / r| |H|.
         shift = operator.eigenvalues(modes) - np.array(orders)
-        energy_gram = gram(g_prime + shift * ratio, h)
     else:
-        # |grad b|^2 = |g' H|^2 + |(g / r) H'|^2 in the polar frame.
-        h_prime = operator.angular_derivative_table(modes, quad.phi)
-        energy_gram = gram(g_prime, h) + gram(ratio, h_prime)
-    return modes, gram(g, h), energy_gram
+        h_prime_gram = angular_gram(operator.angular_derivative_table(modes, quad.phi))
+    for epsilon in epsilons:
+        check_disk_epsilon(epsilon)
+        values, slopes = _radial_table(i_max, epsilon, quad.r)
+        g, g_prime = values[:, orders], slopes[:, orders]
+        ratio = g / quad.r[:, None]
+        if operator.is_complex:
+            # conj(z) A b = (r g' + (lambda - i) g) H at every radius (the closed
+            # form of n(A b) in diskbasis), so |A b| = |g' + (lambda - i) g / r| |H|.
+            energy_gram = radial_gram(g_prime + shift * ratio) * h_gram
+        else:
+            # |grad b|^2 = |g' H|^2 + |(g / r) H'|^2 in the polar frame.
+            energy_gram = radial_gram(g_prime) * h_gram + radial_gram(ratio) * h_prime_gram
+        yield modes, radial_gram(g) * h_gram, energy_gram
+
+
+def basis_grams(operator: DiracOperatorKind, i_max: int, epsilon: float, quad: DiskQuadrature):
+    """(modes, l2_gram, energy_gram) of ``basis_gram_sweep`` at one eps."""
+    return next(basis_gram_sweep(operator, i_max, [epsilon], quad))
 
 
 def max_offdiag_relative(gram: np.ndarray) -> float:
@@ -793,7 +807,11 @@ class SeriesSolution:
     machine accuracy.  ``trace_scale`` / ``conormal_scale`` hold each mode's
     t(b) = I_i(sqrt(eps)) and n(A b) amplitudes on the unit circle, and
     ``trace_error_gamma`` / ``normal_error_complement`` the fit's L^2
-    misfits on Gamma and on the complement.
+    misfits on Gamma and on the complement.  The solutions of one (operator,
+    arc, n_modes, n_phi) share one series system: the angular tables and the
+    QR of each weighted boundary block are taken once, and the last system
+    is kept, so each eps costs its amplitudes and one SVD of the small stack
+    [R_g; R_c D(eps)] (``solve_mixed_boundary_series``).
     """
 
     operator: DiracOperatorKind
@@ -827,6 +845,51 @@ class SeriesSolution:
 _SERIES_RCOND = 1e-12
 
 
+class _BoundaryBlock(NamedTuple):
+    """One arc of the series fit: its trapezoid nodes and weights, the
+    unweighted angular table ``H`` of the modes on them, and the reduced QR
+    ``sqrt(w) H = Q R``, held as ``R`` and the data map ``(sqrt(w) Q)^H``."""
+
+    phi: np.ndarray
+    w: np.ndarray
+    table: np.ndarray
+    r: np.ndarray
+    data_map: np.ndarray
+
+
+def _boundary_block(operator: DiracOperatorKind, modes, phi, w) -> _BoundaryBlock:
+    table = operator.angular_table(modes, phi)
+    root = np.sqrt(w)[:, None]
+    q, r = np.linalg.qr(root * table)
+    block = _BoundaryBlock(phi, w, table, r, (root * q).conj().T)
+    for a in block:
+        a.flags.writeable = False
+    return block
+
+
+class _SeriesSystem(NamedTuple):
+    """The eps-free part of the series fit: the modes and one block per arc."""
+
+    modes: tuple
+    gamma: _BoundaryBlock
+    complement: _BoundaryBlock
+
+
+# A disk_mixed run fits one system at every eps of its schedule, so the
+# last system is kept: its QRs are taken once per run.
+@functools.lru_cache(maxsize=1)
+def _series_system(
+    operator: DiracOperatorKind, arc: ArcSpec, n_modes: int, n_phi: int
+) -> _SeriesSystem:
+    modes = tuple(diskbasis.enumerate_modes(n_modes))
+    check_quadrature_size(n_phi=n_phi)
+    return _SeriesSystem(
+        modes,
+        _boundary_block(operator, modes, *arc.quadrature(n_phi)),
+        _boundary_block(operator, modes, *arc.complement_quadrature(n_phi)),
+    )
+
+
 def solve_mixed_boundary_series(
     operator: DiracOperatorKind,
     arc: ArcSpec,
@@ -841,38 +904,34 @@ def solve_mixed_boundary_series(
     The solution of (-Laplace + eps) u = 0 with t(u) = u0 on Gamma and
     n(Au) = u1 on the complement is the least-squares fit of the data in
     the boundary form h over the modes through index ``n_modes``.  Each mode
-    column is divided by its trace amplitude I_i(sqrt(eps)), so the trace
-    columns are H_i and the conormal columns (n_i / t_i) H_i, and the
-    weighted boundary matrix A = [sqrt(w_g) T; sqrt(w_c) N] is factored by
-    one SVD, A = U S V^H, never squared into a Gram (Golub and Van Loan,
-    Matrix Computations, 5.3).  The singular values above ``_SERIES_RCOND``
-    times the largest give the h-orthonormal basis V S^-1 / I_i(sqrt(eps))
-    and the projections k = U^H b of the weighted data b, each datum read
-    once.  A trace amplitude below the smallest normal float (deep modes at
-    small eps), or a coefficient beyond the largest, raises NumericError.
+    column is divided by its trace amplitude I_i(sqrt(eps)), so the weighted
+    boundary matrix is A = [sqrt(w_g) H_g; sqrt(w_c) H_c D], with the
+    diagonal D = n / t its only part that depends on eps.  The series system
+    (``_series_system``, which keeps the last one) holds the reduced QR
+    sqrt(w) H = Q R of each block, so A = blockdiag(Q_g, Q_c) [R_g; R_c D]
+    and the first factor has orthonormal columns: each eps takes one SVD of
+    the 2M x M stack (M modes), [R_g; R_c D] = U S V^H, which has the
+    singular values of A, and A is never squared into a Gram (Golub and Van
+    Loan, Matrix Computations, 5.3).  The singular values above
+    ``_SERIES_RCOND`` times the largest give the h-orthonormal basis
+    V S^-1 / I_i(sqrt(eps)) and the projections k = U^H [Q_g^H b_g;
+    Q_c^H b_c] of the weighted data b, each datum read once.  A trace
+    amplitude below the smallest normal float (deep modes at small eps), or
+    a coefficient beyond the largest, raises NumericError.
     """
     check_disk_epsilon(epsilon)
-    modes = diskbasis.enumerate_modes(n_modes)
-    check_quadrature_size(n_phi=n_phi)
-    g_phi, g_w = arc.quadrature(n_phi)
-    c_phi, c_w = arc.complement_quadrature(n_phi)
-
+    modes, gamma, complement = _series_system(operator, arc, n_modes, n_phi)
     trace_scale, conormal_scale = diskbasis.boundary_amplitudes(operator, modes, epsilon)
     low = np.flatnonzero(trace_scale < np.finfo(float).tiny)
     if low.size:
         raise NumericError(f"boundary values of mode {modes[low[0]]} underflow at eps={epsilon:g}")
 
-    root_g, root_c = np.sqrt(g_w), np.sqrt(c_w)
-    table_g, table_c = operator.angular_table(modes, g_phi), operator.angular_table(modes, c_phi)
-    matrix = np.vstack([
-        root_g[:, None] * table_g,
-        root_c[:, None] * (conormal_scale / trace_scale * table_c),
-    ])
-
+    g_phi, c_phi = gamma.phi, complement.phi
     data_g = np.asarray(u0(g_phi)) if u0 is not None else np.zeros(g_phi.size)
     data_c = np.asarray(u1(c_phi)) if u1 is not None and c_phi.size else np.zeros(c_phi.size)
-    rhs = np.concatenate([root_g * data_g, root_c * data_c])
-    left, sing, right_h = np.linalg.svd(matrix, full_matrices=False)
+    stack = np.vstack([gamma.r, complement.r * (conormal_scale / trace_scale)])
+    rhs = np.concatenate([gamma.data_map @ data_g, complement.data_map @ data_c])
+    left, sing, right_h = np.linalg.svd(stack, full_matrices=False)
     kept = sing > _SERIES_RCOND * sing[0]
     k = left[:, kept].conj().T @ rhs
     with np.errstate(over="ignore", invalid="ignore"):
@@ -884,14 +943,14 @@ def solve_mixed_boundary_series(
     if high.size:
         raise NumericError(f"coefficients of mode {modes[high[0]]} overflow at eps={epsilon:g}")
 
-    def misfit(scale, table, data, w):
-        return math.sqrt(float(np.sum(w * np.abs((scale * table) @ raw - data) ** 2)))
+    def misfit(scale, block, data):
+        return math.sqrt(float(np.sum(block.w * np.abs((scale * block.table) @ raw - data) ** 2)))
 
     return SeriesSolution(
-        operator=operator, arc=arc, epsilon=float(epsilon), modes=modes, coeff=coeff, k=k,
-        raw_coeffs=raw, trace_scale=trace_scale, conormal_scale=conormal_scale,
-        trace_error_gamma=misfit(trace_scale, table_g, data_g, g_w),
-        normal_error_complement=misfit(conormal_scale, table_c, data_c, c_w),
+        operator=operator, arc=arc, epsilon=float(epsilon), modes=list(modes), coeff=coeff,
+        k=k, raw_coeffs=raw, trace_scale=trace_scale, conormal_scale=conormal_scale,
+        trace_error_gamma=misfit(trace_scale, gamma, data_g),
+        normal_error_complement=misfit(conormal_scale, complement, data_c),
     )
 
 

@@ -7,7 +7,9 @@ form the paper states them: fields as closures with a linear structure,
 the eps-inner product (A u, A v) + eps (u, v), the boundary form h,
 Gram-Schmidt, the defining function delta of the data arc and the seeds
 delta * P, the exact mixed data of a K_0 source outside the disk, the exact
-norm of the Cauchy-Riemann pole datum 1/(z - z0) and, for the abstract
+norm of the Cauchy-Riemann pole datum 1/(z - z0), the disk-basis Grams
+and the series fit (one SVD of the whole weighted boundary matrix) as
+formed afresh at each eps and, for the abstract
 engine, the minimal-norm solution, the kernel orthogonality of u_eps and a
 50-digit solve of the normal equations.
 Only the tests import it.
@@ -21,15 +23,21 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from epsreg import diskbasis
+from epsreg.bessel import check_disk_epsilon
 from epsreg.core import DiscreteOperator, PerturbedSolution, _as_vector
 from epsreg.diskbasis import DiracOperatorKind
 from epsreg.errors import InputError, NumericError
 from epsreg.variational import (
+    _SERIES_RCOND,
     ArcSpec,
     DiskQuadrature,
     Field,
     LinearCombination,
+    SeriesSolution,
+    _radial_table,
     _sigma,
+    check_quadrature_size,
     conormal_values,
 )
 
@@ -299,6 +307,100 @@ def k0_mixed_data(op: DiracOperatorKind, epsilon: float, x0):
     """(u0, u1) of ``k0_source``: its trace t(u) and its conormal trace n(A u) on the circle."""
     u = k0_source(epsilon, x0)
     return (lambda phi: trace_values(u, phi)), (lambda phi: conormal_values(op, u, phi))
+
+
+# ---------------------------------------------------------------------------
+# Disk-basis forms at one eps: the Grams and the series fit
+# ---------------------------------------------------------------------------
+
+
+def basis_grams_per_eps(operator: DiracOperatorKind, i_max: int, epsilon: float, quad):
+    """(modes, l2_gram, energy_gram) with every table and Gram formed at this eps.
+
+    ``basis_grams`` as it stood before its angular Grams were formed once per
+    sweep: the same Hadamard products, in the same order, so the bits agree.
+    """
+    check_disk_epsilon(epsilon)
+    modes = diskbasis.enumerate_modes(i_max)
+    orders = [i for i, _ in modes]
+    values, slopes = _radial_table(i_max, epsilon, quad.r)
+    g, g_prime = values[:, orders], slopes[:, orders]
+    ratio = g / quad.r[:, None]
+    h = operator.angular_table(modes, quad.phi)
+
+    def gram(radial, angular):
+        return ((quad.wr[:, None] * radial).T @ radial) * (
+            quad.wphi * (angular.T @ np.conj(angular))
+        )
+
+    if operator.is_complex:
+        shift = operator.eigenvalues(modes) - np.array(orders)
+        energy_gram = gram(g_prime + shift * ratio, h)
+    else:
+        h_prime = operator.angular_derivative_table(modes, quad.phi)
+        energy_gram = gram(g_prime, h) + gram(ratio, h_prime)
+    return modes, gram(g, h), energy_gram
+
+
+
+def solve_mixed_boundary_series_svd(
+    operator: DiracOperatorKind,
+    arc: ArcSpec,
+    u0,
+    u1,
+    epsilon: float,
+    n_modes: int = 16,
+    n_phi: int = 256,
+):
+    """The series fit by one SVD of the whole weighted boundary matrix.
+
+    ``solve_mixed_boundary_series`` as it stood before its boundary blocks
+    were factored once per system: every call builds both angular tables and
+    takes the SVD of A = [sqrt(w_g) H_g; sqrt(w_c) (n / t) H_c], all
+    (n_gamma + n_complement) x M of it, with the same cut, coefficients and
+    misfits.  Returns the ``SeriesSolution`` and the singular values of A.
+    """
+    check_disk_epsilon(epsilon)
+    modes = diskbasis.enumerate_modes(n_modes)
+    check_quadrature_size(n_phi=n_phi)
+    g_phi, g_w = arc.quadrature(n_phi)
+    c_phi, c_w = arc.complement_quadrature(n_phi)
+
+    trace_scale, conormal_scale = diskbasis.boundary_amplitudes(operator, modes, epsilon)
+    low = np.flatnonzero(trace_scale < np.finfo(float).tiny)
+    if low.size:
+        raise NumericError(f"boundary values of mode {modes[low[0]]} underflow at eps={epsilon:g}")
+
+    root_g, root_c = np.sqrt(g_w), np.sqrt(c_w)
+    table_g, table_c = operator.angular_table(modes, g_phi), operator.angular_table(modes, c_phi)
+    matrix = np.vstack([
+        root_g[:, None] * table_g,
+        root_c[:, None] * (conormal_scale / trace_scale * table_c),
+    ])
+
+    data_g = np.asarray(u0(g_phi)) if u0 is not None else np.zeros(g_phi.size)
+    data_c = np.asarray(u1(c_phi)) if u1 is not None and c_phi.size else np.zeros(c_phi.size)
+    rhs = np.concatenate([root_g * data_g, root_c * data_c])
+    left, sing, right_h = np.linalg.svd(matrix, full_matrices=False)
+    kept = sing > _SERIES_RCOND * sing[0]
+    k = left[:, kept].conj().T @ rhs
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeff = right_h[kept].conj().T / sing[kept] / trace_scale[:, None]
+        raw = coeff @ k
+    high = np.flatnonzero(~(np.isfinite(coeff).all(axis=1) & np.isfinite(raw)))
+    if high.size:
+        raise NumericError(f"coefficients of mode {modes[high[0]]} overflow at eps={epsilon:g}")
+
+    def misfit(scale, table, data, w):
+        return math.sqrt(float(np.sum(w * np.abs((scale * table) @ raw - data) ** 2)))
+
+    solution = SeriesSolution(
+        operator=operator, arc=arc, epsilon=float(epsilon), modes=modes, coeff=coeff, k=k,
+        raw_coeffs=raw, trace_scale=trace_scale, conormal_scale=conormal_scale,
+        trace_error_gamma=misfit(trace_scale, table_g, data_g, g_w),
+        normal_error_complement=misfit(conormal_scale, table_c, data_c, c_w),
+    )
+    return solution, sing
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,19 @@ class TestRunDiskMixed:
             _, trace_err, normal_err, helm = (float(tok) for tok in line.split(","))
             assert trace_err <= 1e-8 and normal_err <= 1e-8 and helm <= 1e-4
 
+    def test_one_series_system_per_run(self, tmp_path):
+        # The boundary blocks are factored at the first eps; the other three reuse them.
+        variational._series_system.cache_clear()
+        cfg = write_config(
+            tmp_path,
+            "[disk_mixed]\noperator = cauchy_riemann\n"
+            f"gamma_start = {0.5 * math.pi!r}\ngamma_end = {1.5 * math.pi!r}\n"
+            f"n_modes = 24\nschedule = 400 40 4 0.4\noutput = {tmp_path / 'dm.csv'}\n",
+        )
+        assert cli.main(["run", cfg]) == 0
+        info = variational._series_system.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
     @pytest.mark.parametrize(
         "keys, line, message",
         [
@@ -368,9 +381,10 @@ class TestRunVerifyBasis:
         quad = variational.DiskQuadrature.build(16, 64)
         points = cli._ring_points(0.5, 12)
         schedule = [400.0, 100.0, 30.0, 10.0, 3.0, 1.0, 0.3, 0.1, 0.03, 0.01]
-        clean = [cli._basis_checks(op, 8, eps, quad, points)[2] for eps in schedule]
+        clean = [checks[2] for checks in cli._basis_checks(op, 8, schedule, quad, points)]
         monkeypatch.setattr(diskbasis, "basis_table", perturbed_table)
-        perturbed = [cli._basis_checks(op, 8, eps, quad, points)[2] for eps in schedule]
+        perturbed = [checks[2] for checks in cli._basis_checks(op, 8, schedule, quad, points)]
+        assert len(clean) == len(perturbed) == len(schedule)
         assert max(clean) <= cli._VERIFY_TOLS["max_helmholtz_residual"]
         assert min(perturbed) >= 1.1e-3
 

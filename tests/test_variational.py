@@ -17,6 +17,7 @@ from epsreg.diskbasis import (
     apply_operator,
     basis_table,
     check_helmholtz,
+    enumerate_modes,
 )
 from epsreg import cli
 from epsreg.errors import InputError, NumericError
@@ -28,6 +29,7 @@ from epsreg.variational import (
     Field,
     FourierHarmonicField,
     LinearCombination,
+    basis_gram_sweep,
     basis_grams,
     build_seed_system,
     cauchy_pipeline,
@@ -39,6 +41,7 @@ from epsreg.variational import (
     trial_space_for_epsilon,
 )
 from reference import (
+    basis_grams_per_eps,
     boundary_form_h,
     constant,
     cr_pole_norm,
@@ -49,6 +52,7 @@ from reference import (
     monomial,
     pair_outputs,
     seed_fields,
+    solve_mixed_boundary_series_svd,
     trace_values,
     wrap,
 )
@@ -806,6 +810,135 @@ class TestSeriesSolver:
         assert check_helmholtz(sol.field, eps, pts) <= 1e-4
 
 
+# The basis_series deck's disk_mixed arc, and the full circle, whose complement block is empty.
+DECK_ARC = ArcSpec(0.5 * math.pi, 1.5 * math.pi)
+FULL = ArcSpec(0.0, 2.0 * math.pi)
+MACHINE_EPS = float(np.finfo(float).eps)
+
+
+def _factored_and_oracle(op, arc, n_modes, eps):
+    """The series fit and the full-SVD oracle (with its singular values) on the deck's source data."""
+    u0, u1 = cli._mode_boundary_data(op, (2, 1) if op is GRAD else (3, 2), eps)
+    args = (op, arc, u0, u1, eps)
+    return (
+        solve_mixed_boundary_series(*args, n_modes=n_modes),
+        *solve_mixed_boundary_series_svd(*args, n_modes=n_modes),
+        u0,
+    )
+
+
+class TestSeriesSystem:
+    """One QR per boundary block and system; each eps solves on the stack [R_g; R_c D]."""
+
+    def _assert_matches_oracle(self, op, arc, n_modes, eps):
+        sol, oracle, sing, u0 = _factored_and_oracle(op, arc, n_modes, eps)
+        kept = oracle.coeff.shape[1]
+        assert sol.coeff.shape[1] == kept
+        # Misfits to rounding of the data: at most 196 units of the data norm
+        # measured over this grid and the near-cut cases.
+        g_phi, g_w = arc.quadrature(256)
+        scale = math.sqrt(float(np.sum(g_w * np.abs(u0(g_phi)) ** 2)))
+        for got, want in (
+            (sol.trace_error_gamma, oracle.trace_error_gamma),
+            (sol.normal_error_complement, oracle.normal_error_complement),
+        ):
+            assert abs(got - want) <= 1e3 * MACHINE_EPS * scale
+        # Ring values to rounding times the kept condition number s_max / s_min:
+        # at most 5.9 units measured (cond 1.4 on the full circle, up to 9e11
+        # near the cut).
+        x, y = cli._ring_points(0.5, 16).T
+        got, want = sol.field.value_xy(x, y), oracle.field.value_xy(x, y)
+        cond = sing[0] / sing[kept - 1]
+        assert np.max(np.abs(got - want)) <= 64 * MACHINE_EPS * cond * np.max(np.abs(want))
+        return sol, sing
+
+    @pytest.mark.parametrize("op", [GRAD, CR])
+    @pytest.mark.parametrize("arc", [DECK_ARC, FULL], ids=["half", "full"])
+    @pytest.mark.parametrize("n_modes", [16, 24, 40])
+    @pytest.mark.parametrize("eps", [400.0, 40.0, 1.0, 1e-4])
+    def test_factored_solve_matches_the_full_svd(self, op, arc, n_modes, eps):
+        sol, _ = self._assert_matches_oracle(op, arc, n_modes, eps)
+        if arc.is_full:
+            assert sol.normal_error_complement == 0.0
+
+    @pytest.mark.parametrize("n_modes, kept, ratio", [(40, 81, 2.29e-12), (54, 109, 1.11e-12)])
+    def test_near_cut_keeps_the_oracles_directions(self, n_modes, kept, ratio):
+        # CR at eps 1e-8: s_min / s_max lies within a factor 2.3 of the
+        # 1e-12 cut, and every direction is kept by both solves.
+        sol, sing = self._assert_matches_oracle(CR, DECK_ARC, n_modes, 1e-8)
+        assert sol.coeff.shape[1] == len(sol.modes) == kept
+        assert sing[-1] / sing[0] == pytest.approx(ratio, rel=0.01)
+
+    def test_near_cut_overflow_is_the_oracles(self):
+        # n_modes 50 at eps 1e-9: s_min / s_max is 1.37e-13, so 10 of 101
+        # directions fall below the cut, and mode (50, 1) overflows in both solves.
+        with pytest.raises(NumericError) as factored:
+            _factored_and_oracle(CR, DECK_ARC, 50, 1e-9)
+        u0, u1 = cli._mode_boundary_data(CR, (3, 2), 1e-9)
+        with pytest.raises(NumericError) as oracle:
+            solve_mixed_boundary_series_svd(CR, DECK_ARC, u0, u1, 1e-9, n_modes=50)
+        assert str(factored.value) == str(oracle.value)
+        assert "mode (50, 1) overflow" in str(factored.value)
+
+    def test_per_eps_svd_is_on_the_small_stack(self, monkeypatch):
+        # 2 M x M with M = 33 modes, where the whole boundary matrix is 258 x 33.
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording(matrix, *args, **kwargs):
+            shapes.append(matrix.shape)
+            return svd(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        for eps in (400.0, 1.0):
+            solve_mixed_boundary_series(CR, DECK_ARC, None, None, eps, n_modes=16)
+        assert shapes == [(66, 33), (66, 33)]
+
+    def test_same_key_same_system_and_any_changed_key_a_new_one(self):
+        build = variational._series_system
+        build.cache_clear()
+        first = build(CR, DECK_ARC, 16, 256)
+        assert build(CR, ArcSpec(0.5 * math.pi, 1.5 * math.pi), 16, 256) is first
+        assert build.cache_info().misses == 1
+        changed = [(GRAD, DECK_ARC, 16, 256), (CR, UPPER, 16, 256), (CR, DECK_ARC, 24, 256),
+                   (CR, DECK_ARC, 16, 128)]
+        for count, key in enumerate(changed, start=2):
+            system = build(*key)
+            assert system is not first and build.cache_info().misses == count
+            op, arc, n_modes, n_phi = key
+            assert system.modes == tuple(enumerate_modes(n_modes))
+            assert np.array_equal(system.gamma.phi, arc.quadrature(n_phi)[0])
+            assert system.gamma.table.dtype == (complex if op.is_complex else float)
+
+    @pytest.mark.parametrize("arc", [DECK_ARC, FULL], ids=["half", "full"])
+    def test_system_arrays_are_read_only(self, arc):
+        system = variational._series_system(CR, arc, 8, 64)
+        for block in (system.gamma, system.complement):
+            for array in block:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
+
+    @pytest.mark.parametrize("op", [GRAD, CR])
+    def test_cold_and_warm_sweeps_agree_bitwise(self, op):
+        schedule = (400.0, 40.0, 1.0, 1e-4)
+
+        def sweep(cold):
+            results = []
+            for eps in schedule:
+                if cold:
+                    variational._series_system.cache_clear()
+                u0, u1 = cli._mode_boundary_data(op, (3, 2), eps)
+                results.append(solve_mixed_boundary_series(op, DECK_ARC, u0, u1, eps, n_modes=24))
+            return results
+
+        variational._series_system.cache_clear()
+        for warm, cold in zip(sweep(False), sweep(True)):
+            for name in ("coeff", "k", "raw_coeffs"):
+                assert np.array_equal(getattr(warm, name), getattr(cold, name))
+            assert warm.trace_error_gamma == cold.trace_error_gamma
+            assert warm.normal_error_complement == cold.normal_error_complement
+
+
 class TestLift:
     def test_horner_matches_power_sums(self):
         rng = np.random.default_rng(8)
@@ -1469,6 +1602,25 @@ class TestBasisGrams:
         for gram, ref in ((l2_gram, l2_ref), (energy_gram, energy_ref)):
             diag = np.sqrt(np.abs(np.real(np.diag(ref))))
             assert np.all(np.abs(gram - ref) <= 1e-12 * np.outer(diag, diag))
+
+    @pytest.mark.parametrize("op", [GRAD, CR])
+    @pytest.mark.parametrize(
+        "sizes, schedule",
+        [((64, 256), [100.0, 30.0, 10.0, 3.0, 1.0, 0.3, 0.1, 0.03, 0.01]), ((16, 64), [400.0])],
+        ids=["deck", "eps400-16x64"],
+    )
+    def test_sweep_keeps_the_bits_of_one_eps_calls(self, op, sizes, schedule):
+        # verify_basis's schedules: the angular Grams formed once give the
+        # same bits as basis_grams and as every Gram formed afresh per eps.
+        quad = DiskQuadrature.build(*sizes)
+        sweep = list(basis_gram_sweep(op, 8, schedule, quad))
+        assert len(sweep) == len(schedule)
+        for eps, (modes, l2_gram, energy_gram) in zip(schedule, sweep):
+            for ref_modes, ref_l2, ref_energy in (
+                basis_grams(op, 8, eps, quad), basis_grams_per_eps(op, 8, eps, quad)
+            ):
+                assert modes == ref_modes
+                assert (l2_gram == ref_l2).all() and (energy_gram == ref_energy).all()
 
     @pytest.mark.parametrize("i_max", [-3, 61])
     def test_i_max_held_to_the_order_rule(self, i_max, quad_small):
