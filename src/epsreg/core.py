@@ -116,10 +116,11 @@ class DiscreteOperator:
 
     @cached_property
     def svd(self):
-        """(U, s, Vh), the thin SVD T = U diag(s) Vh; one per operator, at its first projection."""
-        import scipy.linalg  # on first use: of the runs, only matrix_path needs it
+        """(U, s, Vh), the thin SVD T = U diag(s) Vh; one per operator, at its first projection.
 
-        factors = scipy.linalg.svd(self.matrix, full_matrices=False, check_finite=False)
+        ``numpy.linalg.svd`` runs LAPACK ``gesdd`` (divide and conquer).
+        """
+        factors = np.linalg.svd(self.matrix, full_matrices=False)
         return tuple(_read_only(factor) for factor in factors)
 
     def project(self, f, h) -> ProjectedData:

@@ -89,7 +89,7 @@ class Ode1dProblem:
 
 def exact_solution(p: Ode1dProblem, x: float) -> float:
     """u(x) = u0 + int_a^x f(y) dy by adaptive quadrature (abs err <= 1e-12)."""
-    from scipy.integrate import quad  # on first use: no disk or matrix run needs it
+    from scipy.integrate import quad  # only --verify and the tests: no run loads scipy
 
     x = p._require_inside(x)
     integral, _ = quad(p.f, p.a, x, epsabs=1e-13, epsrel=1e-13, limit=200)

@@ -16,12 +16,14 @@ only as these tables: projections of node data and node values of seed
 combinations are contractions with them, never node matrices.  One generalized
 eigenbasis of the energy and L^2 Grams, K^T w = lam M^T w, is orthonormal
 under every eps-inner product at once after the scaling w / sqrt(lam + eps)
-(``trial_space_for_epsilon``).  A whole eps schedule costs one factorization
-and a diagonal scaling per eps (``SeedSystem.project``, ``.gains``; the same
-solves as seed-coefficient columns are ``solve_perturbed_galerkin``, for
-``--verify`` and the tests), and the residuals and L^2 distances of the whole
-schedule come from one node-value column at its smallest eps plus exact
-terms in eigen-coordinates (see ``SeedSystem``).  The harmonic lift of the
+(``trial_space_for_epsilon``); it comes from numpy.linalg alone, a Cholesky
+reduction of M and one Hermitian eigendecomposition (``_seed_spectrum``).
+A whole eps schedule costs one factorization and a diagonal scaling per
+eps (``SeedSystem.project``, ``.gains``; the same solves as seed-coefficient
+columns are ``solve_perturbed_galerkin``, for ``--verify`` and the tests),
+and the residuals and L^2 distances of the whole schedule come from one
+node-value column at its smallest eps plus exact terms in eigen-coordinates
+(see ``SeedSystem``).  The harmonic lift of the
 Cauchy datum takes its node values on the tensor grid from one inverse FFT
 per radius (``FourierHarmonicField.at_nodes``) and its values at arbitrary
 points from Horner's rule.  A separate series solver fits mixed boundary
@@ -530,17 +532,60 @@ def _quad_forms(gram: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return np.maximum(np.real(np.sum(np.conj(coeffs) * (gram.T @ coeffs), axis=0)), 0.0)
 
 
+def _greedy_kept(m_scaled: np.ndarray, tol: float) -> np.ndarray:
+    """Seeds kept by the greedy pivoting of LAPACK ``xPSTRF``, in index order.
+
+    An unblocked pivoted Cholesky factorization P^T M P = U^H U: each step
+    pivots on the largest remaining diagonal of the Schur complement (the
+    first on ties, in the permuted order), the squared L^2 distance of that
+    seed to the span of the seeds already kept, and stops at the first
+    pivot at or below ``tol``.
+    """
+    n = m_scaled.shape[0]
+    a = np.array(m_scaled)
+    perm = np.arange(n)
+    dots = np.zeros(n)
+    rank = n
+    for j in range(n):
+        if j > 0:
+            dots[j:] += np.real(np.conj(a[j - 1, j:]) * a[j - 1, j:])
+        pivots = np.real(np.diagonal(a))[j:] - dots[j:]
+        p = j + int(np.argmax(pivots))
+        ajj = pivots[p - j]
+        if not ajj > tol:
+            rank = j
+            break
+        if p != j:
+            a[[j, p]] = a[[p, j]]
+            a[:, [j, p]] = a[:, [p, j]]
+            dots[[j, p]] = dots[[p, j]]
+            perm[[j, p]] = perm[[p, j]]
+        ajj = math.sqrt(ajj)
+        a[j, j] = ajj
+        a[j, j + 1:] = (a[j, j + 1:] - a[:j, j].conj() @ a[:j, j + 1:]) * (1.0 / ajj)
+    return np.sort(perm[:rank])
+
+
 def _seed_spectrum(energy_gram: np.ndarray, l2_gram: np.ndarray):
     """Generalized eigenpairs K^T w = lam M^T w over the independent seeds.
 
     Both Grams are rescaled to unit L^2 diagonal, the only scaling the seeds
-    get: u_eps depends on their span alone.  A pivoted Cholesky factorization
-    of the scaled M drops every seed whose L^2 distance to the span of the
-    kept ones is at most ``_SEED_DROP_TOL`` times its own norm (or at most
-    sqrt(n eps_mach), the rounding level of the pivots, when that is
-    larger); the eigendecomposition runs on the kept seeds.  Returns (lam,
-    W, dropped) with W^H M^T W = I and W^H K^T W = diag(lam); W has zero
-    rows at the dropped seeds.
+    get: u_eps depends on their span alone.  A seed is dropped when its L^2
+    distance to the span of the kept ones is at most ``_SEED_DROP_TOL``
+    times its own norm (or at most sqrt(n eps_mach), the rounding level of
+    the pivots, when that is larger), by the greedy rule of a pivoted
+    Cholesky factorization (LAPACK ``xPSTRF``, ``_greedy_kept``).
+    The eigenproblem is reduced to a standard one by the Cholesky factor of
+    the scaled M^T = L L^H: eigh of C = L^-1 K^T L^-H gives C Z = Z diag(lam)
+    and W = L^-H Z.  The inverse of L also certifies that no seed drops:
+    the squared distance of seed i to the span of all the others is
+    1 / (M^-1)_ii, the squared column norm of L^-1, and every pivot of the
+    greedy factorization is at least that large; when each exceeds twice
+    the tolerance, no pivot can fall below it.  Only a Gram that fails the
+    Cholesky factorization or the certificate runs the greedy rule, and the
+    same reduction then runs on the kept seeds.  Returns (lam, W, dropped)
+    with W^H M^T W = I and W^H K^T W = diag(lam); W has zero rows at the
+    dropped seeds.
     """
     n = l2_gram.shape[0]
     scale = np.sqrt(np.real(np.diag(l2_gram)))
@@ -548,20 +593,29 @@ def _seed_spectrum(energy_gram: np.ndarray, l2_gram: np.ndarray):
         raise NumericError("degenerate trial seed with zero or non-finite L^2 norm")
     outer = np.outer(scale, scale)
     m_scaled = l2_gram / outer
-    import scipy.linalg  # on first use: only the seed system of disk_cauchy needs it
-
-    pstrf = scipy.linalg.get_lapack_funcs("pstrf", (m_scaled,))
     tol = max(_SEED_DROP_TOL**2, n * np.finfo(float).eps)
-    _, piv, rank, _ = pstrf(m_scaled, tol=tol)
-    # LAPACK keeps a positive first pivot whatever the tolerance.
-    if rank == 0 or np.real(m_scaled[piv[0] - 1, piv[0] - 1]) <= tol:
-        raise NumericError("trial space collapsed: all seeds dropped")
-    kept = np.sort(piv[:rank] - 1)
-    dropped = sorted(int(k) for k in piv[rank:] - 1)
-    sub = np.ix_(kept, kept)
-    lam, w_kept = scipy.linalg.eigh((energy_gram / outer)[sub].T, m_scaled[sub].T)
-    eigvecs = np.zeros((n, rank), dtype=w_kept.dtype)
-    eigvecs[kept] = w_kept / scale[kept, None]
+    try:
+        inv_factor = np.linalg.inv(np.linalg.cholesky(m_scaled.T))
+    except np.linalg.LinAlgError:
+        certified = False
+    else:
+        with np.errstate(over="ignore"):
+            certified = bool(np.all(2.0 * tol * np.sum(np.abs(inv_factor) ** 2, axis=0) < 1.0))
+    kept = np.arange(n)
+    if not certified:
+        kept = _greedy_kept(m_scaled, tol)
+        if kept.size == 0:
+            raise NumericError("trial space collapsed: all seeds dropped")
+        sub = np.ix_(kept, kept)
+        try:
+            inv_factor = np.linalg.inv(np.linalg.cholesky(m_scaled[sub].T))
+        except np.linalg.LinAlgError:
+            raise NumericError("seed L^2 Gram is not positive definite on the kept seeds") from None
+    energy = (energy_gram / outer)[np.ix_(kept, kept)].T
+    lam, z = np.linalg.eigh(inv_factor @ energy @ inv_factor.conj().T)
+    eigvecs = np.zeros((n, kept.size), dtype=z.dtype)
+    eigvecs[kept] = (inv_factor.conj().T @ z) / scale[kept, None]
+    dropped = np.setdiff1d(np.arange(n), kept).tolist()
     # K is positive semidefinite: negative eigenvalues are rounding.
     return np.maximum(lam, 0.0), eigvecs, dropped
 
@@ -587,7 +641,9 @@ class SeedSystem:
 
     The rounding grows with the conditioning of M: on the 64 x 256 grid,
     over 12 arcs and both operators, max |W^H M^T W - I| measured up to
-    1.8e-13 / 8.5e-11 / 2.9e-7 / 1.7e-3 at trial_size 28 / 66 / 136 / 231.
+    3.0e-13 / 1.1e-10 / 4.2e-7 / 1.6e-3 and max |W^H K^T W - diag(lam)|
+    up to 1.6e-14 / 2.4e-12 / 4.8e-9 / 1.1e-5 of max(lam) at trial_size
+    28 / 66 / 136 / 231.
 
     In that basis the Galerkin system of every eps is diagonal: with
     p = W^H b the data in eigen-coordinates (``project``), (K + eps M)^T d = b
@@ -726,8 +782,8 @@ def build_seed_system(
     radial x angular tables their Grams are summed from.  Their traces on
     Gamma vanish exactly by construction: at r = 1 both terms of
     ``_seed_tables`` carry a factor that is zero there, 1 - r^2 or sigma.
-    One generalized eigendecomposition of the seed Grams (see
-    ``_seed_spectrum``) serves every eps of a sweep.
+    One Cholesky reduction and one eigendecomposition of the seed Grams
+    (see ``_seed_spectrum``) serve every eps of a sweep.
     """
     if size < 1:
         raise InputError(f"trial-space size must be >= 1, got {size}")

@@ -461,8 +461,8 @@ class TestImports:
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["False"]
 
-    # scipy.linalg is imported where it is called: imports, config parsing,
-    # disk_mixed, verify_basis and ode1d runs load no scipy module.
+    # No experiment loads scipy: the SVD and the seed spectrum come from
+    # numpy.linalg.  Only ode1d's --verify check (quad) and the tests use it.
     _LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
     def _fresh(self, code, cwd=None):
@@ -501,10 +501,14 @@ class TestImports:
             "[disk_mixed]\ngamma_start = 0.0\ngamma_end = 3.0\nn_modes = 6\n"
             "schedule = 1 0.5\noutput = o.csv\n",
             "[verify_basis]\ni_max = 4\nn_r = 16\nn_phi = 64\nschedule = 1 0.25\noutput = o.csv\n",
+            "[disk_cauchy]\ngamma_start = 0.0\ngamma_end = 3.0\ntrial_size = 6\nn_r = 16\n"
+            "n_phi = 64\nschedule = 1e-1 1e-2\noutput = o.csv\n",
+            "[matrix_path]\nmatrix = m.txt\nf = 1 2 3\nschedule = 1 0.1 0.01\noutput = o.csv\n",
         ],
-        ids=["ode1d", "disk_mixed", "verify_basis"],
+        ids=["ode1d", "disk_mixed", "verify_basis", "disk_cauchy", "matrix_path"],
     )
     def test_run_loads_no_scipy(self, tmp_path, text):
+        (tmp_path / "m.txt").write_text("3 2\n2 0\n1 1\n0 3\n")
         path = write_config(tmp_path, text)
         code = (
             "import sys\n"
@@ -515,31 +519,22 @@ class TestImports:
         assert self._fresh(code, cwd=tmp_path)[-2:] == ["0", "[]"]
         assert (tmp_path / "o.csv").exists()
 
-    # module is in sys.modules (before, after) the call; the quadrature's
-    # Gauss-Legendre rule comes from numpy, so building it loads no scipy.
+    # No scipy module is loaded before or after the call; the quadrature's
+    # Gauss-Legendre rule comes from numpy too.
     @pytest.mark.parametrize(
-        "module, before, after, setup, call, check",
+        "setup, call, check",
         [
             (
-                "scipy.linalg",
-                "False",
-                "True",
                 "op = core.DiscreteOperator(np.array([[2.0, 0.0], [1.0, 1.0], [0.0, 3.0]]))",
                 "left, s, right = op.svd",
                 "np.allclose((left * s) @ right, op.matrix, rtol=0, atol=1e-12)",
             ),
             (
-                "scipy",
-                "False",
-                "False",
                 "",
                 "quad = variational.DiskQuadrature.build(8, 16)",
                 "abs(quad.w.sum() - math.pi) <= 1e-13",
             ),
             (
-                "scipy.linalg",
-                "False",
-                "True",
                 "quad = variational.DiskQuadrature.build(16, 64)",
                 "seeds = variational.build_seed_system("
                 "variational.ArcSpec(0.0, math.pi), diskbasis.DiracOperatorKind.GRADIENT, 6, quad)",
@@ -549,18 +544,17 @@ class TestImports:
         ],
         ids=["svd", "quadrature", "seed_system"],
     )
-    def test_first_call_loads_its_module(self, module, before, after, setup, call, check):
+    def test_first_call_loads_no_scipy(self, setup, call, check):
         code = (
             "import math, sys\n"
             "import numpy as np\n"
             "from epsreg import core, diskbasis, variational\n"
             f"{setup}\n"
-            f"print({module!r} in sys.modules)\n"
+            f"print({self._LOADED_SCIPY})\n"
             f"{call}\n"
-            f"print({module!r} in sys.modules, bool({check}))\n"
+            f"print({self._LOADED_SCIPY}, bool({check}))\n"
         )
-        assert self._fresh(code) == [before, f"{after} True"]
-
+        assert self._fresh(code) == ["[]", "[] True"]
 
     def test_load_matrix_leaves_the_svd_to_the_first_solve(self, tmp_path):
         # A load never factors, so the bench's setup_s never holds the SVD.
@@ -573,7 +567,7 @@ class TestImports:
             "core.run_path(op, [1.0, 2.0, 3.0], [0.0, 0.0], [1.0, 0.1])\n"
             "print('svd' in vars(op), 'scipy.linalg' in sys.modules)\n"
         )
-        assert self._fresh(code, cwd=tmp_path) == ["False False", "True True"]
+        assert self._fresh(code, cwd=tmp_path) == ["False False", "True False"]
 
 
 class TestUnreadableInputs:

@@ -7,7 +7,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from epsreg import cli, core, diskbasis, ode1d, variational
@@ -406,7 +405,7 @@ class TestRunPath:
         assert path_verdict([0.1, 0.01], [5.0, 5.0]) == (0.0, Verdict.BOUNDED)
 
 
-# Median / max relative error of u for the thin-SVD solve (scipy gesdd, one
+# Median / max relative error of u for the thin-SVD solve (LAPACK gesdd, one
 # BLAS thread), first measured on another draw of 18 graded 15x17 operators;
 # the 18 below read 7.7e-14 / 4.4e-13, 1.7e-10 / 1.5e-9 and 6.8e-10 / 8.8e-9.
 # Solved through the eigenbasis of T*T these operators erred by
@@ -639,13 +638,13 @@ class TestLoadMatrixCache:
 
     def test_same_bytes_same_operator_one_svd(self, tmp_path, monkeypatch):
         calls = []
-        svd = scipy.linalg.svd
+        svd = np.linalg.svd
 
         def counting_svd(*args, **kwargs):
             calls.append(1)
             return svd(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         first, second = tmp_path / "a.txt", tmp_path / "b.txt"
         for path in (first, second):
             path.write_text("3 2\n1 0\n0 2\n1 1\n")

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from scipy.integrate import quad
 
 from epsreg.bessel import bessel_i, bessel_i_prime
@@ -1360,6 +1361,107 @@ class TestSeedSpectrum:
         np.testing.assert_allclose(w.conj().T @ seeds.l2_gram.T @ w, np.eye(12), atol=1e-10)
         np.testing.assert_allclose(w.conj().T @ seeds.energy_gram.T @ w, np.diag(seeds.lam), atol=1e-10)
         assert np.all(np.diff(seeds.lam) >= 0.0) and seeds.lam[0] > 0.0
+
+
+def _drop_tol(n):
+    return max(variational._SEED_DROP_TOL**2, n * np.finfo(float).eps)
+
+
+def _unit_diagonal(l2_gram):
+    scale = np.sqrt(np.real(np.diag(l2_gram)))
+    return l2_gram / np.outer(scale, scale)
+
+
+def _pstrf_dropped(l2_gram):
+    """Dropped seeds by LAPACK xPSTRF on the unit-diagonal Gram, sorted."""
+    m = _unit_diagonal(l2_gram)
+    pstrf = scipy.linalg.lapack.zpstrf if np.iscomplexobj(m) else scipy.linalg.lapack.dpstrf
+    _, piv, rank, _ = pstrf(m, tol=_drop_tol(m.shape[0]))
+    return sorted(int(k) for k in piv[rank:] - 1)
+
+
+def _greedy_dropped(l2_gram):
+    """Dropped seeds by the numpy port of the greedy rule, run whatever the certificate says."""
+    m = _unit_diagonal(l2_gram)
+    kept = variational._greedy_kept(m, _drop_tol(m.shape[0]))
+    return sorted(set(range(m.shape[0])) - set(kept.tolist()))
+
+
+def _planted_gram(n, k, dist2, complex_seeds, seed):
+    """Gram of n random unit seeds where seed k lies at squared distance
+    ``dist2`` from the span of the others."""
+    rng = np.random.default_rng(seed)
+    shape = (4 * n, n)
+    x = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_seeds else 0.0)
+    others = np.delete(x, k, axis=1)
+    q, _ = np.linalg.qr(others)
+    normal = x[:, k] - q @ (q.conj().T @ x[:, k])
+    inside = others @ rng.standard_normal(n - 1)
+    inside /= np.linalg.norm(inside)
+    x[:, k] = math.sqrt(1.0 - dist2) * inside + math.sqrt(dist2) * normal / np.linalg.norm(normal)
+    x /= np.linalg.norm(x, axis=0)
+    return x.conj().T @ x
+
+
+class TestDropRule:
+    # The numpy drop rule against LAPACK's pivoted Cholesky (xPSTRF), the
+    # rule it ports: the same dropped seeds through the certified branch of
+    # _seed_spectrum and through the greedy loop run on its own.
+    ARCS = [UPPER, ArcSpec(0.5, 2.5), ArcSpec(1.0, 5.5)]
+
+    @pytest.mark.parametrize("size", [28, 66, 136, 231])
+    def test_seed_grams_keep_every_seed(self, size, quad64, monkeypatch):
+        loops = []
+        greedy = variational._greedy_kept
+        monkeypatch.setattr(
+            variational, "_greedy_kept", lambda *args: loops.append(1) or greedy(*args)
+        )
+        for arc in self.ARCS:
+            seeds = build_seed_system(arc, GRAD, size, quad64)
+            # Every seed is certified: the greedy loop did not run.
+            assert loops == []
+            m = seeds.l2_gram
+            assert seeds.dropped == _greedy_dropped(m) == _pstrf_dropped(m) == []
+            loops.clear()
+
+    @pytest.mark.parametrize("op", [GRAD, CR])
+    @pytest.mark.parametrize("k", [0, 3, 7])
+    def test_duplicated_seed(self, op, k, quad_small):
+        twin = _twin_with_duplicate(build_seed_system(UPPER, op, 8, quad_small), k)
+        assert len(twin.dropped) == 1
+        assert twin.dropped == _greedy_dropped(twin.l2_gram) == _pstrf_dropped(twin.l2_gram)
+
+    @pytest.mark.parametrize("complex_seeds", [False, True])
+    @pytest.mark.parametrize("n", [30, 100])
+    @pytest.mark.parametrize("factor, drops", [(4.0, 0), (1.5, 0), (0.5, 1), (0.1, 1)])
+    def test_planted_dependency(self, complex_seeds, n, factor, drops):
+        # Squared distance factor * tol: just above the tolerance the
+        # certificate fails below 2 tol and the greedy loop keeps the seed.
+        for seed in range(3):
+            k = int(np.random.default_rng(seed).integers(n))
+            gram = _planted_gram(n, k, factor * _drop_tol(n), complex_seeds, seed)
+            _, _, dropped = variational._seed_spectrum(gram, gram)
+            assert len(dropped) == drops
+            assert dropped == _greedy_dropped(gram) == _pstrf_dropped(gram)
+
+
+# max |W^H M^T W - I| and max |W^H K^T W - diag(lam)| / lam_max on the upper
+# arc of the 64 x 256 grid, the larger of the two operators, with the
+# spectrum of scipy.linalg's generalized eigh (one BLAS thread; two threads
+# read 1.2e-13 / 9.8e-11 / 3.2e-7 and 8.5e-15 / 2.6e-12 / 5.9e-9).
+SCIPY_SEED_DEFECTS = {28: (1.2e-13, 8.5e-15), 66: (8.5e-11, 2.2e-12), 136: (2.0e-7, 4.4e-9)}
+
+
+@pytest.mark.parametrize("op", [GRAD, CR])
+@pytest.mark.parametrize("size", sorted(SCIPY_SEED_DEFECTS))
+def test_seed_identities_hold_to_rounding(op, size, quad64):
+    seeds = build_seed_system(UPPER, op, size, quad64)
+    w, lam = seeds.eigvecs, seeds.lam
+    m_defect = np.max(np.abs(w.conj().T @ seeds.l2_gram.T @ w - np.eye(lam.size)))
+    k_defect = np.max(np.abs(w.conj().T @ seeds.energy_gram.T @ w - np.diag(lam))) / lam.max()
+    m_bound, k_bound = SCIPY_SEED_DEFECTS[size]
+    assert m_defect <= 10.0 * m_bound
+    assert k_defect <= 10.0 * k_bound
 
 
 def _node_misfits(seeds, coeffs, f_vals, target):
